@@ -4,6 +4,7 @@ pass/fail line each.  Run with `pytest tests/test_acceptance.py -v -s`.
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -266,12 +267,19 @@ CLI_CASES = [
 ]
 
 
+GOLDEN = Path(__file__).with_name("golden")
+
+
+def criterion_9_argv(case):
+    argv = list(case) + ["--seed", "3"] if "--seed" not in case else list(case)
+    return argv + ["--output", "json"]
+
+
 def test_criterion_9_cli_determinism(capsys):
     seen_commands = set()
     for case in CLI_CASES:
         seen_commands.add(case[0])
-        argv = list(case) + ["--seed", "3"] if "--seed" not in case else list(case)
-        argv += ["--output", "json"]
+        argv = criterion_9_argv(case)
         payloads = []
         for _ in range(2):
             code = cli_main(argv)
@@ -279,7 +287,16 @@ def test_criterion_9_cli_determinism(capsys):
             assert code == 0, f"{case[0]} exited {code}"
             payloads.append(json.dumps(json.loads(out)["report"], sort_keys=True))
         assert payloads[0] == payloads[1], f"nondeterministic report: {case[0]}"
+        # pinned across changes: tests/golden holds the report of each case
+        golden = json.loads((GOLDEN / f"{case[0]}.json").read_text(encoding="utf-8"))
+        assert payloads[0] == json.dumps(golden, sort_keys=True), (
+            f"report differs from tests/golden/{case[0]}.json"
+        )
     from gradus.cli import SUBCOMMANDS
 
     assert seen_commands == set(SUBCOMMANDS)
-    _announce(9, f"double-run byte-identical reports for all {len(seen_commands)} subcommands")
+    _announce(
+        9,
+        f"double-run byte-identical reports, equal to tests/golden, "
+        f"for all {len(seen_commands)} subcommands",
+    )
