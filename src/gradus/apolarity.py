@@ -11,8 +11,8 @@ Jacobian rref basis), so all outputs are exactly comparable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (
     AmbientMismatchError,
@@ -23,8 +23,24 @@ from .errors import (
     ZeroPolynomialError,
     invariant,
 )
-from .linalg import FieldConfig, GradedSubspace, Matrix, kernel, span, subspace_le
-from .poly import Polynomial, graded_dim, monomial_index, monomials, polar_pair
+from .jacobian import jacobian_graded, require_smooth
+from .linalg import (
+    CACHE_SIZE,
+    FieldConfig,
+    GradedSubspace,
+    Matrix,
+    kernel,
+    span,
+    subspace_le,
+)
+from .poly import (
+    Polynomial,
+    graded_dim,
+    monomial_index,
+    monomials,
+    pairing_weight,
+    polar_pair,
+)
 
 
 @dataclass(frozen=True)
@@ -62,13 +78,7 @@ def _pairing_weights(field: FieldConfig, nvars: int, degree: int):
         raise CharacteristicError(
             f"perp at degree {degree} needs characteristic > {degree}"
         )
-    weights = []
-    for m in monomials(nvars, degree):
-        w = 1
-        for e in m:
-            w *= math.factorial(e)
-        weights.append(field.coerce(w))
-    return weights
+    return [pairing_weight(field, m) for m in monomials(nvars, degree)]
 
 
 def perp_graded(e: GradedSubspace, _check: bool = True) -> GradedSubspace:
@@ -103,29 +113,14 @@ def _pivot_cols(m: Matrix) -> tuple:
     return tuple(pivots)
 
 
-def _require_smooth(f: Polynomial):
-    from .jacobian import is_smooth_hypersurface
-
-    cert = is_smooth_hypersurface(f)
-    if not cert.is_smooth:
-        raise NotSmoothError(
-            f"operation requires a smooth-certified form (verdict: {cert.verdict})"
-        )
-    return cert
-
-
-_socle_cache: dict = {}
-
-
 def socle_functional(f: Polynomial) -> SocleFunctional:
     """The unique normalized functional on degree T killing the Jacobian ideal."""
-    from .jacobian import jacobian_graded
+    require_smooth(f)
+    return _socle_functional(f)
 
-    _require_smooth(f)
-    key = f.key()
-    hit = _socle_cache.get(key)
-    if hit is not None:
-        return hit
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _socle_functional(f: Polynomial) -> SocleFunctional:
     d = f.homogeneous_degree()
     t = f.nvars * (d - 2)
     jt = jacobian_graded(f, t)
@@ -134,15 +129,11 @@ def socle_functional(f: Polynomial) -> SocleFunctional:
         raise NotSmoothError(
             f"socle is {null.nrows}-dimensional at degree {t}; expected 1"
         )
-    out = SocleFunctional(f.field, f.nvars, t, null.rows[0])
-    _socle_cache[key] = out
-    return out
+    return SocleFunctional(f.field, f.nvars, t, null.rows[0])
 
 
 def _quotient_basis(f: Polynomial, k: int):
     """(subspace J_{F,k}, complement monomial columns) for the quotient piece."""
-    from .jacobian import jacobian_graded
-
     j = jacobian_graded(f, k)
     return j, j.complement_columns()
 
@@ -153,7 +144,7 @@ def macaulay_pairing_matrix(f: Polynomial, j: int) -> Matrix:
     Entry (a, b) is lambda(m_a * m_b) for the complement-monomial bases; full
     rank is the duality statement for smooth forms.
     """
-    _require_smooth(f)
+    require_smooth(f)
     d = f.homogeneous_degree()
     t = f.nvars * (d - 2)
     if not 0 <= j <= t:
@@ -179,9 +170,7 @@ def macaulay_pairing_matrix(f: Polynomial, j: int) -> Matrix:
 def annihilator_quadric(f: Polynomial, g_dual: Polynomial) -> Polynomial:
     """The quadric (unique mod J_{F,2}, canonically normalized) whose socle
     products vanish on the hyperplane of cubics pairing to zero with G."""
-    from .jacobian import jacobian_graded
-
-    _require_smooth(f)
+    require_smooth(f)
     if g_dual.is_zero():
         raise ZeroPolynomialError("G must be nonzero")
     if g_dual.family == f.family:
@@ -250,8 +239,6 @@ def annihilator_quadric(f: Polynomial, g_dual: Polynomial) -> Polynomial:
 
 def colon_graded(f: Polynomial, q: Polynomial, k: int) -> GradedSubspace:
     """{a of degree k : a*q lies in the Jacobian ideal piece of degree k+deg q}."""
-    from .jacobian import jacobian_graded
-
     _require_homog_or_zero(q)
     if q.nvars != f.nvars or q.field != f.field or q.family != f.family:
         raise AmbientMismatchError("F and Q live in different rings")
@@ -285,7 +272,7 @@ def _require_homog_or_zero(p: Polynomial):
 
 def extract_c(f: Polynomial, q: Polynomial) -> CubicC:
     """Normalized generator of the perp line of (J_F : Q) in degree deg F."""
-    _require_smooth(f)
+    require_smooth(f)
     d = f.homogeneous_degree()
     colon = colon_graded(f, q, d)
     perp_dim = colon.ambient_dim - colon.dim

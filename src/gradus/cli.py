@@ -74,8 +74,11 @@ SUBCOMMANDS = (
 def _read_arg(value: str) -> str:
     """Inline string, or @path to read from a file."""
     if value.startswith("@"):
-        with open(value[1:], "r", encoding="utf-8") as fh:
-            return fh.read()
+        try:
+            with open(value[1:], "r", encoding="utf-8") as fh:
+                return fh.read()
+        except OSError as err:
+            raise ParseError(f"cannot read {value[1:]!r}: {err.strerror}") from None
     return value
 
 

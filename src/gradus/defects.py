@@ -21,7 +21,7 @@ from .errors import (
     PreconditionError,
     RangeError,
 )
-from .jacobian import milnor_dim, smooth_reference_dims
+from .jacobian import milnor_dim, projective_points, smooth_reference_dims
 from .linalg import FieldConfig, Matrix, rank
 from .poly import Polynomial, monomials
 
@@ -174,13 +174,11 @@ def brute_singular_search(f: Polynomial, p: int) -> PointSet:
         pf = f.partial(i)
         terms = {m: field.coerce(c) for m, c in pf.terms.items()}
         partials.append(Polynomial(field, nvars, f.family, terms))
-    found = []
-    for pivot in range(nvars):
-        tail = nvars - pivot - 1
-        for combo in itertools.product(range(p), repeat=tail):
-            point = (0,) * pivot + (1,) + combo
-            if all(g.evaluate(point) == 0 for g in partials):
-                found.append(point)
+    found = [
+        pt
+        for pt in projective_points(nvars, p)
+        if all(g.evaluate(pt) == 0 for g in partials)
+    ]
     return PointSet(field, nvars, tuple(found))
 
 

@@ -15,15 +15,18 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (
     AmbientMismatchError,
     CharacteristicError,
+    NotSmoothError,
     PreconditionError,
     ZeroPolynomialError,
     invariant,
 )
 from .linalg import (
+    CACHE_SIZE,
     DEFAULT_PRIME,
     FieldConfig,
     GradedSubspace,
@@ -105,18 +108,21 @@ class EmptinessResult:
 # generator rows
 
 
-def _shifted_rows(g: Polynomial, k: int):
-    """Coefficient vectors of m*g for all monomials m of degree k - deg(g)."""
+def _shifted_rows(g: Polynomial, k: int, terms: dict | None = None):
+    """Coefficient vectors of m*g for all monomials m of degree k - deg(g).
+
+    `terms` replaces the coefficients of g (same monomials), for integer rows.
+    """
     e = g.homogeneous_degree()
     if e is None or e > k:
         return []
-    nvars = g.nvars
-    idx = monomial_index(nvars, k)
-    zero = g.field.zero
+    if terms is None:
+        terms = g.terms
+    idx = monomial_index(g.nvars, k)
     rows = []
-    for m in monomials(nvars, k - e):
-        row = [zero] * len(idx)
-        for gm, c in g.terms.items():
+    for m in monomials(g.nvars, k - e):
+        row = [0] * len(idx)
+        for gm, c in terms.items():
             row[idx[tuple(a + b for a, b in zip(m, gm))]] = c
         rows.append(row)
     return rows
@@ -136,15 +142,26 @@ def _integer_poly_terms(p: Polynomial) -> dict:
     return ints
 
 
-def _integer_shifted_rows(terms: dict, nvars: int, e: int, k: int):
-    idx = monomial_index(nvars, k)
+def _integer_rows(gens, k: int) -> list:
+    """Integer rows spanning the degree-k piece of the ideal of `gens`.
+
+    Zero generators are skipped; rational generators are scaled to primitive
+    integers (same ideal), prime-field ones keep their residues.
+    """
     rows = []
-    for m in monomials(nvars, k - e):
-        row = [0] * len(idx)
-        for gm, c in terms.items():
-            row[idx[tuple(a + b for a, b in zip(m, gm))]] = c
-        rows.append(row)
+    for g in gens:
+        if not g.is_zero():
+            terms = _integer_poly_terms(g) if g.field.is_rational else None
+            rows.extend(_shifted_rows(g, k, terms))
     return rows
+
+
+def projective_points(nvars: int, p: int):
+    """Every point of projective (nvars-1)-space over F_p, first nonzero
+    coordinate 1, in a fixed order."""
+    for pivot in range(nvars):
+        for tail in itertools.product(range(p), repeat=nvars - pivot - 1):
+            yield (0,) * pivot + (1,) + tail
 
 
 def _require_homogeneous(p: Polynomial, what: str) -> int:
@@ -158,23 +175,14 @@ def _require_homogeneous(p: Polynomial, what: str) -> int:
 # ---------------------------------------------------------------------------
 # Jacobian ideal pieces and Milnor dimensions
 
-_jac_cache: dict = {}
-
-
+@lru_cache(maxsize=CACHE_SIZE)
 def jacobian_graded(f: Polynomial, k: int) -> GradedSubspace:
     """Degree-k piece of the ideal of first partials, canonical basis."""
-    d = _require_homogeneous(f, "F")
-    key = (f.key(), k)
-    hit = _jac_cache.get(key)
-    if hit is not None:
-        return hit
+    _require_homogeneous(f, "F")
     rows = []
-    if k >= d - 1 >= 0:
-        for i in range(f.nvars):
-            rows.extend(_shifted_rows(f.partial(i), k))
-    out = span(f.field, f.nvars, k, f.family, rows)
-    _jac_cache[key] = out
-    return out
+    for i in range(f.nvars):
+        rows.extend(_shifted_rows(f.partial(i), k))
+    return span(f.field, f.nvars, k, f.family, rows)
 
 
 def milnor_dim(f: Polynomial, k: int) -> int:
@@ -212,30 +220,6 @@ def smooth_reference_dims(nvars: int, d: int) -> list:
 # ---------------------------------------------------------------------------
 # smoothness of a hypersurface
 
-_smooth_cache: dict = {}
-
-
-def _jacobian_int_rows(f: Polynomial, k: int):
-    """Integer generator rows of J_{F,k} for a rational F."""
-    rows = []
-    d = f.degree()
-    if k >= d - 1:
-        for i in range(f.nvars):
-            pf = f.partial(i)
-            if pf.is_zero():
-                continue
-            rows.extend(
-                _integer_shifted_rows(_integer_poly_terms(pf), f.nvars, d - 1, k)
-            )
-    return rows
-
-
-def _search_singular_point_mod(f: Polynomial, p: int):
-    """Exhaustive singular-point scan of projective space over F_p."""
-    gens = [f.partial(i) for i in range(f.nvars)]
-    return _common_zero_mod(gens + [f], f.nvars, p)
-
-
 def _common_zero_mod(polys, nvars: int, p: int):
     field = FieldConfig.prime_field(p)
     reduced = []
@@ -247,92 +231,74 @@ def _common_zero_mod(polys, nvars: int, p: int):
             terms = {m: c % p for m, c in _integer_poly_terms(g).items()}
             g = Polynomial(field, nvars, g.family, terms)
         reduced.append(g)
-    for pivot in range(nvars):
-        tail = nvars - pivot - 1
-        for combo in itertools.product(range(p), repeat=tail):
-            point = (0,) * pivot + (1,) + combo
-            if all(g.evaluate(point) == 0 for g in reduced):
-                return point
+    for point in projective_points(nvars, p):
+        if all(g.evaluate(point) == 0 for g in reduced):
+            return point
     return None
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def is_smooth_hypersurface(f: Polynomial) -> SmoothnessCertificate:
     """Smooth iff the Jacobian ideal is full in degree T+1.
 
     Rational inputs always get a conclusive smooth/singular verdict; prime
     field inputs get smooth (which certifies every integer lift) or
-    inconclusive.
+    inconclusive.  Both first take the rank modulo a prime: DEFAULT_PRIME
+    over the rationals, the field's own modulus over F_p.
     """
     d = _require_homogeneous(f, "F")
     if d < 1:
         raise PreconditionError("constant polynomial defines no hypersurface")
-    key = f.key()
-    hit = _smooth_cache.get(key)
-    if hit is not None:
-        return hit
     nvars = f.nvars
     t1 = max(nvars * (d - 2) + 1, 0)
     target = graded_dim(nvars, t1)
     field = f.field
+    if not field.is_rational and field.modulus <= d:
+        raise CharacteristicError(f"smoothness check at degree {d} needs p > {d}")
+    p = DEFAULT_PRIME if field.is_rational else field.modulus
+    partials = [f.partial(i) for i in range(nvars)]
+    int_rows = _integer_rows(partials, t1)
+    full_mod_p = rank_mod(int_rows, target, p, target=target) == target
 
     if not field.is_rational:
-        if field.modulus <= d:
-            raise CharacteristicError(
-                f"smoothness check at degree {d} needs p > {d}"
-            )
-        rows = _jacobian_int_rows_fp(f, t1)
-        rk = rank_mod(rows, target, field.modulus, target=target)
-        if rk == target:
-            cert = SmoothnessCertificate(
+        if full_mod_p:
+            return SmoothnessCertificate(
                 "smooth", t1, field.descriptor(), False,
                 note="full Jacobian rank; certifies every integer lift",
             )
-        else:
-            cert = SmoothnessCertificate(
-                "inconclusive", t1, field.descriptor(), False,
-                note="modular rank deficiency; no rational lift available",
-            )
-        _smooth_cache[key] = cert
-        return cert
-
-    int_rows = _jacobian_int_rows(f, t1)
-    rk_p = rank_mod(int_rows, target, DEFAULT_PRIME, target=target)
-    if rk_p == target:
-        cert = SmoothnessCertificate(
-            "smooth", t1, f"fp:{DEFAULT_PRIME}", True,
+        return SmoothnessCertificate(
+            "inconclusive", t1, field.descriptor(), False,
+            note="modular rank deficiency; no rational lift available",
+        )
+    if full_mod_p:
+        return SmoothnessCertificate(
+            "smooth", t1, f"fp:{p}", True,
             note="modular fullness promoted to a rational certificate",
         )
-        _smooth_cache[key] = cert
-        return cert
     # exact fallback: rational rank decides
     _, _, rk = rref(Matrix(field, int_rows, target))
     if rk == target:
-        cert = SmoothnessCertificate("smooth", t1, "rational", False)
-    else:
-        witness = None
-        if nvars <= 5:
-            witness = _search_singular_point_mod(f, DEFAULT_SEARCH_PRIME)
-        cert = SmoothnessCertificate(
-            "singular", t1, "rational", False, witness,
-            note=(
-                f"Jacobian rank {rk} < {target} at degree {t1}"
-                + (f"; singular point found over F_{DEFAULT_SEARCH_PRIME}" if witness else "")
-            ),
+        return SmoothnessCertificate("smooth", t1, "rational", False)
+    witness = None
+    if nvars <= 5:
+        witness = _common_zero_mod(partials + [f], nvars, DEFAULT_SEARCH_PRIME)
+    return SmoothnessCertificate(
+        "singular", t1, "rational", False, witness,
+        note=(
+            f"Jacobian rank {rk} < {target} at degree {t1}"
+            + (f"; singular point found over F_{DEFAULT_SEARCH_PRIME}" if witness else "")
+        ),
+    )
+
+
+def require_smooth(f: Polynomial) -> SmoothnessCertificate:
+    """The smoothness certificate of F; NotSmoothError unless it says smooth."""
+    cert = is_smooth_hypersurface(f)
+    if not cert.is_smooth:
+        raise NotSmoothError(
+            f"operation requires a smooth-certified form (verdict: {cert.verdict})"
         )
-    _smooth_cache[key] = cert
     return cert
-
-
-def _jacobian_int_rows_fp(f: Polynomial, k: int):
-    rows = []
-    d = f.degree()
-    if k >= d - 1:
-        for i in range(f.nvars):
-            pf = f.partial(i)
-            if pf.is_zero():
-                continue
-            rows.extend(_integer_shifted_rows(dict(pf.terms), f.nvars, d - 1, k))
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -359,16 +325,8 @@ def ideal_graded(generators, k: int) -> GradedSubspace:
 
 
 def _ideal_full_mod(gens, k: int, p: int) -> bool:
-    nvars = gens[0].nvars
-    target = graded_dim(nvars, k)
-    rows = []
-    for g in gens:
-        e = g.homogeneous_degree()
-        if e > k:
-            continue
-        terms = _integer_poly_terms(g) if g.field.is_rational else dict(g.terms)
-        rows.extend(_integer_shifted_rows(terms, nvars, e, k))
-    return rank_mod(rows, target, p, target=target) == target
+    target = graded_dim(gens[0].nvars, k)
+    return rank_mod(_integer_rows(gens, k), target, p, target=target) == target
 
 
 def projective_empty(
@@ -386,6 +344,8 @@ def projective_empty(
     gens = [g for g in generators]
     if not gens:
         raise PreconditionError("need at least one generator")
+    if k_max < 0:
+        raise PreconditionError(f"k_max must be >= 0, got {k_max}")
     for g in gens:
         if g.is_zero():
             raise ZeroPolynomialError("zero generator rejected")

@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionError, ZeroPolynomialError
-from .jacobian import jacobian_graded
-from .linalg import Matrix, SeedStream, child_seed, random_scalar, rank
-from .poly import Polynomial, monomials
+from .jacobian import jacobian_graded, require_smooth
+from .linalg import Matrix, SeedStream, child_seed, rank
+from .poly import Polynomial, monomials, random_linear_form
 
 
 @dataclass(frozen=True)
@@ -60,20 +60,10 @@ class SlpSearchResult:
         return out
 
 
-def _require_smooth(f: Polynomial):
-    from .jacobian import is_smooth_hypersurface
-
-    cert = is_smooth_hypersurface(f)
-    if not cert.is_smooth:
-        raise PreconditionError(
-            f"Lefschetz maps need a smooth-certified form (verdict: {cert.verdict})"
-        )
-
-
 def mult_map(f: Polynomial, g: Polynomial, j: int) -> Matrix:
     """Matrix of multiplication by g from the degree-j quotient piece to the
     degree-(j + deg g) piece, in the canonical complement-monomial bases."""
-    _require_smooth(f)
+    require_smooth(f)
     if g.is_zero():
         raise ZeroPolynomialError("multiplier must be nonzero")
     if not g.is_homogeneous():
@@ -100,7 +90,7 @@ def mult_map(f: Polynomial, g: Polynomial, j: int) -> Matrix:
 
 def slp_check(f: Polynomial, ell: Polynomial) -> LefschetzProfile:
     """Rank profile of ell^(T-2k) from degree k to degree T-k for 2k < T."""
-    _require_smooth(f)
+    require_smooth(f)
     if ell.is_zero():
         raise ZeroPolynomialError("linear form must be nonzero")
     if ell.homogeneous_degree() != 1:
@@ -130,22 +120,12 @@ def slp_search(
     are reproducible individually and could run concurrently; the witness is
     the lowest-index success.
     """
-    _require_smooth(f)
+    require_smooth(f)
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
-    field = f.field
     for i in range(trials):
         stream = SeedStream(child_seed(seed, i))
-        while True:
-            coeffs = [random_scalar(field, stream, bound) for _ in range(f.nvars)]
-            if any(c != field.zero for c in coeffs):
-                break
-        ell = Polynomial(
-            field,
-            f.nvars,
-            f.family,
-            {m: c for m, c in zip(monomials(f.nvars, 1), coeffs)},
-        )
+        ell = random_linear_form(f.field, stream, f.nvars, bound, f.family)
         profile = slp_check(f, ell)
         if profile.verdict:
             return SlpSearchResult(True, i + 1, i, ell, profile)

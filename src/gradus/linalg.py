@@ -8,8 +8,12 @@ literal matrix equality.
 
 Rational elimination runs on primitive integer rows (denominators cleared,
 content divided out after every update), which keeps entries small on the
-structured matrices this library produces; prime-field elimination is
-vectorised with numpy when the modulus fits in int64.
+structured matrices this library produces.  Prime-field elimination has one
+numpy loop, `_eliminate_mod`, behind both `rref` (full reduction) and
+`rank_mod` (forward elimination with an optional early exit).  Its dtype
+follows the modulus: int64 below `_NUMPY_MOD_LIMIT` = 2^31, where every
+product of two residues fits, and Python ints in an `object` array at or
+above it.
 """
 
 from __future__ import annotations
@@ -32,8 +36,11 @@ MASK64 = (1 << 64) - 1
 _MIX = 0x9E3779B97F4A7C15
 DEFAULT_PRIME = 10007
 
-# largest modulus for the numpy backend: products must fit in int64
+# largest modulus for int64 elimination: products must fit in int64
 _NUMPY_MOD_LIMIT = 1 << 31
+
+# bound of every memo cache in the library
+CACHE_SIZE = 256
 
 
 def is_prime(n: int) -> bool:
@@ -296,13 +303,6 @@ def _dot(field: FieldConfig, u, v):
     return sum(x * y for x, y in zip(u, v)) % p
 
 
-def mat_apply(m: Matrix, vec: Sequence) -> list:
-    """m @ vec for a coordinate vector."""
-    if len(vec) != m.ncols:
-        raise AmbientMismatchError("vector length mismatch")
-    return [_dot(m.field, row, vec) for row in m.rows]
-
-
 # -- rational elimination on primitive integer rows -------------------------
 
 
@@ -321,6 +321,17 @@ def _row_to_primitive(row) -> dict:
         else:
             ints[j] = int(x) * den
     return _make_primitive(ints)
+
+
+def primitive_int_rows(matrix: Matrix) -> list:
+    """Scale each rational row to dense primitive integer entries."""
+    rows = []
+    for row in matrix.rows:
+        dense = [0] * matrix.ncols
+        for c, v in _row_to_primitive(row).items():
+            dense[c] = v
+        rows.append(dense)
+    return rows
 
 
 def _make_primitive(r: dict) -> dict:
@@ -388,13 +399,26 @@ def _rref_rational(rows: Iterable[Sequence], ncols: int):
 # -- prime-field elimination -------------------------------------------------
 
 
-def _rref_mod_numpy(rows, ncols: int, p: int):
-    a = np.array([[int(x) % p for x in row] for row in rows], dtype=np.int64)
+def _eliminate_mod(
+    rows, ncols: int, p: int, reduced: bool = True, target: int | None = None
+):
+    """Gaussian elimination of integer rows mod p: (array, pivot columns).
+
+    `reduced` clears every pivot column to give the rref in the first rows;
+    otherwise only the rows below each pivot are updated (forward
+    elimination), and `target` stops the sweep once the rank reaches it or
+    provably cannot.
+    """
+    dtype = np.int64 if p < _NUMPY_MOD_LIMIT else object
+    a = np.array([[x % p for x in row] for row in rows], dtype=dtype)
+    a = a.reshape(len(rows), ncols)
     nrows = a.shape[0]
     pivots = []
     r = 0
     for c in range(ncols):
         if r == nrows:
+            break
+        if target is not None and (r >= target or r + (ncols - c) < target):
             break
         nz = np.nonzero(a[r:, c])[0]
         if nz.size == 0:
@@ -403,38 +427,22 @@ def _rref_mod_numpy(rows, ncols: int, p: int):
         if i != r:
             a[[r, i]] = a[[i, r]]
         inv = pow(int(a[r, c]), -1, p)
-        a[r] = a[r] * inv % p
-        col = a[:, c].copy()
-        col[r] = 0
-        nzr = np.nonzero(col)[0]
-        if nzr.size:
-            a[nzr] = (a[nzr] - np.outer(col[nzr], a[r])) % p
+        if reduced:
+            a[r] = a[r] * inv % p
+            col = a[:, c].copy()
+            col[r] = 0
+            nzr = np.nonzero(col)[0]
+            if nzr.size:
+                a[nzr] = (a[nzr] - np.outer(col[nzr], a[r])) % p
+        else:
+            below = a[r + 1 :, c]
+            nzb = np.nonzero(below)[0]
+            if nzb.size:
+                factors = below[nzb] * inv % p
+                a[r + 1 + nzb] = (a[r + 1 + nzb] - np.outer(factors, a[r])) % p
         pivots.append(c)
         r += 1
-    dense = [[int(x) for x in a[i]] for i in range(len(pivots))]
-    return dense, pivots
-
-
-def _rref_mod_python(rows, ncols: int, p: int):
-    a = [[int(x) % p for x in row] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == len(a):
-            break
-        sel = next((i for i in range(r, len(a)) if a[i][c]), None)
-        if sel is None:
-            continue
-        a[r], a[sel] = a[sel], a[r]
-        inv = pow(a[r][c], -1, p)
-        a[r] = [x * inv % p for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    return a[: len(pivots)], pivots
+    return a, pivots
 
 
 def rref(m: Matrix):
@@ -443,13 +451,9 @@ def rref(m: Matrix):
     f = m.field
     if f.is_rational:
         dense, pivots = _rref_rational(m.rows, m.ncols)
-    elif not m.nrows:
-        dense, pivots = [], []
-    elif f.modulus < _NUMPY_MOD_LIMIT:
-        dense, pivots = _rref_mod_numpy(m.rows, m.ncols, f.modulus)
     else:
-        dense, pivots = _rref_mod_python(m.rows, m.ncols, f.modulus)
-    dense = list(dense)
+        a, pivots = _eliminate_mod(m.rows, m.ncols, f.modulus)
+        dense = [[int(x) for x in a[i]] for i in range(len(pivots))]
     while len(dense) < m.nrows:
         dense.append([f.zero] * m.ncols)
     out = Matrix(f, dense, m.ncols)
@@ -464,39 +468,11 @@ def rank_mod(int_rows: Sequence[Sequence[int]], ncols: int, p: int, target: int 
     """Rank of an integer matrix reduced mod p; forward elimination only.
 
     With `target` set, stops as soon as the rank reaches it or provably
-    cannot.  This is the accelerator behind fullness certificates: full rank
-    mod p implies full rank over the rationals for integer matrices.
+    cannot, so the result equals `target` exactly when the rank is at least
+    `target`.  This is the accelerator behind fullness certificates: full
+    rank mod p implies full rank over the rationals for integer matrices.
     """
-    if not int_rows:
-        return 0
-    if p >= _NUMPY_MOD_LIMIT:
-        return len(_rref_mod_python(int_rows, ncols, p)[1])
-    # reduce in python first: entries may exceed int64 before reduction
-    a = np.array([[x % p for x in row] for row in int_rows], dtype=np.int64)
-    nrows = a.shape[0]
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        if target is not None:
-            if r >= target:
-                break
-            if r + (ncols - c) < target:
-                break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        below = a[r + 1 :, c]
-        nzb = np.nonzero(below)[0]
-        if nzb.size:
-            factors = below[nzb] * inv % p
-            a[r + 1 + nzb] = (a[r + 1 + nzb] - np.outer(factors, a[r])) % p
-        r += 1
-    return r
+    return len(_eliminate_mod(int_rows, ncols, p, reduced=False, target=target)[1])
 
 
 def kernel(m: Matrix) -> Matrix:
@@ -565,6 +541,8 @@ class GradedSubspace:
 
 
 def span(field: FieldConfig, nvars: int, degree: int, family: str, vectors) -> GradedSubspace:
+    if degree < 0:
+        raise PreconditionError(f"degree {degree} is negative")
     ncols = math.comb(nvars - 1 + degree, degree)
     red, pivots, rk = rref(Matrix(field, list(vectors), ncols))
     basis = Matrix(field, red.rows[:rk], ncols)

@@ -44,12 +44,21 @@ from .linalg import (
     Matrix,
     SeedStream,
     child_seed,
+    primitive_int_rows,
     random_scalar,
     rank,
     rref,
     span,
 )
-from .poly import Polynomial, fermat_form, graded_dim, monomials, polar_pair, random_poly
+from .poly import (
+    Polynomial,
+    fermat_form,
+    graded_dim,
+    monomials,
+    polar_pair,
+    random_linear_form,
+    random_poly,
+)
 
 DEFAULT_TRIALS = 5
 DEFAULT_BOUND = 10
@@ -115,20 +124,6 @@ class PairCertificate:
         return out
 
 
-def _primitive_int_rows(matrix: Matrix) -> list:
-    """Scale each rational basis row to primitive integer entries."""
-    from .linalg import _row_to_primitive
-
-    rows = []
-    for row in matrix.rows:
-        sparse = _row_to_primitive(row)
-        dense = [0] * matrix.ncols
-        for c, v in sparse.items():
-            dense[c] = v
-        rows.append(dense)
-    return rows
-
-
 def membership_u(
     f: Polynomial,
     trials: int = DEFAULT_TRIALS,
@@ -137,6 +132,8 @@ def membership_u(
 ) -> UMembership:
     """Certify F in the good locus by exhibiting a smooth dual form in the
     perp of its degree-d Jacobian piece."""
+    if bound < 1:
+        raise PreconditionError("bound must be >= 1")
     cert = is_smooth_hypersurface(f)
     if not cert.is_smooth:
         return UMembership(
@@ -152,7 +149,7 @@ def membership_u(
     )
     field = f.field
     if field.is_rational:
-        int_rows = _primitive_int_rows(perp.basis)
+        int_rows = primitive_int_rows(perp.basis)
     else:
         int_rows = [list(r) for r in perp.basis.rows]
     dual_family = perp.family
@@ -326,14 +323,7 @@ def theorem14_check(
     ell_trials = 0
     for i in range(trials):
         stream = SeedStream(child_seed(seed, i))
-        while True:
-            coeffs = [random_scalar(field, stream, bound) for _ in range(f.nvars)]
-            if any(c != field.zero for c in coeffs):
-                break
-        ell = Polynomial(
-            field, f.nvars, f.family,
-            {m: c for m, c in zip(monomials(f.nvars, 1), coeffs)},
-        )
+        ell = random_linear_form(field, stream, f.nvars, bound, f.family)
         ell_trials = i + 1
         if rank(mult_map(f, ell * ell, 1)) == full:
             ell_witness = ell

@@ -64,6 +64,8 @@ def monomial_index(nvars: int, degree: int) -> dict:
 
 def graded_dim(nvars: int, degree: int) -> int:
     """dim of the degree-k piece: C(nvars-1+k, k)."""
+    if degree < 0:
+        raise PreconditionError(f"degree {degree} is negative")
     return math.comb(nvars - 1 + degree, degree)
 
 
@@ -488,7 +490,8 @@ def parse_poly(
 # pairing and random draws
 
 
-def _pairing_weight(field: FieldConfig, mono: tuple):
+def pairing_weight(field: FieldConfig, mono: tuple):
+    """<x^a, y^a> = a! = prod of the factorials of the exponents."""
     w = 1
     for e in mono:
         w *= math.factorial(e)
@@ -516,7 +519,7 @@ def polar_pair(f_primal: Polynomial, g_dual: Polynomial):
     for m, c in f_primal.terms.items():
         g = g_dual.terms.get(m)
         if g is not None:
-            total = field.add(total, field.mul(field.mul(c, g), _pairing_weight(field, m)))
+            total = field.add(total, field.mul(field.mul(c, g), pairing_weight(field, m)))
     return total
 
 
@@ -533,6 +536,17 @@ def random_poly(
     for m in monomials(nvars, degree):
         terms[m] = random_scalar(field, stream, bound)
     return Polynomial(field, nvars, family, terms)
+
+
+def random_linear_form(
+    field: FieldConfig, stream: SeedStream, nvars: int, bound: int, family: str = "x"
+) -> Polynomial:
+    """Random nonzero linear form: coefficients redrawn until one is nonzero."""
+    while True:
+        coeffs = [random_scalar(field, stream, bound) for _ in range(nvars)]
+        if any(c != field.zero for c in coeffs):
+            terms = dict(zip(monomials(nvars, 1), coeffs))
+            return Polynomial(field, nvars, family, terms)
 
 
 def fermat_form(field: FieldConfig, nvars: int, degree: int, family: str = "x") -> Polynomial:

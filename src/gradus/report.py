@@ -65,11 +65,6 @@ def report_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2)
 
 
-def deterministic_json(report: dict) -> str:
-    """Serialization of the deterministic section only."""
-    return json.dumps(report["report"], sort_keys=True, indent=2)
-
-
 def render_text(value, indent: int = 0) -> str:
     pad = "  " * indent
     lines = []

@@ -45,6 +45,17 @@ def test_exit_codes(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "no-such-command")
     assert code == 1
+    code, _, err = run_cli(capsys, "smooth", "--poly", "@/nonexistent/f.poly")
+    assert code == 1 and "input error" in err
+    rejected = [
+        ("membership-u", "--poly", "x0^3+x1^3+x2^3", "--coeff-bound", "0"),
+        ("perp", "--poly", FERMAT, "--k", "-1"),
+        ("colon", "-f", FERMAT, "-q", QUADRIC, "--k", "-3"),
+        ("ci-smooth", "-f", FERMAT, "-q", QUADRIC, "--kmax", "-4"),
+    ]
+    for argv in rejected:
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and err.startswith("gradus: "), (argv, code, err)
     # negative verdicts still exit 0
     code, _, _ = run_cli(capsys, "smooth", "--poly", SPECIAL)
     assert code == 0

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradus import (
     FieldConfig,
@@ -18,8 +20,9 @@ from gradus import (
     subspace_sum,
 )
 from gradus.errors import AmbientMismatchError, PreconditionError
+from gradus.linalg import rank_mod
 
-from .oracles import naive_rank
+from .oracles import naive_rank, naive_rank_mod
 
 QQ = FieldConfig.rationals()
 FP = FieldConfig.prime_field(10007)
@@ -219,3 +222,50 @@ def test_graded_subspace_equality_is_structural():
     a = span(QQ, 3, 1, "x", vecs)
     b = span(QQ, 3, 1, "x", [[Fraction(1), Fraction(0), Fraction(2)], [Fraction(0), Fraction(1), Fraction(1)]])
     assert a == b and isinstance(a, GradedSubspace)
+
+
+# primes on both sides of the int64/object switch at 2^31 of the eliminator
+ELIMINATION_PRIMES = (2, 3, 101, 10007, (1 << 31) - 1, (1 << 61) - 1)
+
+
+@st.composite
+def int_matrices(draw):
+    """(rows, ncols): small integer matrices, often rank deficient, some
+    entries far beyond the modulus so reduction mod p is exercised."""
+    ncols = draw(st.integers(1, 7))
+    nrows = draw(st.integers(0, 7))
+    entry = st.one_of(st.integers(-2, 2), st.integers(-(1 << 70), 1 << 70))
+    base = [draw(st.lists(entry, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    # append integer combinations of earlier rows
+    for _ in range(draw(st.integers(0, 3)) if base else 0):
+        i, j = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1))
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        base.append([a * x + b * y for x, y in zip(base[i], base[j])])
+    return base, ncols
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_matrices(), st.sampled_from(ELIMINATION_PRIMES), st.data())
+def test_rank_mod_matches_oracle_with_and_without_target(matrix, p, data):
+    rows, ncols = matrix
+    true_rank = naive_rank_mod(rows, p)
+    assert rank_mod(rows, ncols, p) == true_rank
+    target = data.draw(st.integers(0, ncols + 1))
+    # contract: the result equals target exactly when the rank reaches it
+    assert (rank_mod(rows, ncols, p, target=target) == target) == (true_rank >= target)
+
+
+@settings(max_examples=100, deadline=None)
+@given(int_matrices(), st.sampled_from(ELIMINATION_PRIMES))
+def test_rref_mod_p_idempotent_and_keeps_row_space(matrix, p):
+    rows, ncols = matrix
+    field = FieldConfig.prime_field(p)
+    m = Matrix(field, [[x % p for x in row] for row in rows], ncols)
+    red, pivots, rk = rref(m)
+    assert rk == naive_rank_mod(m.rows, p) == len(pivots)
+    assert rref(red)[0] == red
+    # same row space: stacking the rref rows under m adds no rank
+    assert naive_rank_mod(m.rows + red.rows, p) == rk
+    for i, c in enumerate(pivots):
+        assert red.rows[i][c] == 1
+        assert all(red.rows[j][c] == 0 for j in range(red.nrows) if j != i)

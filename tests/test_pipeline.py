@@ -12,6 +12,7 @@ from gradus import (
     is_smooth_hypersurface,
     jacobian_graded,
     membership_u,
+    parse_poly,
     perp_graded,
     polar_pair,
     random_poly,
@@ -29,6 +30,14 @@ def test_membership_rejects_singular(special_cubic):
     um = membership_u(special_cubic, trials=3, seed=0)
     assert not um.in_u
     assert "singular" in um.reason
+
+
+def test_membership_rejects_nonpositive_bound():
+    # a bound of 0 draws only zero combinations; it used to redraw forever
+    f = parse_poly("x0^3 + x1^3 + x2^3", QQ)
+    for bound in (0, -1):
+        with pytest.raises(PreconditionError, match="bound"):
+            membership_u(f, trials=1, seed=0, bound=bound)
 
 
 def test_membership_smooth_cubics_perp_dimension(smooth_cubics):
