@@ -67,3 +67,11 @@ def invariant(condition, message):
     """Raise InternalInvariantError unless condition holds."""
     if not condition:
         raise InternalInvariantError(message)
+
+
+def require_positive(**counts):
+    """Raise PreconditionError("<name> must be >= 1") for the first count
+    below 1: the one check for trials, bounds and steps."""
+    for name, value in counts.items():
+        if value < 1:
+            raise PreconditionError(f"{name} must be >= 1")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import PreconditionError, ZeroPolynomialError
+from .errors import PreconditionError, ZeroPolynomialError, require_positive
 from .jacobian import jacobian_graded, require_smooth
 from .linalg import Matrix, SeedStream, child_seed, rank
 from .poly import Polynomial, monomials, random_linear_form
@@ -121,8 +121,7 @@ def slp_search(
     the lowest-index success.
     """
     require_smooth(f)
-    if trials < 1:
-        raise PreconditionError("trials must be >= 1")
+    require_positive(trials=trials, bound=bound)
     for i in range(trials):
         stream = SeedStream(child_seed(seed, i))
         ell = random_linear_form(f.field, stream, f.nvars, bound, f.family)

@@ -10,16 +10,23 @@ Rational elimination runs on primitive integer rows (denominators cleared,
 content divided out after every update), which keeps entries small on the
 structured matrices this library produces.  Prime-field elimination has one
 numpy loop, `_eliminate_mod`, behind both `rref` (full reduction) and
-`rank_mod` (forward elimination with an optional early exit).  Its dtype
-follows the modulus: int64 below `_NUMPY_MOD_LIMIT` = 2^31, where every
-product of two residues fits, and Python ints in an `object` array at or
-above it.
+`rank_mod` (forward elimination with an optional early exit).  Each pivot
+updates only the trailing columns from the pivot column on, since the pivot
+row is zero left of it.  Its dtype follows the modulus: int64 below
+`_NUMPY_MOD_LIMIT` = 2^31, where every product of two residues fits, and
+Python ints in an `object` array at or above it.
+
+`GradedSubspace.reduce` works on the complement columns only (those led by
+no basis row): because the basis is in rref, the residual is zero on every
+pivot column, and a call costs dim x |complement| products instead of
+dim x ambient.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -30,6 +37,7 @@ from .errors import (
     CharacteristicError,
     PreconditionError,
     invariant,
+    require_positive,
 )
 
 MASK64 = (1 << 64) - 1
@@ -210,8 +218,7 @@ def child_seed(seed: int, index: int) -> int:
 
 def random_scalar(field: FieldConfig, stream: SeedStream, bound: int):
     """Rational mode: uniform integer in [-bound, bound]; F_p: uniform residue."""
-    if bound < 1:
-        raise PreconditionError("bound must be >= 1")
+    require_positive(bound=bound)
     if field.is_rational:
         return Fraction(stream.randint(-bound, bound))
     return stream.randint(0, field.modulus - 1)
@@ -408,6 +415,10 @@ def _eliminate_mod(
     otherwise only the rows below each pivot are updated (forward
     elimination), and `target` stops the sweep once the rank reaches it or
     provably cannot.
+
+    At pivot column c the pivot row is zero left of c, so the swap, the
+    normalisation and the row updates touch only the trailing columns c:,
+    and the cost of pivot c is (rows updated) x (ncols - c).
     """
     dtype = np.int64 if p < _NUMPY_MOD_LIMIT else object
     a = np.array([[x % p for x in row] for row in rows], dtype=dtype)
@@ -425,21 +436,22 @@ def _eliminate_mod(
             continue
         i = r + int(nz[0])
         if i != r:
-            a[[r, i]] = a[[i, r]]
+            a[[r, i], c:] = a[[i, r], c:]
         inv = pow(int(a[r, c]), -1, p)
         if reduced:
-            a[r] = a[r] * inv % p
+            a[r, c:] = a[r, c:] * inv % p
             col = a[:, c].copy()
             col[r] = 0
             nzr = np.nonzero(col)[0]
             if nzr.size:
-                a[nzr] = (a[nzr] - np.outer(col[nzr], a[r])) % p
+                a[nzr, c:] = (a[nzr, c:] - np.outer(col[nzr], a[r, c:])) % p
         else:
             below = a[r + 1 :, c]
             nzb = np.nonzero(below)[0]
             if nzb.size:
                 factors = below[nzb] * inv % p
-                a[r + 1 + nzb] = (a[r + 1 + nzb] - np.outer(factors, a[r])) % p
+                rows_b = r + 1 + nzb
+                a[rows_b, c:] = (a[rows_b, c:] - np.outer(factors, a[r, c:])) % p
         pivots.append(c)
         r += 1
     return a, pivots
@@ -521,18 +533,49 @@ class GradedSubspace:
     def ambient_dim(self) -> int:
         return self.basis.ncols
 
-    def complement_columns(self) -> tuple:
+    @cached_property
+    def _complement(self) -> tuple:
         pset = set(self.pivots)
         return tuple(c for c in range(self.ambient_dim) if c not in pset)
 
+    @cached_property
+    def _complement_entries(self) -> tuple:
+        """Per basis row, (pivot, ((index into the complement, entry), ...))
+        over the row's nonzero complement entries."""
+        z = self.field.zero
+        comp = self._complement
+        return tuple(
+            (pc, tuple((j, row[c]) for j, c in enumerate(comp) if row[c] != z))
+            for row, pc in zip(self.basis.rows, self.pivots)
+        )
+
+    def complement_columns(self) -> tuple:
+        return self._complement
+
     def reduce(self, vec: Sequence) -> list:
-        """Residual of vec after clearing pivot coordinates with basis rows."""
+        """Residual of vec after clearing pivot coordinates with basis rows.
+
+        In rref every row vanishes on the other rows' pivots, so the
+        coefficient of row i is vec[p_i] itself: the residual is zero on the
+        pivot columns and vec[c] - sum_i vec[p_i] * row_i[c] on a complement
+        column c.  Cost: dim x |complement| products at most, only over
+        nonzero vec[p_i] and row_i[c].
+        """
         f = self.field
-        v = list(vec)
-        for row, pc in zip(self.basis.rows, self.pivots):
-            c = v[pc]
-            if c != f.zero:
-                v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
+        z = f.zero
+        comp = self._complement
+        acc = [vec[c] for c in comp]
+        for pc, entries in self._complement_entries:
+            a = vec[pc]
+            if a != z:
+                for j, y in entries:
+                    acc[j] -= a * y
+        if not f.is_rational:
+            p = f.modulus
+            acc = [x % p for x in acc]
+        v = [z] * self.ambient_dim
+        for c, x in zip(comp, acc):
+            v[c] = x
         return v
 
     def contains_vector(self, vec: Sequence) -> bool:

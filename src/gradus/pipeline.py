@@ -30,6 +30,7 @@ from .errors import (
     PreconditionError,
     ZeroPolynomialError,
     invariant,
+    require_positive,
 )
 from .jacobian import (
     SmoothnessCertificate,
@@ -132,8 +133,7 @@ def membership_u(
 ) -> UMembership:
     """Certify F in the good locus by exhibiting a smooth dual form in the
     perp of its degree-d Jacobian piece."""
-    if bound < 1:
-        raise PreconditionError("bound must be >= 1")
+    require_positive(trials=trials, bound=bound)
     cert = is_smooth_hypersurface(f)
     if not cert.is_smooth:
         return UMembership(
@@ -142,11 +142,17 @@ def membership_u(
     d = f.homogeneous_degree()
     perp = perp_graded(jacobian_graded(f, d))
     t = f.nvars * (d - 2)
-    expected = smooth_reference_dims(f.nvars, d)[d] if d <= t else graded_dim(f.nvars, d)
+    # the Milnor algebra vanishes above T, and so does the perp
+    expected = smooth_reference_dims(f.nvars, d)[d] if d <= t else 0
     invariant(
         perp.dim == expected,
         f"perp of the Jacobian piece has dim {perp.dim}, expected {expected}",
     )
+    if perp.dim == 0:
+        return UMembership(
+            "not_certified", f, None, None, 0,
+            reason=f"perp of the Jacobian piece is zero in degree {d} > T = {t}",
+        )
     field = f.field
     if field.is_rational:
         int_rows = primitive_int_rows(perp.basis)
@@ -314,6 +320,7 @@ def theorem14_check(
     """Witness injectivity of multiplication into the degree-3 quotient twice:
     once by the square of a linear form, once by a quadric that also cuts a
     certified-smooth intersection."""
+    require_positive(trials=trials, bound=bound)
     cert = is_smooth_hypersurface(f)
     if not cert.is_smooth:
         raise NotSmoothError(f"need a smooth-certified F ({cert.verdict})")
@@ -400,8 +407,7 @@ def deformation_experiment(
         field = FieldConfig.rationals()
     if not field.is_rational:
         raise PreconditionError("the deformation sweep runs over exact rationals")
-    if steps < 1:
-        raise PreconditionError("steps must be >= 1")
+    require_positive(steps=steps, trials=trials, bound=bound)
     q0 = special_q(field, 4, 3)
     stream = SeedStream(child_seed(seed, 0))
     while True:

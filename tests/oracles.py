@@ -1,5 +1,6 @@
-"""Independent oracles: naive elimination ranks, brute-force colon bases,
-and the pairing evaluated by literal repeated differentiation.
+"""Independent oracles: naive elimination ranks, full-row subspace
+reduction, brute-force colon bases, and the pairing evaluated by literal
+repeated differentiation.
 
 These deliberately avoid the library's elimination code paths (primitive-row
 reduction, quotient shortcuts) so agreement is meaningful.
@@ -72,6 +73,18 @@ def naive_rank(rows, field):
     if field.is_rational:
         return naive_rank_rational(rows)
     return naive_rank_mod(rows, field.modulus)
+
+
+def naive_reduce(subspace, vec):
+    """Residual of vec modulo a GradedSubspace, rewriting the whole row for
+    every basis row whose pivot coordinate is nonzero."""
+    f = subspace.field
+    v = list(vec)
+    for row, pc in zip(subspace.basis.rows, subspace.pivots):
+        c = v[pc]
+        if c != f.zero:
+            v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
+    return v
 
 
 def brute_colon_basis(f: Polynomial, q: Polynomial, k: int):

@@ -52,6 +52,9 @@ def test_exit_codes(capsys):
         ("perp", "--poly", FERMAT, "--k", "-1"),
         ("colon", "-f", FERMAT, "-q", QUADRIC, "--k", "-3"),
         ("ci-smooth", "-f", FERMAT, "-q", QUADRIC, "--kmax", "-4"),
+        ("membership-u", "--poly", "x0^3+x1^3+x2^3", "--trials", "0"),
+        ("theorem14", "--poly", FERMAT, "--trials", "0"),
+        ("deformation", "--trials", "0"),
     ]
     for argv in rejected:
         code, _, err = run_cli(capsys, *argv)

@@ -11,6 +11,7 @@ from gradus import (
     Matrix,
     SeedStream,
     child_seed,
+    is_smooth_hypersurface,
     kernel,
     random_scalar,
     rank,
@@ -21,8 +22,9 @@ from gradus import (
 )
 from gradus.errors import AmbientMismatchError, PreconditionError
 from gradus.linalg import rank_mod
+from gradus.poly import Polynomial, monomials, random_poly
 
-from .oracles import naive_rank, naive_rank_mod
+from .oracles import naive_rank, naive_rank_mod, naive_reduce
 
 QQ = FieldConfig.rationals()
 FP = FieldConfig.prime_field(10007)
@@ -269,3 +271,55 @@ def test_rref_mod_p_idempotent_and_keeps_row_space(matrix, p):
     for i, c in enumerate(pivots):
         assert red.rows[i][c] == 1
         assert all(red.rows[j][c] == 0 for j in range(red.nrows) if j != i)
+
+
+@st.composite
+def subspaces_and_vectors(draw):
+    """(subspace, vector) over Q or F_p for p in ELIMINATION_PRIMES; the
+    basis is empty, full, or spanned by random (often dependent) rows."""
+    p = draw(st.sampled_from((None,) + ELIMINATION_PRIMES))
+    field = QQ if p is None else FieldConfig.prime_field(p)
+    if p is None:
+        scalar = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    else:
+        scalar = st.one_of(st.integers(0, min(2, p - 1)), st.integers(0, p - 1))
+    nvars, degree = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    ncols = math.comb(nvars - 1 + degree, degree)
+    row = st.lists(scalar, min_size=ncols, max_size=ncols)
+    kind = draw(st.sampled_from(("empty", "random", "full")))
+    rows = [] if kind == "empty" else draw(st.lists(row, max_size=ncols + 2))
+    if kind == "full":
+        rows += Matrix.identity(field, ncols).rows
+    sub = span(field, nvars, degree, "x", rows)
+    return sub, draw(row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(subspaces_and_vectors())
+def test_reduce_matches_full_row_oracle(case):
+    sub, vec = case
+    fast = sub.reduce(vec)
+    assert len(fast) == sub.ambient_dim
+    assert fast == naive_reduce(sub, vec)
+    assert all(fast[c] == sub.field.zero for c in sub.pivots)
+    assert sub.contains_vector(vec) == all(x == sub.field.zero for x in fast)
+
+
+def test_rref_and_rank_mod_on_full_rank_jacobian_piece():
+    # J_6 of a smooth cubic in 5 variables is the whole degree-6 piece
+    # (6 > T = 5), so its 350 x 210 generator matrix has the identity rref
+    f = random_poly(FP, SeedStream(child_seed(20260101, 3)), 5, 3, 10)
+    assert is_smooth_hypersurface(f).is_smooth
+    rows = []
+    for i in range(5):
+        pf = f.partial(i)
+        for m in monomials(5, 4):
+            mono = Polynomial(FP, 5, "x", {m: FP.one})
+            rows.append((mono * pf).coeff_vector(6))
+    assert len(rows) == 350 and len(rows[0]) == 210
+    red, pivots, rk = rref(Matrix(FP, rows, 210))
+    assert rk == 210 and pivots == tuple(range(210))
+    assert red.rows[:210] == Matrix.identity(FP, 210).rows
+    assert all(not any(r) for r in red.rows[210:])
+    assert rank_mod(rows, 210, 10007) == 210
+    assert rank_mod(rows, 210, 10007, target=210) == 210

@@ -40,6 +40,15 @@ def test_membership_rejects_nonpositive_bound():
             membership_u(f, trials=1, seed=0, bound=bound)
 
 
+def test_membership_above_socle_degree_is_not_certified():
+    # degree 2 > T = 0: the Milnor algebra and the perp are zero there, so
+    # there is nothing to draw; this used to break the perp invariant
+    for text in ("x0^2 + x1^2 + x2^2", "x0 + 2*x1"):
+        um = membership_u(parse_poly(text, QQ), trials=3, seed=0)
+        assert um.verdict == "not_certified" and um.trials_used == 0
+        assert "perp of the Jacobian piece is zero" in um.reason
+
+
 def test_membership_smooth_cubics_perp_dimension(smooth_cubics):
     for f in smooth_cubics[:5]:
         assert perp_graded(jacobian_graded(f, 3)).dim == 10
