@@ -135,7 +135,7 @@ def _socle_functional(f: Polynomial) -> SocleFunctional:
 def _quotient_basis(f: Polynomial, k: int):
     """(subspace J_{F,k}, complement monomial columns) for the quotient piece."""
     j = jacobian_graded(f, k)
-    return j, j.complement_columns()
+    return j, j.complement_columns
 
 
 def macaulay_pairing_matrix(f: Polynomial, j: int) -> Matrix:
@@ -249,7 +249,7 @@ def colon_graded(f: Polynomial, q: Polynomial, k: int) -> GradedSubspace:
         return span(field, nvars, k, f.family, Matrix.identity(field, dim_k).rows)
     e = q.homogeneous_degree()
     j = jacobian_graded(f, k + e)
-    comp = j.complement_columns()
+    comp = j.complement_columns
     cols = []
     for m in monomials(nvars, k):
         mono = Polynomial(field, nvars, f.family, {m: field.one})

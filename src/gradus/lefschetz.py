@@ -71,8 +71,8 @@ def mult_map(f: Polynomial, g: Polynomial, j: int) -> Matrix:
     m = g.homogeneous_degree()
     src = jacobian_graded(f, j)
     tgt = jacobian_graded(f, j + m)
-    src_cols = src.complement_columns()
-    tgt_cols = tgt.complement_columns()
+    src_cols = src.complement_columns
+    tgt_cols = tgt.complement_columns
     field = f.field
     src_mons = monomials(f.nvars, j)
     columns = []

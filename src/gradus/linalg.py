@@ -534,7 +534,8 @@ class GradedSubspace:
         return self.basis.ncols
 
     @cached_property
-    def _complement(self) -> tuple:
+    def complement_columns(self) -> tuple:
+        """Columns not led by a basis row, ascending."""
         pset = set(self.pivots)
         return tuple(c for c in range(self.ambient_dim) if c not in pset)
 
@@ -543,14 +544,11 @@ class GradedSubspace:
         """Per basis row, (pivot, ((index into the complement, entry), ...))
         over the row's nonzero complement entries."""
         z = self.field.zero
-        comp = self._complement
+        comp = self.complement_columns
         return tuple(
             (pc, tuple((j, row[c]) for j, c in enumerate(comp) if row[c] != z))
             for row, pc in zip(self.basis.rows, self.pivots)
         )
-
-    def complement_columns(self) -> tuple:
-        return self._complement
 
     def reduce(self, vec: Sequence) -> list:
         """Residual of vec after clearing pivot coordinates with basis rows.
@@ -563,7 +561,7 @@ class GradedSubspace:
         """
         f = self.field
         z = f.zero
-        comp = self._complement
+        comp = self.complement_columns
         acc = [vec[c] for c in comp]
         for pc, entries in self._complement_entries:
             a = vec[pc]

@@ -5,14 +5,8 @@ test_criterion_9_cli_determinism runs it.  The test only reads these files;
 rerun this script only for a deliberate change of report bytes:
 
     PYTHONPATH=src python -m tests.make_golden
-
-With --check it writes nothing and exits 1 naming every file whose bytes
-would change, so a change meant to keep output identical can show it:
-
-    PYTHONPATH=src python -m tests.make_golden --check
 """
 
-import argparse
 import contextlib
 import io
 import json
@@ -25,16 +19,8 @@ from .test_acceptance import CLI_CASES, criterion_9_argv
 GOLDEN = Path(__file__).with_name("golden")
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description="Rewrite or check tests/golden.")
-    parser.add_argument(
-        "--check", action="store_true",
-        help="write nothing; exit 1 if any golden file would change",
-    )
-    args = parser.parse_args(argv)
-    if not args.check:
-        GOLDEN.mkdir(exist_ok=True)
-    changed = []
+def main():
+    GOLDEN.mkdir(exist_ok=True)
     for case in CLI_CASES:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
@@ -43,19 +29,8 @@ def main(argv=None):
             raise SystemExit(f"{case[0]} exited {code}")
         report = json.loads(out.getvalue())["report"]
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-        path = GOLDEN / f"{case[0]}.json"
-        if args.check:
-            if not path.is_file() or path.read_bytes() != text.encode("utf-8"):
-                changed.append(path.name)
-        else:
-            path.write_text(text, encoding="utf-8")
-            print(f"wrote {path.name}")
-    if args.check:
-        for name in changed:
-            print(f"would change: {name}")
-        print(f"{len(CLI_CASES) - len(changed)} of {len(CLI_CASES)} golden files unchanged")
-        if changed:
-            raise SystemExit(1)
+        (GOLDEN / f"{case[0]}.json").write_text(text, encoding="utf-8")
+        print(f"wrote {case[0]}.json")
 
 
 if __name__ == "__main__":

@@ -277,6 +277,7 @@ def criterion_9_argv(case):
 
 def test_criterion_9_cli_determinism(capsys):
     seen_commands = set()
+    differs = []
     for case in CLI_CASES:
         seen_commands.add(case[0])
         argv = criterion_9_argv(case)
@@ -289,9 +290,9 @@ def test_criterion_9_cli_determinism(capsys):
         assert payloads[0] == payloads[1], f"nondeterministic report: {case[0]}"
         # pinned across changes: tests/golden holds the report of each case
         golden = json.loads((GOLDEN / f"{case[0]}.json").read_text(encoding="utf-8"))
-        assert payloads[0] == json.dumps(golden, sort_keys=True), (
-            f"report differs from tests/golden/{case[0]}.json"
-        )
+        if payloads[0] != json.dumps(golden, sort_keys=True):
+            differs.append(f"tests/golden/{case[0]}.json")
+    assert not differs, f"reports differ from {', '.join(differs)}"
     from gradus.cli import SUBCOMMANDS
 
     assert seen_commands == set(SUBCOMMANDS)
