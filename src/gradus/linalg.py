@@ -6,15 +6,24 @@ mode.  Every operation is a pure function of its inputs; reduced row-echelon
 form is the canonical representation throughout, so subspace equality is
 literal matrix equality.
 
-Rational elimination runs on primitive integer rows (denominators cleared,
-content divided out after every update), which keeps entries small on the
-structured matrices this library produces.  Prime-field elimination has one
-numpy loop, `_eliminate_mod`, behind both `rref` (full reduction) and
-`rank_mod` (forward elimination with an optional early exit).  Each pivot
-updates only the trailing columns from the pivot column on, since the pivot
-row is zero left of it.  Its dtype follows the modulus: int64 below
-`_NUMPY_MOD_LIMIT` = 2^31, where every product of two residues fits, and
-Python ints in an `object` array at or above it.
+Prime-field elimination has one numpy loop, `_eliminate_mod`, behind `rref`
+over F_p and over Q (full reduction) and `rank_mod` (forward elimination with
+an optional early exit).  Each pivot updates only the trailing columns from
+the pivot column on, since the pivot row is zero left of it.  Its dtype
+follows the modulus: int64 below `_NUMPY_MOD_LIMIT` = 2^31, where every
+product of two residues fits, and Python ints in an `object` array at or
+above it.
+
+The rational rref is multi-modular.  The rows are scaled to primitive
+integer rows A and reduced modulo descending primes below 2^31; the
+complement-column entries of the best pivot tuple are lifted by CRT and
+rational reconstruction, and the candidate is accepted only after an exact
+check that it spans every row of A.  Since rank_Q(A) >= rank_p(A) for integer
+A, that check proves the candidate is the rref over Q.  The prime loop is
+bounded: once the CRT modulus exceeds 2*H^2, with H the Hadamard bound (the
+product of the row norms of A), a failed check is an internal invariant
+breach, not a reason to take another prime; so is a product of skipped
+(unlucky) primes above H.
 
 `GradedSubspace.reduce` works on the complement columns only (those led by
 no basis row): because the basis is in rref, the residual is zero on every
@@ -28,7 +37,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -310,19 +319,18 @@ def _dot(field: FieldConfig, u, v):
     return sum(x * y for x, y in zip(u, v)) % p
 
 
-# -- rational elimination on primitive integer rows -------------------------
+# -- primitive integer rows -------------------------------------------------
 
 
 def _row_to_primitive(row) -> dict:
     """Sparse primitive integer form of a rational row (leading entry > 0)."""
+    nonzero = [(j, x) for j, x in enumerate(row) if x]
     den = 1
-    for x in row:
+    for _, x in nonzero:
         if isinstance(x, Fraction):
             den = den * x.denominator // math.gcd(den, x.denominator)
     ints = {}
-    for j, x in enumerate(row):
-        if x == 0:
-            continue
+    for j, x in nonzero:
         if isinstance(x, Fraction):
             ints[j] = x.numerator * (den // x.denominator)
         else:
@@ -353,54 +361,6 @@ def _make_primitive(r: dict) -> dict:
     if g != 1:
         r = {c: v // g for c, v in r.items()}
     return r
-
-
-def _combine(r: dict, cr: int, p: dict, cp: int) -> dict:
-    """cr*r - cp*p with zero entries dropped."""
-    out = {c: cr * v for c, v in r.items()}
-    for c, v in p.items():
-        w = out.get(c, 0) - cp * v
-        if w:
-            out[c] = w
-        else:
-            out.pop(c, None)
-    return out
-
-
-def _rref_rational(rows: Iterable[Sequence], ncols: int):
-    pivrows: dict[int, dict] = {}
-    for row in rows:
-        r = _row_to_primitive(row)
-        while r:
-            lead = min(r)
-            piv = pivrows.get(lead)
-            if piv is None:
-                pivrows[lead] = r
-                break
-            a, b = r[lead], piv[lead]
-            g = math.gcd(a, b)
-            r = _make_primitive(_combine(r, b // g, piv, a // g))
-    pivots = sorted(pivrows)
-    # eliminate above pivots (entries right of each row's own pivot only)
-    for i in range(len(pivots) - 1, 0, -1):
-        pc = pivots[i]
-        prow = pivrows[pc]
-        b = prow[pc]
-        for pc2 in pivots[:i]:
-            r2 = pivrows[pc2]
-            a = r2.get(pc, 0)
-            if a:
-                g = math.gcd(a, b)
-                pivrows[pc2] = _make_primitive(_combine(r2, b // g, prow, a // g))
-    out = []
-    for pc in pivots:
-        r = pivrows[pc]
-        pv = r[pc]
-        dense = [Fraction(0)] * ncols
-        for c, v in r.items():
-            dense[c] = Fraction(v, pv)
-        out.append(dense)
-    return out, pivots
 
 
 # -- prime-field elimination -------------------------------------------------
@@ -457,12 +417,179 @@ def _eliminate_mod(
     return a, pivots
 
 
+# -- rational elimination: modular images, lifted and checked over Q -------
+
+
+def _elimination_primes():
+    """Primes below _NUMPY_MOD_LIMIT in descending order (the int64 path)."""
+    n = _NUMPY_MOD_LIMIT - 1
+    while n > 2:
+        if is_prime(n):
+            yield n
+        n -= 2
+
+
+def _is_reduced_up_to_scale(rows: list) -> bool:
+    """Distinct leading columns, each row zero on the others' leading columns."""
+    leads = {min(r) for r in rows}
+    return len(leads) == len(rows) and all(sum(c in leads for c in r) == 1 for r in rows)
+
+
+def _rational_reconstruction(x: int, m: int, bound: int):
+    """(n, d) with n = d*x mod m, |n| <= bound, 0 < d <= bound and
+    gcd(n, d) = 1, or None (Wang's half-extended Euclid; the answer is unique
+    when 2*bound^2 < m)."""
+    r0, r1, s0, s1 = m, x % m, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if s1 < 0:
+        r1, s1 = -r1, -s1
+    if s1 > bound or math.gcd(r1, s1) != 1:
+        return None
+    return r1, s1
+
+
+def _reconstruct(residues: list, m: int):
+    """Numerators N and one common denominator L with N/L = residues mod m,
+    or None.  L runs over the entries: each entry is reconstructed as L*x,
+    so once L is the answer's denominator the rest lift as integers."""
+    bound = math.isqrt((m - 1) // 2)
+    den, nums = 1, []
+    for x in residues:
+        nd = _rational_reconstruction(den * x, m, bound)
+        if nd is None:
+            return None
+        n, d = nd
+        if d != 1:
+            den *= d
+            if den > bound:
+                return None
+            nums = [v * d for v in nums]
+        nums.append(n)
+    return nums, den
+
+
+def _spans_rows(rows: list, pivots: tuple, comp: tuple, nums: list, den: int) -> bool:
+    """Exact check that every row a equals sum_i a[p_i] * R_i for
+    R_i = e_{p_i} + N_i/L on the complement: L*a[c] = sum_i a[p_i]*N_i[c] on
+    each complement column c, summed over a's nonzeros only."""
+    k = len(comp)
+    at_pivot = {c: i for i, c in enumerate(pivots)}
+    at_comp = {c: j for j, c in enumerate(comp)}
+    row_nums = [
+        [(j, y) for j, y in enumerate(nums[i * k : (i + 1) * k]) if y]
+        for i in range(len(pivots))
+    ]
+    for a in rows:
+        acc = [0] * k
+        for c, v in a.items():
+            i = at_pivot.get(c)
+            if i is None:
+                acc[at_comp[c]] += den * v
+            else:
+                for j, y in row_nums[i]:
+                    acc[j] -= v * y
+        if any(acc):
+            return False
+    return True
+
+
+def _fraction_row(entries, den: int, ncols: int) -> list:
+    """Dense row of Fraction(v, den) at the given (column, v) entries."""
+    dense = [Fraction(0)] * ncols
+    for c, v in entries:
+        dense[c] = Fraction(v, den)
+    return dense
+
+
+def _rref_multimodular(rows, ncols: int):
+    """Rational rref from rrefs mod primes; see `rref` for the argument."""
+    prim = [r for r in map(_row_to_primitive, rows) if r]
+    if _is_reduced_up_to_scale(prim):
+        prim.sort(key=min)
+        pivots = [min(r) for r in prim]
+        out = [_fraction_row(r.items(), r[pc], ncols) for r, pc in zip(prim, pivots)]
+        return out, pivots
+    int_rows = []
+    h2 = 1  # squared Hadamard bound: product of the squared row norms
+    for r in prim:
+        dense = [0] * ncols
+        for c, v in r.items():
+            dense[c] = v
+        int_rows.append(dense)
+        h2 *= sum(v * v for v in r.values())
+    best, skipped = None, 1
+    for p in _elimination_primes():
+        a, pivots = _eliminate_mod(int_rows, ncols, p)
+        pivots = tuple(pivots)
+        if (
+            best is None
+            or len(pivots) > len(best)
+            or (len(pivots) == len(best) and pivots < best)
+        ):
+            # a better pivot tuple: every earlier prime was unlucky
+            pset = set(pivots)
+            comp = tuple(c for c in range(ncols) if c not in pset)
+            best, modulus, acc = pivots, 1, [0] * (len(pivots) * len(comp))
+        elif pivots != best:
+            skipped *= p
+            invariant(
+                skipped**2 <= h2,
+                "multi-modular rref met more unlucky primes than the Hadamard bound allows",
+            )
+            continue
+        res = a[: len(best)][:, list(comp)].ravel().tolist()
+        minv = pow(modulus, -1, p)
+        acc = [x + modulus * ((y - x) * minv % p) for x, y in zip(acc, res)]
+        modulus *= p
+        cand = _reconstruct(acc, modulus)
+        if cand is not None and _spans_rows(prim, best, comp, *cand):
+            break
+        invariant(
+            modulus <= 2 * h2,
+            "multi-modular rref failed its exact check past the Hadamard bound",
+        )
+    nums, den = cand
+    k = len(comp)
+    out = [
+        _fraction_row([(pc, den), *zip(comp, nums[i * k : (i + 1) * k])], den, ncols)
+        for i, pc in enumerate(best)
+    ]
+    return out, list(best)
+
+
 def rref(m: Matrix):
     """Unique reduced row-echelon form (same shape, zero rows at the bottom):
-    (rref matrix, pivot columns, rank)."""
+    (rref matrix, pivot columns, rank).
+
+    Over Q the rows are scaled to primitive integer rows A.  Rows already
+    reduced up to scale and order (distinct leading columns, each row zero on
+    the others' leading columns) are their own rref once scaled and sorted.
+    Otherwise A is reduced modulo the primes below 2^31 in descending order.
+    Primes with the best pivot tuple seen (most pivots, then lexicographically
+    least) are kept; a better tuple restarts the accumulation.  Over the
+    kept primes the complement-column entries are combined by CRT and
+    rationally reconstructed as N/L, with one common denominator L.  The
+    candidate R = N/L is returned only if every row a of A satisfies
+    L*a[c] = sum_i a[p_i]*N_i[c] on every complement column c.  That makes
+    a = sum_i a[p_i]*R_i, so rowspace(A) is inside rowspace(R); and
+    rank_Q(A) >= rank_p(A) = rank(R) for integer A, so R is the rref over Q.
+
+    The loop is bounded.  Every minor of A is at most H = prod ||a||_2
+    (Hadamard), and so are L and the entries of N, which are minors up to a
+    common factor.  A prime with the wrong pivot tuple divides a fixed
+    nonzero minor (the rational pivot minor), so the product of such primes
+    is at most H.  Once the CRT modulus M of the kept primes exceeds 2*H^2,
+    one of them has the true tuple, which is the best, so all of them do,
+    and Wang's reconstruction (unique for |N|, L <= sqrt(M/2)) returns R.
+    A failed check past that point raises InternalInvariantError, and so
+    does a product of skipped primes (tuples worse than the best seen, hence
+    wrong) above H, so every path through the loop ends.
+    """
     f = m.field
     if f.is_rational:
-        dense, pivots = _rref_rational(m.rows, m.ncols)
+        dense, pivots = _rref_multimodular(m.rows, m.ncols)
     else:
         a, pivots = _eliminate_mod(m.rows, m.ncols, f.modulus)
         dense = [[int(x) for x in a[i]] for i in range(len(pivots))]

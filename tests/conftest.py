@@ -8,6 +8,7 @@ from gradus import (
     fermat_form,
     is_smooth_hypersurface,
     membership_u,
+    parse_poly,
     random_poly,
     special_q,
 )
@@ -28,6 +29,21 @@ def fp():
 @pytest.fixture(scope="session")
 def special_cubic(qq):
     return special_q(qq, 4, 3)
+
+
+@pytest.fixture(scope="session")
+def nodal_cubic(qq):
+    """A fixed cubic threefold with one node, at e0: every term of degree at
+    least 2 in x0 is absent.  Its Jacobian has rank 209 of 210 in degree 6."""
+    return parse_poly(
+        "8*x0*x1^2 + x0*x1*x2 + 3*x0*x1*x3 - 10*x0*x1*x4 - 10*x0*x2^2"
+        " + 5*x0*x2*x3 + 8*x0*x2*x4 - 9*x0*x3^2 + 8*x0*x3*x4 + 10*x0*x4^2"
+        " + 6*x1^3 + 9*x1^2*x2 + 7*x1^2*x3 - 2*x1^2*x4 + 5*x1*x2^2"
+        " + 10*x1*x2*x3 - 4*x1*x2*x4 + 7*x1*x3*x4 + 5*x1*x4^2 + 6*x2^3"
+        " - x2^2*x3 - 10*x2^2*x4 + 4*x2*x3^2 + 5*x2*x3*x4 - 9*x2*x4^2"
+        " - 3*x3^3 + x3^2*x4 + 5*x3*x4^2 - 9*x4^3",
+        qq,
+    )
 
 
 @pytest.fixture(scope="session")

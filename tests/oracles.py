@@ -1,11 +1,13 @@
-"""Independent oracles: naive elimination ranks, full-row subspace
+"""Independent oracles: naive elimination ranks, the Fraction-free rational
+rref the library used before its multi-modular one, full-row subspace
 reduction, brute-force colon bases, and the pairing evaluated by literal
 repeated differentiation.
 
-These deliberately avoid the library's elimination code paths (primitive-row
-reduction, quotient shortcuts) so agreement is meaningful.
+These deliberately avoid the library's elimination code paths (modular
+images, quotient shortcuts) so agreement is meaningful.
 """
 
+import math
 from fractions import Fraction
 from math import gcd
 
@@ -44,6 +46,87 @@ def naive_rank_rational(rows):
         prev = ints[r][c]
         r += 1
     return r
+
+
+def _row_to_primitive(row) -> dict:
+    """Sparse primitive integer form of a rational row (leading entry > 0)."""
+    den = 1
+    for x in row:
+        if isinstance(x, Fraction):
+            den = den * x.denominator // gcd(den, x.denominator)
+    ints = {}
+    for j, x in enumerate(row):
+        if x == 0:
+            continue
+        if isinstance(x, Fraction):
+            ints[j] = x.numerator * (den // x.denominator)
+        else:
+            ints[j] = int(x) * den
+    return _make_primitive(ints)
+
+
+def _make_primitive(r: dict) -> dict:
+    if not r:
+        return r
+    g = 0
+    for v in r.values():
+        g = gcd(g, v)
+    lead = min(r)
+    if r[lead] < 0:
+        g = -g
+    if g != 1:
+        r = {c: v // g for c, v in r.items()}
+    return r
+
+
+def _combine(r: dict, cr: int, p: dict, cp: int) -> dict:
+    """cr*r - cp*p with zero entries dropped."""
+    out = {c: cr * v for c, v in r.items()}
+    for c, v in p.items():
+        w = out.get(c, 0) - cp * v
+        if w:
+            out[c] = w
+        else:
+            out.pop(c, None)
+    return out
+
+
+def naive_rref_rational(rows, ncols: int):
+    """Fraction-free elimination on primitive integer rows, then back
+    substitution: (dense Fraction rref rows, pivot columns)."""
+    pivrows: dict[int, dict] = {}
+    for row in rows:
+        r = _row_to_primitive(row)
+        while r:
+            lead = min(r)
+            piv = pivrows.get(lead)
+            if piv is None:
+                pivrows[lead] = r
+                break
+            a, b = r[lead], piv[lead]
+            g = math.gcd(a, b)
+            r = _make_primitive(_combine(r, b // g, piv, a // g))
+    pivots = sorted(pivrows)
+    # eliminate above pivots (entries right of each row's own pivot only)
+    for i in range(len(pivots) - 1, 0, -1):
+        pc = pivots[i]
+        prow = pivrows[pc]
+        b = prow[pc]
+        for pc2 in pivots[:i]:
+            r2 = pivrows[pc2]
+            a = r2.get(pc, 0)
+            if a:
+                g = math.gcd(a, b)
+                pivrows[pc2] = _make_primitive(_combine(r2, b // g, prow, a // g))
+    out = []
+    for pc in pivots:
+        r = pivrows[pc]
+        pv = r[pc]
+        dense = [Fraction(0)] * ncols
+        for c, v in r.items():
+            dense[c] = Fraction(v, pv)
+        out.append(dense)
+    return out, pivots
 
 
 def naive_rank_mod(rows, p):

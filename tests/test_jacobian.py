@@ -4,6 +4,7 @@ from gradus import (
     FieldConfig,
     Polynomial,
     SeedStream,
+    SmoothnessCertificate,
     ci_smooth,
     graded_dim,
     ideal_graded,
@@ -66,6 +67,16 @@ def test_is_smooth_special_form_singular(special_cubic):
     cert = is_smooth_hypersurface(special_cubic)
     assert cert.verdict == "singular"
     assert cert.witness_point is not None
+
+
+def test_is_smooth_nodal_cubic_exact_certificate(nodal_cubic):
+    # the rank deficiency mod 10007 sends this input to the exact fallback;
+    # certificate and note bytes are those of the Fraction-free eliminator
+    cert = is_smooth_hypersurface(nodal_cubic)
+    assert cert == SmoothnessCertificate(
+        "singular", 6, "rational", False, (1, 0, 0, 0, 0),
+        note="Jacobian rank 209 < 210 at degree 6; singular point found over F_7",
+    )
 
 
 def test_is_smooth_cube_of_linear_form():

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradus import (
@@ -24,7 +24,7 @@ from gradus.errors import AmbientMismatchError, PreconditionError
 from gradus.linalg import rank_mod
 from gradus.poly import Polynomial, monomials, random_poly
 
-from .oracles import naive_rank, naive_rank_mod, naive_reduce
+from .oracles import naive_rank, naive_rank_mod, naive_reduce, naive_rref_rational
 
 QQ = FieldConfig.rationals()
 FP = FieldConfig.prime_field(10007)
@@ -305,17 +305,23 @@ def test_reduce_matches_full_row_oracle(case):
     assert sub.contains_vector(vec) == all(x == sub.field.zero for x in fast)
 
 
+def jacobian_rows(f, k):
+    """Generator rows x^m * dF/dx_i of the degree-k Jacobian piece of a cubic."""
+    rows = []
+    for i in range(f.nvars):
+        pf = f.partial(i)
+        for m in monomials(f.nvars, k - 2):
+            mono = Polynomial(f.field, f.nvars, "x", {m: f.field.one})
+            rows.append((mono * pf).coeff_vector(k))
+    return rows
+
+
 def test_rref_and_rank_mod_on_full_rank_jacobian_piece():
     # J_6 of a smooth cubic in 5 variables is the whole degree-6 piece
     # (6 > T = 5), so its 350 x 210 generator matrix has the identity rref
     f = random_poly(FP, SeedStream(child_seed(20260101, 3)), 5, 3, 10)
     assert is_smooth_hypersurface(f).is_smooth
-    rows = []
-    for i in range(5):
-        pf = f.partial(i)
-        for m in monomials(5, 4):
-            mono = Polynomial(FP, 5, "x", {m: FP.one})
-            rows.append((mono * pf).coeff_vector(6))
+    rows = jacobian_rows(f, 6)
     assert len(rows) == 350 and len(rows[0]) == 210
     red, pivots, rk = rref(Matrix(FP, rows, 210))
     assert rk == 210 and pivots == tuple(range(210))
@@ -323,3 +329,87 @@ def test_rref_and_rank_mod_on_full_rank_jacobian_piece():
     assert all(not any(r) for r in red.rows[210:])
     assert rank_mod(rows, 210, 10007) == 210
     assert rank_mod(rows, 210, 10007, target=210) == 210
+
+
+def assert_rref_matches_oracle(rows, ncols):
+    red, pivots, rk = rref(Matrix(QQ, rows, ncols))
+    expected, expected_pivots = naive_rref_rational(rows, ncols)
+    assert pivots == tuple(expected_pivots) and rk == len(expected_pivots)
+    assert red.nrows == len(rows) and red.ncols == ncols
+    assert red.rows[:rk] == tuple(tuple(r) for r in expected)
+    assert all(x == 0 for r in red.rows[rk:] for x in r)
+
+
+@st.composite
+def rational_matrices(draw):
+    """(rows, ncols) over Q: integer, Fraction or huge (> 2^64) entries, zero
+    rows and row combinations for rank deficiency, or rows already reduced
+    up to scale and order."""
+    ncols = draw(st.integers(1, 7))
+    nrows = draw(st.integers(0, 7))
+    kind = draw(st.sampled_from(("int", "fraction", "huge", "reduced")))
+    entry = {
+        "int": st.integers(-9, 9),
+        "fraction": st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+        "huge": st.one_of(st.integers(-2, 2), st.integers(-(1 << 80), 1 << 80)),
+        "reduced": st.integers(-3, 3),
+    }[kind]
+    rows = [draw(st.lists(entry, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    if kind == "reduced":
+        red, _ = naive_rref_rational(rows, ncols)
+        scale = st.builds(Fraction, st.integers(1, 9) | st.integers(-9, -1), st.integers(1, 9))
+        rows = [[draw(scale) * x for x in r] for r in red]
+        rows = draw(st.permutations(rows))
+    elif rows:
+        for _ in range(draw(st.integers(0, 3))):
+            i, j = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1))
+            a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            rows.append([a * x + b * y for x, y in zip(rows[i], rows[j])])
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * ncols)
+    return rows, ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_matrices())
+# rank 2 over Q but rank 1 mod 2^31 - 1, the first prime: a better pivot
+# tuple from the next prime must restart the accumulation
+@example(([[1, 1], [1, 1 << 31]], 2))
+def test_rref_qq_matches_fraction_free_oracle(matrix):
+    assert_rref_matches_oracle(*matrix)
+
+
+@settings(max_examples=50, deadline=None)
+@given(rational_matrices())
+def test_rref_qq_matches_sympy(matrix):
+    sympy = pytest.importorskip("sympy")
+    rows, ncols = matrix
+    red, pivots, rk = rref(Matrix(QQ, rows, ncols))
+    if not rows:
+        assert rk == 0
+        return
+    expected, expected_pivots = sympy.Matrix(
+        [[sympy.Rational(x.numerator, x.denominator) for x in map(Fraction, r)] for r in rows]
+    ).rref()
+    assert pivots == tuple(expected_pivots)
+    assert [list(r) for r in red.rows] == [
+        [Fraction(int(x.p), int(x.q)) for x in expected.row(i)] for i in range(len(rows))
+    ]
+
+
+def test_rref_qq_on_dense_jacobian_piece_matches_oracle():
+    # the 175 x 126 J_5 rows of a dense cubic: rank 125, rref entries of
+    # about 300 bits, so the lift needs many primes
+    f = random_poly(QQ, SeedStream(child_seed(20260101, 3)), 5, 3, 10)
+    rows = jacobian_rows(f, 5)
+    assert len(rows) == 175 and len(rows[0]) == 126
+    assert_rref_matches_oracle(rows, 126)
+
+
+def test_rref_qq_rank_of_nodal_jacobian_piece(nodal_cubic):
+    # one node: J_6 misses exactly one dimension of the 210
+    rows = jacobian_rows(nodal_cubic, 6)
+    assert len(rows) == 350 and len(rows[0]) == 210
+    red, pivots, rk = rref(Matrix(QQ, rows, 210))
+    assert rk == 209 == len(pivots)
+    assert rref(red)[0] == red
