@@ -156,3 +156,67 @@ def test_reports_carry_digests_and_schema(capsys):
     assert rep["report"]["inputs"]["poly"].startswith("sha256:")
     assert rep["report"]["command"] == "smooth"
     assert "wall_time_ms" in rep
+
+
+COMMON = {
+    "field": None,
+    "seed": 0,
+    "coeff_bound": 10,
+    "kmax": 12,
+    "trials": 5,
+    "output": "text",
+    "nvars": None,
+}
+
+# subcommand -> (required flags, the subcommand's own dests after parsing them)
+PARSER_SURFACE = {
+    "milnor-dims": (("--poly", "P"), {"poly": "P"}),
+    "smooth": (("--poly", "P"), {"poly": "P"}),
+    "ci-smooth": (("-f", "F", "-q", "Q"), {"f": "F", "q": "Q"}),
+    "perp": (("--poly", "P"), {"poly": "P", "k": 3}),
+    "colon": (("-f", "F", "-q", "Q"), {"f": "F", "q": "Q", "k": 1}),
+    "extract-c": (("-f", "F", "-q", "Q"), {"f": "F", "q": "Q"}),
+    "socle-pairing": (("--poly", "P"), {"poly": "P", "j": 2}),
+    "defect": (("--points", "PTS"), {"points": "PTS", "k": 1}),
+    "lemma-defect": (
+        ("--poly", "P", "--points", "PTS"),
+        {"poly": "P", "points": "PTS", "k": 0},
+    ),
+    "special-q": ((), {"n": 4, "d": 3}),
+    "singular-search": (("--poly", "P"), {"poly": "P", "p": 7}),
+    "node-check": (("--poly", "P", "--point", "PT"), {"poly": "P", "point": "PT"}),
+    "lefschetz": (("--poly", "P"), {"poly": "P", "ell": None}),
+    "membership-u": (("--poly", "P"), {"poly": "P"}),
+    "construct-pair": (("-f", "F"), {"f": "F", "g": None, "max_perturbations": 10}),
+    "verify-corollary": (("-f", "F", "-q", "Q"), {"f": "F", "q": "Q"}),
+    "theorem14": (("--poly", "P"), {"poly": "P"}),
+    "deformation": ((), {"steps": 4}),
+    "reproduce-example": ((), {}),
+}
+
+
+def test_parser_surface(capsys):
+    from gradus.cli import SUBCOMMANDS, build_parser
+
+    assert tuple(PARSER_SURFACE) == SUBCOMMANDS
+    parser = build_parser()
+    for cmd, (required, own) in PARSER_SURFACE.items():
+        want = {"command": cmd, **COMMON, **own}
+        got = vars(parser.parse_args([cmd, *required]))
+        assert got == want, cmd
+        assert {k: type(v) for k, v in got.items()} == {
+            k: type(v) for k, v in want.items()
+        }, cmd
+        # integer flags parse their text to int
+        for dest, default in {**COMMON, **own}.items():
+            if type(default) is int or dest == "nvars":
+                flag = "--" + dest.replace("_", "-")
+                value = vars(parser.parse_args([cmd, *required, flag, "7"]))[dest]
+                assert value == 7 and type(value) is int, (cmd, dest)
+        assert main([cmd, *required, "--output", "xml"]) == 1, cmd
+        capsys.readouterr()
+        # every required flag is required: dropping one is a usage error
+        for i in range(0, len(required), 2):
+            argv = [cmd, *required[:i], *required[i + 2 :]]
+            assert main(argv) == 1, argv
+            assert "required" in capsys.readouterr().err, argv
