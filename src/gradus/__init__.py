@@ -67,7 +67,6 @@ from .linalg import (
     random_scalar,
     rref,
     span,
-    subspace_contains,
     subspace_intersect,
     subspace_sum,
 )

@@ -60,9 +60,6 @@ class SocleFunctional:
                 total = f.add(total, f.mul(a, b))
         return total
 
-    def apply(self, p: Polynomial):
-        return self.apply_vector(p.coeff_vector(self.degree))
-
 
 @dataclass(frozen=True)
 class CubicC:
@@ -132,12 +129,6 @@ def _socle_functional(f: Polynomial) -> SocleFunctional:
     return SocleFunctional(f.field, f.nvars, t, null.rows[0])
 
 
-def _quotient_basis(f: Polynomial, k: int):
-    """(subspace J_{F,k}, complement monomial columns) for the quotient piece."""
-    j = jacobian_graded(f, k)
-    return j, j.complement_columns
-
-
 def macaulay_pairing_matrix(f: Polynomial, j: int) -> Matrix:
     """Multiplication pairing of the degree-j and degree-(T-j) quotient pieces.
 
@@ -150,8 +141,8 @@ def macaulay_pairing_matrix(f: Polynomial, j: int) -> Matrix:
     if not 0 <= j <= t:
         raise PreconditionError(f"pairing degree {j} outside [0, {t}]")
     lam = socle_functional(f)
-    _, cols_j = _quotient_basis(f, j)
-    _, cols_tj = _quotient_basis(f, t - j)
+    cols_j = jacobian_graded(f, j).complement_columns
+    cols_tj = jacobian_graded(f, t - j).complement_columns
     mons_j = monomials(f.nvars, j)
     mons_tj = monomials(f.nvars, t - j)
     idx_t = monomial_index(f.nvars, t)

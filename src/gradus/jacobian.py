@@ -373,7 +373,6 @@ def ci_smooth(
     q: Polynomial,
     k_max: int = DEFAULT_KMAX,
     allow_general: bool = False,
-    search_prime: int = DEFAULT_SEARCH_PRIME,
     falsify: bool = True,
 ) -> SmoothnessCertificate:
     """Jacobian-criterion certificate for the complete intersection {F=Q=0}.
@@ -409,11 +408,11 @@ def ci_smooth(
             "inconclusive", sweep.kmax, sweep.field_used, False,
             note=f"no fullness up to degree {sweep.kmax}; falsification skipped",
         )
-    point = _common_zero_mod(gens, f.nvars, search_prime)
+    point = _common_zero_mod(gens, f.nvars, DEFAULT_SEARCH_PRIME)
     if point is not None:
         return SmoothnessCertificate(
-            "singular", None, f"fp:{search_prime}", False, point,
-            note=f"common zero of (F, Q, minors) over F_{search_prime}",
+            "singular", None, f"fp:{DEFAULT_SEARCH_PRIME}", False, point,
+            note=f"common zero of (F, Q, minors) over F_{DEFAULT_SEARCH_PRIME}",
         )
     return SmoothnessCertificate(
         "inconclusive", sweep.kmax, sweep.field_used, False,

@@ -748,12 +748,6 @@ def subspace_intersect(a: GradedSubspace, b: GradedSubspace) -> GradedSubspace:
     return out
 
 
-def subspace_contains(a: GradedSubspace, vec: Sequence) -> bool:
-    if len(vec) != a.ambient_dim:
-        raise AmbientMismatchError("vector length does not match ambient dimension")
-    return a.contains_vector(vec)
-
-
 def subspace_le(a: GradedSubspace, b: GradedSubspace) -> bool:
     """a is contained in b."""
     _check_ambient(a, b)

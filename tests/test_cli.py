@@ -47,6 +47,14 @@ def test_exit_codes(capsys):
     assert code == 1
     code, _, err = run_cli(capsys, "smooth", "--poly", "@/nonexistent/f.poly")
     assert code == 1 and "input error" in err
+    # an explicit empty polynomial is a bad input, not an absent flag
+    for argv in (
+        ("smooth", "--poly", ""),
+        ("lefschetz", "--poly", FERMAT, "--ell", ""),
+        ("construct-pair", "-f", FERMAT, "--g", ""),
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1 and "input error" in err, (argv, code, err)
     rejected = [
         ("membership-u", "--poly", "x0^3+x1^3+x2^3", "--coeff-bound", "0"),
         ("perp", "--poly", FERMAT, "--k", "-1"),
@@ -220,3 +228,29 @@ def test_parser_surface(capsys):
             argv = [cmd, *required[:i], *required[i + 2 :]]
             assert main(argv) == 1, argv
             assert "required" in capsys.readouterr().err, argv
+
+
+def test_readme_lists_the_command_table():
+    """README's "Subcommands:" table names every subcommand in order, each
+    with its own flags, as `cli.COMMANDS` defines them."""
+    import re
+    from pathlib import Path
+
+    from gradus.cli import COMMANDS, SUBCOMMANDS
+
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\nSubcommands:\n", 1)[1]
+    rows = re.findall(r"^\| `([\w-]+)` \| (.*) \|$", section, flags=re.M)
+    assert tuple(name for name, _ in rows) == SUBCOMMANDS
+    for name, flags in rows:
+        documented = re.findall(r"`(-[\w-]+)` \((required|optional|default [^)]*)\)", flags)
+        expected = [
+            (
+                flag,
+                "required" if kw.get("required")
+                else "optional" if kw.get("default") is None
+                else f"default {kw['default']}",
+            )
+            for flag, kw in COMMANDS[name][0].items()
+        ]
+        assert documented == expected, name
