@@ -199,11 +199,22 @@ def test_extract_c_invariant_under_rescaling(u_pairs):
     assert c1 == c2
 
 
-def test_extract_c_degenerate_pair_reports_dimension(smooth_cubics):
-    f = smooth_cubics[0]
-    with pytest.raises(DegeneratePairError) as err:
-        extract_c(f, f.partial(0))
-    assert err.value.dim == 0
+def test_extract_c_degenerate_pair_reports_dimension(smooth_cubics, fermat):
+    # (F, Q, dim of the perp of (J_F : Q) in degree 3); one test, so the id
+    # stays stable, over a table of cases
+    cases = [
+        (smooth_cubics[0], smooth_cubics[0].partial(0), 0),
+        (fermat, Polynomial.zero(QQ, 5), 0),
+        (fermat, Polynomial.constant(QQ, 5, QQ.one), 10),
+        (fermat, parse_poly("x0", QQ, nvars=5), 4),
+        (fermat, parse_poly("x0^3", QQ, nvars=5), 0),
+        (fermat, fermat.partial(0), 0),
+    ]
+    for f, q, dim in cases:
+        with pytest.raises(DegeneratePairError, match="the pair .* is degenerate") as err:
+            extract_c(f, q)
+        assert err.value.dim == dim, (str(q), err.value.dim)
+        assert str(err.value).startswith(f"colon perp has dimension {dim};")
 
 
 def test_perp_in_prime_field_needs_large_characteristic():

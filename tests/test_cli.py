@@ -67,6 +67,15 @@ def test_exit_codes(capsys):
     for argv in rejected:
         code, _, err = run_cli(capsys, *argv)
         assert code == 2 and err.startswith("gradus: "), (argv, code, err)
+    # extract-c over a field too small for the degree-3 smoothness check
+    code, _, err = run_cli(
+        capsys, "extract-c", "-f", FERMAT, "-q", "x0*x1+x2*x3+x4^2", "--field", "fp:3"
+    )
+    assert code == 2 and "smoothness check at degree 3 needs p > 3" in err, err
+    rep = run_json(
+        capsys, "extract-c", "-f", FERMAT, "-q", "x0*x1+x2*x3+x4^2", "--field", "fp:5"
+    )
+    assert rep["report"]["results"]["c"] == "y0*y1*y4 + y2*y3*y4"
     # negative verdicts still exit 0
     code, _, _ = run_cli(capsys, "smooth", "--poly", SPECIAL)
     assert code == 0
