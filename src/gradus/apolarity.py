@@ -2,11 +2,22 @@
 annihilator quadric of a hyperplane, graded colon ideals, and extraction of
 the associated cubic.
 
-The socle functional lambda spans the one-dimensional dual of the top graded
-piece of the Milnor algebra of a smooth form; every multiplication pairing
-here is evaluated through it.  Quotient pieces are represented in the
-canonical complement-monomial coordinates (the non-pivot columns of the
-Jacobian rref basis), so all outputs are exactly comparable.
+For a smooth F of degree d, S/J_F is a graded complete intersection, hence
+Gorenstein with socle degree T = nvars*(d-2): the socle functional lambda
+spans the dual of S_T/J_T, and a of degree k lies in J_k exactly when
+lambda(a*m) = 0 for all m in S_{T-k}, over any field.  `_contract(lam, h)`
+is its one evaluation, m -> lambda(h*m) on S_{T-deg h}; divided by c! at x^c
+it is h o G, h(d/dy) applied to the dual generator G = sum lambda(x^a)/a! y^a,
+with <b, h o G> = lambda(h*b).  So `annihilator_quadric` solves q o G in
+span(g), `extract_c` spans perp((J_F : q)_d) by the (q*m) o G, m in
+S_{T-d-deg q} (just q o G when deg q = T - d), and `macaulay_pairing_matrix`
+reads lambda(m_a*m_b) off monomial contractions.  Contractions are exact in
+every characteristic; p > d is needed only to divide by the weights c!,
+|c| = d.  `colon_graded` and `perp_graded` stay the general routes.
+
+Quotient pieces are represented in the canonical complement-monomial
+coordinates (the non-pivot columns of the Jacobian rref basis), so all
+outputs are exactly comparable.
 """
 
 from __future__ import annotations
@@ -29,6 +40,7 @@ from .linalg import (
     FieldConfig,
     GradedSubspace,
     Matrix,
+    _dot,
     kernel,
     span,
     subspace_le,
@@ -39,7 +51,6 @@ from .poly import (
     monomial_index,
     monomials,
     pairing_weight,
-    polar_pair,
 )
 
 
@@ -51,14 +62,6 @@ class SocleFunctional:
     nvars: int
     degree: int
     vector: tuple
-
-    def apply_vector(self, vec):
-        f = self.field
-        total = f.zero
-        for a, b in zip(self.vector, vec):
-            if a != f.zero and b != f.zero:
-                total = f.add(total, f.mul(a, b))
-        return total
 
 
 @dataclass(frozen=True)
@@ -129,39 +132,53 @@ def _socle_functional(f: Polynomial) -> SocleFunctional:
     return SocleFunctional(f.field, f.nvars, t, null.rows[0])
 
 
+def _contract(lam: SocleFunctional, h: Polynomial) -> list:
+    """The functional m -> lambda(h*m) on S_{T-k}, k = deg h, in the
+    degree-(T-k) monomial basis; empty when k > T.  h is nonzero and
+    homogeneous."""
+    field = lam.field
+    zero = field.zero
+    rest = lam.degree - h.homogeneous_degree()
+    if rest < 0:
+        return []
+    idx_t = monomial_index(lam.nvars, lam.degree)
+    mons = monomials(lam.nvars, rest)
+    out = [zero] * len(mons)
+    for b, c in h.terms.items():
+        for i, m in enumerate(mons):
+            lv = lam.vector[idx_t[tuple(x + y for x, y in zip(b, m))]]
+            if lv != zero:
+                out[i] = field.add(out[i], field.mul(c, lv))
+    return out
+
+
+def _monomial(f: Polynomial, m: tuple) -> Polynomial:
+    return Polynomial(f.field, f.nvars, f.family, {m: f.field.one})
+
+
 def macaulay_pairing_matrix(f: Polynomial, j: int) -> Matrix:
     """Multiplication pairing of the degree-j and degree-(T-j) quotient pieces.
 
     Entry (a, b) is lambda(m_a * m_b) for the complement-monomial bases; full
     rank is the duality statement for smooth forms.
     """
-    require_smooth(f)
-    d = f.homogeneous_degree()
-    t = f.nvars * (d - 2)
+    lam = socle_functional(f)
+    t = lam.degree
     if not 0 <= j <= t:
         raise PreconditionError(f"pairing degree {j} outside [0, {t}]")
-    lam = socle_functional(f)
-    cols_j = jacobian_graded(f, j).complement_columns
     cols_tj = jacobian_graded(f, t - j).complement_columns
     mons_j = monomials(f.nvars, j)
-    mons_tj = monomials(f.nvars, t - j)
-    idx_t = monomial_index(f.nvars, t)
     rows = []
-    for a in cols_j:
-        ma = mons_j[a]
-        row = []
-        for b in cols_tj:
-            mb = mons_tj[b]
-            prod = tuple(x + y for x, y in zip(ma, mb))
-            row.append(lam.vector[idx_t[prod]])
-        rows.append(row)
+    for a in jacobian_graded(f, j).complement_columns:
+        full = _contract(lam, _monomial(f, mons_j[a]))
+        rows.append([full[b] for b in cols_tj])
     return Matrix(f.field, rows, len(cols_tj))
 
 
 def annihilator_quadric(f: Polynomial, g_dual: Polynomial) -> Polynomial:
     """The quadric (unique mod J_{F,2}, canonically normalized) whose socle
     products vanish on the hyperplane of cubics pairing to zero with G."""
-    require_smooth(f)
+    lam = socle_functional(f)
     if g_dual.is_zero():
         raise ZeroPolynomialError("G must be nonzero")
     if g_dual.family == f.family:
@@ -172,41 +189,21 @@ def annihilator_quadric(f: Polynomial, g_dual: Polynomial) -> Polynomial:
     if g_dual.homogeneous_degree() != d:
         raise PreconditionError("G must have the same degree as F")
 
-    j3 = jacobian_graded(f, d)
-    for row in j3.basis.rows:
-        b = Polynomial.from_vector(f.field, f.nvars, f.family, d, row)
-        if polar_pair(b, g_dual) != f.field.zero:
-            raise PreconditionError("G is not in the perp of the Jacobian piece")
-
     field = f.field
     nvars = f.nvars
-    # hyperplane H = {b : <b, G> = 0} inside the degree-d piece
+    # g weighted by c!, so that <b, G> is the plain dot product of b with it
     weights = _pairing_weights(field, nvars, d)
-    gvec = g_dual.coeff_vector(d)
-    hrow = [field.mul(c, w) for c, w in zip(gvec, weights)]
-    hbasis = kernel(Matrix(field, [hrow], len(gvec)))
+    gw = [field.mul(c, w) for c, w in zip(g_dual.coeff_vector(d), weights)]
+    if any(_dot(field, row, gw) != field.zero for row in jacobian_graded(f, d).basis.rows):
+        raise PreconditionError("G is not in the perp of the Jacobian piece")
 
-    lam = socle_functional(f)
+    # lambda(q*H) = 0 on H = g-perp  <=>  q o G = t*g: solve for (q, t)
     qdeg = lam.degree - d
-    idx_t = monomial_index(nvars, lam.degree)
-    qmons = monomials(nvars, qdeg)
-    dmons = monomials(nvars, d)
-    rows = []
-    for h in hbasis.rows:
-        row = []
-        for qm in qmons:
-            total = field.zero
-            for bidx, c in enumerate(h):
-                if c == field.zero:
-                    continue
-                mb = dmons[bidx]
-                prod = tuple(x + y for x, y in zip(qm, mb))
-                lv = lam.vector[idx_t[prod]]
-                if lv != field.zero:
-                    total = field.add(total, field.mul(c, lv))
-            row.append(total)
-        rows.append(row)
-    sol = kernel(Matrix(field, rows, len(qmons)))
+    cols = [_contract(lam, _monomial(f, m)) for m in monomials(nvars, qdeg)]
+    cols.append([field.neg(x) for x in gw])
+    null = kernel(Matrix(field, cols, len(gw)).transpose())
+    # t is fixed by q since g != 0, so the q-parts are still in rref
+    sol = Matrix(field, [row[:-1] for row in null.rows], len(cols) - 1)
 
     j2 = jacobian_graded(f, qdeg)
     sol_space = GradedSubspace(field, nvars, qdeg, f.family, sol, _pivot_cols(sol))
@@ -220,19 +217,15 @@ def annihilator_quadric(f: Polynomial, g_dual: Polynomial) -> Polynomial:
             dim=quotient.dim,
         )
     qprime = Polynomial.from_vector(field, nvars, f.family, qdeg, quotient.basis.rows[0])
-    # recheck the defining property exactly
-    for h in hbasis.rows:
-        hb = Polynomial.from_vector(field, nvars, f.family, d, h)
-        prod = (qprime * hb).coeff_vector(lam.degree)
-        invariant(lam.apply_vector(prod) == field.zero, "annihilator recheck failed")
+    # recheck the defining property exactly: Q o G lies in span(g)
+    recheck = span(field, nvars, d, g_dual.family, [gw, _contract(lam, qprime)])
+    invariant(recheck.dim == 1, "annihilator recheck failed")
     return qprime
 
 
 def colon_graded(f: Polynomial, q: Polynomial, k: int) -> GradedSubspace:
     """{a of degree k : a*q lies in the Jacobian ideal piece of degree k+deg q}."""
-    _require_homog_or_zero(q)
-    if q.nvars != f.nvars or q.field != f.field or q.family != f.family:
-        raise AmbientMismatchError("F and Q live in different rings")
+    _require_same_ring(f, q)
     field = f.field
     nvars = f.nvars
     if q.is_zero():
@@ -243,8 +236,7 @@ def colon_graded(f: Polynomial, q: Polynomial, k: int) -> GradedSubspace:
     comp = j.complement_columns
     cols = []
     for m in monomials(nvars, k):
-        mono = Polynomial(field, nvars, f.family, {m: field.one})
-        vec = (mono * q).coeff_vector(k + e)
+        vec = (_monomial(f, m) * q).coeff_vector(k + e)
         resid = j.reduce(vec)
         cols.append([resid[c] for c in comp])
     # a is in the colon iff sum_m a_m * resid_m = 0
@@ -256,24 +248,29 @@ def colon_graded(f: Polynomial, q: Polynomial, k: int) -> GradedSubspace:
     return out
 
 
-def _require_homog_or_zero(p: Polynomial):
-    if not p.is_homogeneous():
+def _require_same_ring(f: Polynomial, q: Polynomial):
+    if not q.is_homogeneous():
         raise PreconditionError("polynomial must be homogeneous")
+    if q.nvars != f.nvars or q.field != f.field or q.family != f.family:
+        raise AmbientMismatchError("F and Q live in different rings")
 
 
 def extract_c(f: Polynomial, q: Polynomial) -> CubicC:
     """Normalized generator of the perp line of (J_F : Q) in degree deg F."""
-    require_smooth(f)
+    lam = socle_functional(f)
+    _require_same_ring(f, q)
+    field = f.field
     d = f.homogeneous_degree()
-    colon = colon_graded(f, q, d)
-    perp_dim = colon.ambient_dim - colon.dim
-    if perp_dim != 1:
+    rest = lam.degree - d - (q.degree() or 0)
+    mons = monomials(f.nvars, rest) if rest >= 0 and not q.is_zero() else ()
+    # the functionals of the (q*m) o G, which span the perp of the colon
+    line = span(field, f.nvars, d, f.family, [_contract(lam, q * _monomial(f, m)) for m in mons])
+    if line.dim != 1:
         raise DegeneratePairError(
-            f"colon perp has dimension {perp_dim}; the pair (F, Q) is degenerate",
-            dim=perp_dim,
+            f"colon perp has dimension {line.dim}; the pair (F, Q) is degenerate",
+            dim=line.dim,
         )
-    line = perp_graded(colon)
-    c = Polynomial.from_vector(
-        f.field, f.nvars, line.family, d, line.basis.rows[0]
-    )
-    return CubicC(c, f, q)
+    weights = _pairing_weights(field, f.nvars, d)
+    vec = [field.mul(x, field.inv(w)) for x, w in zip(line.basis.rows[0], weights)]
+    dual_family = "y" if f.family == "x" else "x"
+    return CubicC(Polynomial.from_vector(field, f.nvars, dual_family, d, vec).normalized(), f, q)

@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .apolarity import annihilator_quadric, colon_graded, extract_c, perp_graded
+from .apolarity import _contract, annihilator_quadric, colon_graded, extract_c, perp_graded
+from .apolarity import socle_functional
 from .defects import (
     PointSet,
     brute_singular_search,
@@ -228,9 +229,10 @@ def construct_pair(
             raise BudgetExhaustedError(
                 f"no smooth intersection within {max_perturbations} perturbations"
             )
-    colon_base = colon_graded(f, q_base, f.homogeneous_degree())
-    colon_final = colon_graded(f, q, f.homogeneous_degree())
-    invariant(colon_base == colon_final, "colon changed under a Jacobian perturbation")
+    # equal contractions: q - q_base lies in J_F, so the colons agree in every degree
+    lam = socle_functional(f)
+    same = _contract(lam, q) == _contract(lam, q_base)
+    invariant(same, "colon changed under a Jacobian perturbation")
     cubic = extract_c(f, q)
     g_norm = g.normalized()
     invariant(cubic.poly == g_norm, "extracted cubic differs from the witness")

@@ -1,7 +1,9 @@
 """Independent oracles: naive elimination ranks, the Fraction-free rational
 rref the library used before its multi-modular one, full-row subspace
-reduction, brute-force colon bases, and the pairing evaluated by literal
-repeated differentiation.
+reduction, brute-force colon bases, the pairing evaluated by literal
+repeated differentiation, and the annihilator quadric and associated cubic
+the library built before its socle contractions (a hyperplane loop, and the
+perp of the colon ideal).
 
 These deliberately avoid the library's elimination code paths (modular
 images, quotient shortcuts) so agreement is meaningful.
@@ -11,8 +13,23 @@ import math
 from fractions import Fraction
 from math import gcd
 
-from gradus import Matrix, kernel, span
-from gradus.poly import Polynomial, graded_dim, monomials
+from gradus import (
+    Matrix,
+    colon_graded,
+    jacobian_graded,
+    kernel,
+    perp_graded,
+    socle_functional,
+    span,
+)
+from gradus.errors import DegeneratePairError
+from gradus.poly import (
+    Polynomial,
+    graded_dim,
+    monomial_index,
+    monomials,
+    pairing_weight,
+)
 
 
 def naive_rank_rational(rows):
@@ -218,3 +235,51 @@ def pairing_by_differentiation(f: Polynomial, g_dual: Polynomial):
         const = d.terms.get(origin, field.zero)
         total = field.add(total, field.mul(c, const))
     return total
+
+
+def hyperplane_annihilator_quadric(f: Polynomial, g_dual: Polynomial) -> Polynomial:
+    """The q of degree T - d with lambda(q*b) = 0 for every b in the
+    hyperplane {b : <b, G> = 0}, one socle product per (basis vector,
+    monomial), reduced modulo the Jacobian piece; no input checks."""
+    field = f.field
+    nvars = f.nvars
+    d = f.homogeneous_degree()
+    weights = [pairing_weight(field, m) for m in monomials(nvars, d)]
+    gvec = g_dual.coeff_vector(d)
+    hrow = [field.mul(c, w) for c, w in zip(gvec, weights)]
+    hbasis = kernel(Matrix(field, [hrow], len(gvec)))
+    lam = socle_functional(f)
+    qdeg = lam.degree - d
+    idx_t = monomial_index(nvars, lam.degree)
+    qmons = monomials(nvars, qdeg)
+    dmons = monomials(nvars, d)
+    rows = []
+    for h in hbasis.rows:
+        row = []
+        for qm in qmons:
+            total = field.zero
+            for bidx, c in enumerate(h):
+                if c == field.zero:
+                    continue
+                prod = tuple(x + y for x, y in zip(qm, dmons[bidx]))
+                total = field.add(total, field.mul(c, lam.vector[idx_t[prod]]))
+            row.append(total)
+        rows.append(row)
+    sol = kernel(Matrix(field, rows, len(qmons)))
+    j2 = jacobian_graded(f, qdeg)
+    quotient = span(field, nvars, qdeg, f.family, [j2.reduce(r) for r in sol.rows])
+    assert quotient.dim == 1, quotient.dim
+    return Polynomial.from_vector(field, nvars, f.family, qdeg, quotient.basis.rows[0])
+
+
+def colon_perp_cubic(f: Polynomial, q: Polynomial) -> Polynomial:
+    """The normalized generator of perp((J_F : Q)_d), d = deg F, through the
+    general colon and perp routes; DegeneratePairError(dim) unless it is a
+    line."""
+    d = f.homogeneous_degree()
+    colon = colon_graded(f, q, d)
+    perp_dim = colon.ambient_dim - colon.dim
+    if perp_dim != 1:
+        raise DegeneratePairError(f"colon perp has dimension {perp_dim}", dim=perp_dim)
+    line = perp_graded(colon)
+    return Polynomial.from_vector(f.field, f.nvars, line.family, d, line.basis.rows[0])

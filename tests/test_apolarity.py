@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gradus import (
     FieldConfig,
@@ -11,10 +13,12 @@ from gradus import (
     extract_c,
     fermat_form,
     graded_dim,
+    is_smooth_hypersurface,
     jacobian_graded,
     kernel,
     macaulay_pairing_matrix,
     monomial_index,
+    monomials,
     parse_poly,
     perp_graded,
     random_poly,
@@ -22,15 +26,21 @@ from gradus import (
     socle_functional,
     span,
 )
-from gradus.apolarity import _pairing_weights
+from gradus.apolarity import _contract, _pairing_weights
 from gradus.errors import (
+    CharacteristicError,
     DegeneratePairError,
     NotSmoothError,
     PreconditionError,
 )
 from gradus.linalg import Matrix
 
-from .oracles import brute_colon_basis
+from .oracles import (
+    brute_colon_basis,
+    colon_perp_cubic,
+    hyperplane_annihilator_quadric,
+    pairing_by_differentiation,
+)
 
 QQ = FieldConfig.rationals()
 
@@ -79,7 +89,7 @@ def test_socle_functional_kills_jacobian(smooth_cubics):
     f = smooth_cubics[1]
     lam = socle_functional(f)
     j5 = jacobian_graded(f, 5)
-    assert all(lam.apply_vector(row) == 0 for row in j5.basis.rows)
+    assert all(sum(a * b for a, b in zip(lam.vector, row)) == 0 for row in j5.basis.rows)
     assert any(x != 0 for x in lam.vector)
 
 
@@ -220,7 +230,148 @@ def test_extract_c_degenerate_pair_reports_dimension(smooth_cubics, fermat):
 def test_perp_in_prime_field_needs_large_characteristic():
     f5 = FieldConfig.prime_field(5)
     e = span(f5, 5, 5, "x", [])
-    from gradus.errors import CharacteristicError
-
     with pytest.raises(CharacteristicError):
         perp_graded(e)
+
+
+# ---------------------------------------------------------------------------
+# the socle contractions against the routes they replaced (tests/oracles.py)
+
+ORACLE_FIELDS = (QQ, FieldConfig.prime_field(10007), FieldConfig.prime_field(2147483629))
+
+
+@st.composite
+def smooth_forms_with_witness(draw):
+    """(F, G): a smooth form in 3 or 4 variables over Q or F_p and a nonzero
+    dual form G in the perp of its degree-d Jacobian piece."""
+    field = draw(st.sampled_from(ORACLE_FIELDS))
+    nvars, d = draw(st.sampled_from(((3, 3), (3, 4), (4, 3))))
+    f = random_poly(field, SeedStream(draw(st.integers(0, 2**32))), nvars, d, 5)
+    assume(not f.is_zero() and is_smooth_hypersurface(f).is_smooth)
+    perp = perp_graded(jacobian_graded(f, d))
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=perp.dim, max_size=perp.dim))
+    g = [field.zero] * perp.ambient_dim
+    for c, row in zip(coeffs, perp.basis.rows):
+        g = [field.add(x, field.mul(field.coerce(c), y)) for x, y in zip(g, row)]
+    assume(any(x != field.zero for x in g))
+    return f, Polynomial.from_vector(field, nvars, "y", d, g)
+
+
+def assert_extract_c_matches_oracle(f, q):
+    try:
+        expected = colon_perp_cubic(f, q)
+    except DegeneratePairError as err:
+        with pytest.raises(DegeneratePairError) as got:
+            extract_c(f, q)
+        assert got.value.dim == err.dim
+    else:
+        assert extract_c(f, q).poly == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(smooth_forms_with_witness(), st.integers(0, 2**32), st.integers(0, 3))
+def test_contraction_routes_match_old_routes(case, seed, extra_degree):
+    f, g = case
+    q = annihilator_quadric(f, g)
+    assert q == hyperplane_annihilator_quadric(f, g)
+    assert_extract_c_matches_oracle(f, q)
+    # a random q of degree T - d + 1 - extra_degree: the perp line, a wider
+    # span, or (above T - d) nothing
+    t = f.nvars * (f.homogeneous_degree() - 2)
+    e = t - f.homogeneous_degree() + 1 - extra_degree
+    if e >= 0:
+        q2 = random_poly(f.field, SeedStream(seed), f.nvars, e, 5)
+        if not q2.is_zero():
+            assert_extract_c_matches_oracle(f, q2)
+
+
+def test_contraction_routes_match_old_routes_on_u_pairs(u_pairs):
+    for f, um, cert in u_pairs:
+        assert cert.q_base == hyperplane_annihilator_quadric(f, um.witness)
+        assert cert.c == colon_perp_cubic(f, cert.q)
+
+
+@st.composite
+def graded_subspaces(draw):
+    """A subspace of a small graded piece over Q or F_p, p > its degree."""
+    nvars, degree = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    p = draw(st.sampled_from((None, 5, 101, 10007, 2147483629)))
+    field = QQ if p is None else FieldConfig.prime_field(p)
+    ncols = graded_dim(nvars, degree)
+    entry = st.integers(-3, 3).map(field.coerce)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=ncols + 1))
+    return span(field, nvars, degree, "x", rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(graded_subspaces())
+def test_perp_involution_and_pairing_oracle(e):
+    p = perp_graded(e)
+    assert p.family == "y" and e.dim + p.dim == e.ambient_dim
+    assert perp_graded(p) == e
+    zero = e.field.zero
+    for a in e.basis.rows:
+        fa = Polynomial.from_vector(e.field, e.nvars, "x", e.degree, a)
+        for b in p.basis.rows:
+            gb = Polynomial.from_vector(e.field, e.nvars, "y", e.degree, b)
+            assert pairing_by_differentiation(fa, gb) == zero
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from((2, 3, 5)), st.integers(1, 3), st.integers(0, 7))
+def test_perp_needs_characteristic_above_degree(p, nvars, degree):
+    e = span(FieldConfig.prime_field(p), nvars, degree, "x", [])
+    if p <= degree:
+        with pytest.raises(CharacteristicError):
+            perp_graded(e)
+    else:
+        assert perp_graded(e).dim == e.ambient_dim
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from((2, 3, 5, 7, 10007, 2147483629)),
+    st.sampled_from(((2, 3), (2, 4), (3, 3))),
+    st.integers(0, 2**32),
+    st.integers(1, 2),
+    st.integers(0, 3),
+)
+def test_colon_matches_brute_force_over_prime_fields(p, shape, seed, e, k):
+    field = FieldConfig.prime_field(p)
+    nvars, d = shape
+    stream = SeedStream(seed)
+    f = random_poly(field, stream, nvars, d, 5)
+    q = random_poly(field, stream, nvars, e, 5)
+    assume(not f.is_zero() and not q.is_zero())
+    assert colon_graded(f, q, k) == brute_colon_basis(f, q, k)
+
+
+def test_contraction_check_is_at_least_as_strong_as_colon_equality(smooth_cubics):
+    """construct_pair's colon-invariance check compares the contractions of
+    q_base and q: equal after a Jacobian perturbation, and unequal whenever
+    the degree-3 colons differ."""
+    stream = SeedStream(4242)
+    for f in smooth_cubics[:3]:
+        lam = socle_functional(f)
+        q = random_poly(QQ, stream, 5, 2, 10)
+        pert = Polynomial.zero(QQ, 5)
+        for i in range(5):
+            pert = pert + f.partial(i).scale(stream.randint(-10, 10))
+        assert _contract(lam, q) == _contract(lam, q + pert)
+        other = q + random_poly(QQ, stream, 5, 2, 10)
+        assert colon_graded(f, q, 3) != colon_graded(f, other, 3)
+        assert _contract(lam, q) != _contract(lam, other)
+
+
+def test_macaulay_pairing_entries_are_socle_products(smooth_cubics):
+    f = smooth_cubics[1]
+    lam = socle_functional(f)
+    for j in (1, 2):
+        m = macaulay_pairing_matrix(f, j)
+        mons_j, mons_tj = monomials(5, j), monomials(5, 5 - j)
+        cols_j = jacobian_graded(f, j).complement_columns
+        cols_tj = jacobian_graded(f, 5 - j).complement_columns
+        for row, a in zip(m.rows, cols_j):
+            for x, b in zip(row, cols_tj):
+                prod = Polynomial(QQ, 5, "x", {mons_j[a]: 1}) * Polynomial(QQ, 5, "x", {mons_tj[b]: 1})
+                assert x == sum(u * v for u, v in zip(lam.vector, prod.coeff_vector(5)))

@@ -413,3 +413,25 @@ def test_rref_qq_rank_of_nodal_jacobian_piece(nodal_cubic):
     red, pivots, rk = rref(Matrix(QQ, rows, 210))
     assert rk == 209 == len(pivots)
     assert rref(red)[0] == red
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_matrices(), st.sampled_from((None,) + ELIMINATION_PRIMES))
+def test_kernel_matches_sympy_nullspace(matrix, p):
+    """The kernel against sympy: Matrix.nullspace over Q, the GF(p) domain
+    matrix nullspace over F_p; same dimension and the same span."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    rows, ncols = matrix
+    field = QQ if p is None else FieldConfig.prime_field(p)
+    ours = kernel(Matrix(field, [[field.coerce(x) for x in r] for r in rows], ncols))
+    if p is None:
+        null = sympy.Matrix(len(rows), ncols, [x for r in rows for x in r]).nullspace()
+        theirs = [[Fraction(int(x.p), int(x.q)) for x in v] for v in null]
+    else:
+        gf = sympy.GF(p)
+        dm = DomainMatrix([[gf(x) for x in r] for r in rows], (len(rows), ncols), gf)
+        theirs = [[int(x) % p for x in r] for r in dm.nullspace().to_list()]
+    assert ours.nrows == len(theirs)
+    assert naive_rank(list(ours.rows) + theirs, field) == ours.nrows
