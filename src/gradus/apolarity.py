@@ -3,27 +3,24 @@ annihilator quadric of a hyperplane, graded colon ideals, and extraction of
 the associated cubic.
 
 For a smooth F of degree d, S/J_F is a graded complete intersection, hence
-Gorenstein with socle degree T = nvars*(d-2): the socle functional lambda
-spans the dual of S_T/J_T, and a of degree k lies in J_k exactly when
-lambda(a*m) = 0 for all m in S_{T-k}, over any field.  `_contract(lam, h)`
-is its one evaluation, m -> lambda(h*m) on S_{T-deg h}; divided by c! at x^c
-it is h o G, h(d/dy) applied to the dual generator G = sum lambda(x^a)/a! y^a,
-with <b, h o G> = lambda(h*b).  So `annihilator_quadric` solves q o G in
-span(g), `extract_c` spans perp((J_F : q)_d) by the (q*m) o G, m in
-S_{T-d-deg q} (just q o G when deg q = T - d), and `macaulay_pairing_matrix`
-reads lambda(m_a*m_b) off monomial contractions.  Contractions are exact in
-every characteristic; p > d is needed only to divide by the weights c!,
-|c| = d.  `colon_graded` and `perp_graded` stay the general routes.
-
-Quotient pieces are represented in the canonical complement-monomial
-coordinates (the non-pivot columns of the Jacobian rref basis), so all
-outputs are exactly comparable.
+Gorenstein with socle degree T = nvars*(d-2): with lambda the socle
+functional, a of degree k lies in J_k exactly when lambda(a*S_{T-k}) = 0,
+over any field.  `_contract(lam, h)` evaluates m -> lambda(h*m) on
+S_{T-deg h}; its entry at x^c over c! is the coefficient of y^c in h o G,
+G = sum lambda(x^a)/a! y^a the Macaulay dual generator, and <b, h o G> =
+lambda(h*b).  Q, C, the pairing matrix and the pipeline's colon-invariance
+check are all read from such contractions, exactly in every characteristic;
+p > d is needed only to divide by the weights c!, |c| = d.  `colon_graded`
+and `perp_graded` stay the general routes.  Quotient pieces are represented
+in the canonical complement-monomial coordinates (the non-pivot columns of
+the Jacobian rref basis), so all outputs are exactly comparable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
 from .errors import (
     AmbientMismatchError,
@@ -133,23 +130,17 @@ def _socle_functional(f: Polynomial) -> SocleFunctional:
 
 
 def _contract(lam: SocleFunctional, h: Polynomial) -> list:
-    """The functional m -> lambda(h*m) on S_{T-k}, k = deg h, in the
-    degree-(T-k) monomial basis; empty when k > T.  h is nonzero and
-    homogeneous."""
-    field = lam.field
-    zero = field.zero
+    """The functional m -> lambda(h*m) on S_{T-deg h}, in its monomial basis;
+    empty when deg h > T.  h is nonzero and homogeneous."""
     rest = lam.degree - h.homogeneous_degree()
     if rest < 0:
         return []
     idx_t = monomial_index(lam.nvars, lam.degree)
-    mons = monomials(lam.nvars, rest)
-    out = [zero] * len(mons)
-    for b, c in h.terms.items():
-        for i, m in enumerate(mons):
-            lv = lam.vector[idx_t[tuple(x + y for x, y in zip(b, m))]]
-            if lv != zero:
-                out[i] = field.add(out[i], field.mul(c, lv))
-    return out
+    mons, coeffs = zip(*h.terms.items())
+    return [
+        _dot(lam.field, coeffs, [lam.vector[idx_t[tuple(map(add, b, m))]] for b in mons])
+        for m in monomials(lam.nvars, rest)
+    ]
 
 
 def _monomial(f: Polynomial, m: tuple) -> Polynomial:
@@ -191,13 +182,14 @@ def annihilator_quadric(f: Polynomial, g_dual: Polynomial) -> Polynomial:
 
     field = f.field
     nvars = f.nvars
-    # g weighted by c!, so that <b, G> is the plain dot product of b with it
+    # g_dual weighted by c!, so that <b, g_dual> is the dot product of b and gw
     weights = _pairing_weights(field, nvars, d)
     gw = [field.mul(c, w) for c, w in zip(g_dual.coeff_vector(d), weights)]
     if any(_dot(field, row, gw) != field.zero for row in jacobian_graded(f, d).basis.rows):
         raise PreconditionError("G is not in the perp of the Jacobian piece")
 
-    # lambda(q*H) = 0 on H = g-perp  <=>  q o G = t*g: solve for (q, t)
+    # lambda(q*H) = 0 on H = g_dual-perp  <=>  q o G = t*g_dual, G the dual
+    # generator of F: solve for (q, t)
     qdeg = lam.degree - d
     cols = [_contract(lam, _monomial(f, m)) for m in monomials(nvars, qdeg)]
     cols.append([field.neg(x) for x in gw])
@@ -217,7 +209,7 @@ def annihilator_quadric(f: Polynomial, g_dual: Polynomial) -> Polynomial:
             dim=quotient.dim,
         )
     qprime = Polynomial.from_vector(field, nvars, f.family, qdeg, quotient.basis.rows[0])
-    # recheck the defining property exactly: Q o G lies in span(g)
+    # recheck the defining property exactly: Q o G lies in span(g_dual)
     recheck = span(field, nvars, d, g_dual.family, [gw, _contract(lam, qprime)])
     invariant(recheck.dim == 1, "annihilator recheck failed")
     return qprime
@@ -264,7 +256,8 @@ def extract_c(f: Polynomial, q: Polynomial) -> CubicC:
     rest = lam.degree - d - (q.degree() or 0)
     mons = monomials(f.nvars, rest) if rest >= 0 and not q.is_zero() else ()
     # the functionals of the (q*m) o G, which span the perp of the colon
-    line = span(field, f.nvars, d, f.family, [_contract(lam, q * _monomial(f, m)) for m in mons])
+    funcs = [_contract(lam, q * _monomial(f, m)) for m in mons]
+    line = span(field, f.nvars, d, f.family, funcs)
     if line.dim != 1:
         raise DegeneratePairError(
             f"colon perp has dimension {line.dim}; the pair (F, Q) is degenerate",
@@ -273,4 +266,5 @@ def extract_c(f: Polynomial, q: Polynomial) -> CubicC:
     weights = _pairing_weights(field, f.nvars, d)
     vec = [field.mul(x, field.inv(w)) for x, w in zip(line.basis.rows[0], weights)]
     dual_family = "y" if f.family == "x" else "x"
-    return CubicC(Polynomial.from_vector(field, f.nvars, dual_family, d, vec).normalized(), f, q)
+    c = Polynomial.from_vector(field, f.nvars, dual_family, d, vec).normalized()
+    return CubicC(c, f, q)

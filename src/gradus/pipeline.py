@@ -14,8 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .apolarity import _contract, annihilator_quadric, colon_graded, extract_c, perp_graded
-from .apolarity import socle_functional
+from .apolarity import (
+    _contract,
+    annihilator_quadric,
+    colon_graded,
+    extract_c,
+    perp_graded,
+    socle_functional,
+)
 from .defects import (
     PointSet,
     brute_singular_search,
