@@ -14,16 +14,20 @@ follows the modulus: int64 below `_NUMPY_MOD_LIMIT` = 2^31, where every
 product of two residues fits, and Python ints in an `object` array at or
 above it.
 
-The rational rref is multi-modular.  The rows are scaled to primitive
-integer rows A and reduced modulo descending primes below 2^31; the
-complement-column entries of the best pivot tuple are lifted by CRT and
-rational reconstruction, and the candidate is accepted only after an exact
-check that it spans every row of A.  Since rank_Q(A) >= rank_p(A) for integer
-A, that check proves the candidate is the rref over Q.  The prime loop is
-bounded: once the CRT modulus exceeds 2*H^2, with H the Hadamard bound (the
-product of the row norms of A), a failed check is an internal invariant
-breach, not a reason to take another prime; so is a product of skipped
-(unlucky) primes above H.
+The rational rref lifts one modular image p-adically (Dixon).  The rows are
+scaled to primitive integer rows A and reduced once modulo the fixed prime
+`_LIFT_PRIME` < 2^26.  That image gives the pivot columns, rk input rows
+independent mod p with pivot block B, and the first p-adic digit of the
+complement block X = B^-1 C.  B is inverted mod p once, and each further
+digit costs one product with B^-1 and one exact division, in int64 while
+rk*p^2 < 2^63 and the entries of A are small, in `object` arrays otherwise.
+The lift is rationally reconstructed and accepted only when it is in
+echelon form and an exact check shows it spans every row of A; since
+rank_Q(A) >= rank_p(A) for integer A, that proves it is the rref over Q.
+With H the Hadamard bound (the product of the row norms of A), the lift is
+exact once p^k > 2*H^2: a prime whose exact lift fails is unlucky and the
+next prime below it takes over, and a product of unlucky primes above H is
+an internal invariant breach, as is an exact lift that does not reconstruct.
 
 `GradedSubspace.reduce` works on the complement columns only (those led by
 no basis row): because the basis is in rref, the residual is zero on every
@@ -34,6 +38,7 @@ dim x ambient.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from fractions import Fraction
@@ -55,6 +60,10 @@ DEFAULT_PRIME = 10007
 
 # largest modulus for int64 elimination: products must fit in int64
 _NUMPY_MOD_LIMIT = 1 << 31
+
+# p-adic lifting prime of the rational rref: the largest prime below 2^26, so
+# rk * p^2 < 2^63 for every rank rk <= 2048 and its digits run in int64
+_LIFT_PRIME = 67108859
 
 # bound of every memo cache in the library
 CACHE_SIZE = 256
@@ -369,12 +378,15 @@ def _make_primitive(r: dict) -> dict:
 def _eliminate_mod(
     rows, ncols: int, p: int, reduced: bool = True, target: int | None = None
 ):
-    """Gaussian elimination of integer rows mod p: (array, pivot columns).
+    """Gaussian elimination of integer rows mod p: (array, pivot columns,
+    row order), where row i of the array came from input row order[i].
 
     `reduced` clears every pivot column to give the rref in the first rows;
     otherwise only the rows below each pivot are updated (forward
     elimination), and `target` stops the sweep once the rank reaches it or
-    provably cannot.
+    provably cannot.  Either way the first r rows of the array span what
+    input rows order[:r] span once r pivots are found, so the input rows
+    order[:rank] are independent mod p.
 
     At pivot column c the pivot row is zero left of c, so the swap, the
     normalisation and the row updates touch only the trailing columns c:,
@@ -384,6 +396,7 @@ def _eliminate_mod(
     a = np.array([[x % p for x in row] for row in rows], dtype=dtype)
     a = a.reshape(len(rows), ncols)
     nrows = a.shape[0]
+    order = list(range(nrows))
     pivots = []
     r = 0
     for c in range(ncols):
@@ -397,6 +410,7 @@ def _eliminate_mod(
         i = r + int(nz[0])
         if i != r:
             a[[r, i], c:] = a[[i, r], c:]
+            order[r], order[i] = order[i], order[r]
         inv = pow(int(a[r, c]), -1, p)
         if reduced:
             a[r, c:] = a[r, c:] * inv % p
@@ -414,19 +428,17 @@ def _eliminate_mod(
                 a[rows_b, c:] = (a[rows_b, c:] - np.outer(factors, a[r, c:])) % p
         pivots.append(c)
         r += 1
-    return a, pivots
+    return a, pivots, order
 
 
-# -- rational elimination: modular images, lifted and checked over Q -------
+# -- rational elimination: one modular image, lifted p-adically -------------
 
 
-def _elimination_primes():
-    """Primes below _NUMPY_MOD_LIMIT in descending order (the int64 path)."""
-    n = _NUMPY_MOD_LIMIT - 1
-    while n > 2:
-        if is_prime(n):
-            yield n
-        n -= 2
+def _lift_primes():
+    """_LIFT_PRIME, then the primes below it in descending order, each
+    found only when the one before it has proved unlucky."""
+    yield _LIFT_PRIME
+    yield from filter(is_prime, range(_LIFT_PRIME - 2, 2, -2))
 
 
 def _is_reduced_up_to_scale(rows: list) -> bool:
@@ -470,7 +482,15 @@ def _reconstruct(residues: list, m: int):
     return nums, den
 
 
-def _spans_rows(rows: list, pivots: tuple, comp: tuple, nums: list, den: int) -> bool:
+def _is_echelon(pivots: list, comp: list, nums: list) -> bool:
+    """Each row N_i is zero on the complement columns left of its pivot."""
+    k = len(comp)
+    return not any(
+        any(nums[i * k : i * k + bisect_left(comp, pc)]) for i, pc in enumerate(pivots)
+    )
+
+
+def _spans_rows(rows: list, pivots: list, comp: list, nums: list, den: int) -> bool:
     """Exact check that every row a equals sum_i a[p_i] * R_i for
     R_i = e_{p_i} + N_i/L on the complement: L*a[c] = sum_i a[p_i]*N_i[c] on
     each complement column c, summed over a's nonzeros only."""
@@ -495,6 +515,40 @@ def _spans_rows(rows: list, pivots: tuple, comp: tuple, nums: list, den: int) ->
     return True
 
 
+def _padic_images(int_rows, a_max: int, p: int, pivots, comp, pivot_rows, x0):
+    """X = B^-1 C mod p, p^2, p^3, ... as (flat entries, modulus), for
+    B = A[pivot_rows, pivots], invertible mod p, and C = A[pivot_rows, comp],
+    where no entry of A exceeds a_max in absolute value.
+
+    x0 is X mod p, the complement block of the rref mod p, and is yielded
+    before B is inverted.  Each further digit is X_i = B^-1 b mod p, then
+    b <- (b - B X_i) / p, an exact division, from b = (C - B x0) / p.  |b|
+    stays below 2 rk a_max, so the digits run in int64 while rk p^2 < 2^63
+    and a_max (1 + 2 rk p) < 2^63, and in `object` arrays otherwise.
+    """
+    yield x0.ravel().tolist(), p
+    rk, k = len(pivots), len(comp)
+    bmat = [[int_rows[i][c] for c in pivots] for i in pivot_rows]
+    cmat = [[int_rows[i][c] for c in comp] for i in pivot_rows]
+    inv, inv_pivots, _ = _eliminate_mod(
+        [row + [int(i == j) for j in range(rk)] for i, row in enumerate(bmat)], 2 * rk, p
+    )
+    invariant(inv_pivots == list(range(rk)), "pivot rows of the modular image are dependent")
+    fits = rk * p * p < 1 << 63 and a_max * (1 + 2 * rk * p) < 1 << 63
+    dtype = np.int64 if fits else object
+    binv = inv[:, rk:].astype(dtype)
+    bmat = np.array(bmat, dtype=dtype).reshape(rk, rk)
+    digit = x0.astype(dtype)
+    b = (np.array(cmat, dtype=dtype).reshape(rk, k) - bmat @ digit) // p
+    x, pk = digit.astype(object), p
+    while True:
+        digit = binv @ (b % p) % p
+        b = (b - bmat @ digit) // p
+        x = x + digit.astype(object) * pk
+        pk *= p
+        yield x.ravel().tolist(), pk
+
+
 def _fraction_row(entries, den: int, ncols: int) -> list:
     """Dense row of Fraction(v, den) at the given (column, v) entries."""
     dense = [Fraction(0)] * ncols
@@ -503,8 +557,31 @@ def _fraction_row(entries, den: int, ncols: int) -> list:
     return dense
 
 
-def _rref_multimodular(rows, ncols: int):
-    """Rational rref from rrefs mod primes; see `rref` for the argument."""
+def _lift(prim: list, int_rows: list, a_max: int, p: int, h2: int):
+    """(pivots, complement, N, L) of the rref from the image mod p, or None
+    once the lift is exact (p^k > 2*H^2) and still fails a check: p is then
+    unlucky.  See `rref` for the argument."""
+    ncols = len(int_rows[0])
+    a, pivots, order = _eliminate_mod(int_rows, ncols, p)
+    rk = len(pivots)
+    pset = set(pivots)
+    comp = [c for c in range(ncols) if c not in pset]
+    images = _padic_images(int_rows, a_max, p, pivots, comp, order[:rk], a[:rk][:, comp])
+    for residues, m in images:
+        cand = _reconstruct(residues, m)
+        if (
+            cand is not None
+            and _is_echelon(pivots, comp, cand[0])
+            and _spans_rows(prim, pivots, comp, *cand)
+        ):
+            return pivots, comp, *cand
+        if m > 2 * h2:
+            invariant(cand is not None, "p-adic rref did not reconstruct past the Hadamard bound")
+            return None
+
+
+def _rref_padic(rows, ncols: int):
+    """Rational rref from one modular image lifted p-adically; see `rref`."""
     prim = [r for r in map(_row_to_primitive, rows) if r]
     if _is_reduced_up_to_scale(prim):
         prim.sort(key=min)
@@ -513,50 +590,31 @@ def _rref_multimodular(rows, ncols: int):
         return out, pivots
     int_rows = []
     h2 = 1  # squared Hadamard bound: product of the squared row norms
+    a_max = 0
     for r in prim:
         dense = [0] * ncols
         for c, v in r.items():
             dense[c] = v
         int_rows.append(dense)
         h2 *= sum(v * v for v in r.values())
-    best, skipped = None, 1
-    for p in _elimination_primes():
-        a, pivots = _eliminate_mod(int_rows, ncols, p)
-        pivots = tuple(pivots)
-        if (
-            best is None
-            or len(pivots) > len(best)
-            or (len(pivots) == len(best) and pivots < best)
-        ):
-            # a better pivot tuple: every earlier prime was unlucky
-            pset = set(pivots)
-            comp = tuple(c for c in range(ncols) if c not in pset)
-            best, modulus, acc = pivots, 1, [0] * (len(pivots) * len(comp))
-        elif pivots != best:
-            skipped *= p
-            invariant(
-                skipped**2 <= h2,
-                "multi-modular rref met more unlucky primes than the Hadamard bound allows",
-            )
-            continue
-        res = a[: len(best)][:, list(comp)].ravel().tolist()
-        minv = pow(modulus, -1, p)
-        acc = [x + modulus * ((y - x) * minv % p) for x, y in zip(acc, res)]
-        modulus *= p
-        cand = _reconstruct(acc, modulus)
-        if cand is not None and _spans_rows(prim, best, comp, *cand):
+        a_max = max(a_max, *map(abs, r.values()))
+    skipped = 1
+    for p in _lift_primes():
+        found = _lift(prim, int_rows, a_max, p, h2)
+        if found is not None:
             break
+        skipped *= p
         invariant(
-            modulus <= 2 * h2,
-            "multi-modular rref failed its exact check past the Hadamard bound",
+            skipped**2 <= h2,
+            "p-adic rref met more unlucky primes than the Hadamard bound allows",
         )
-    nums, den = cand
+    pivots, comp, nums, den = found
     k = len(comp)
     out = [
         _fraction_row([(pc, den), *zip(comp, nums[i * k : (i + 1) * k])], den, ncols)
-        for i, pc in enumerate(best)
+        for i, pc in enumerate(pivots)
     ]
-    return out, list(best)
+    return out, pivots
 
 
 def rref(m: Matrix):
@@ -566,32 +624,42 @@ def rref(m: Matrix):
     Over Q the rows are scaled to primitive integer rows A.  Rows already
     reduced up to scale and order (distinct leading columns, each row zero on
     the others' leading columns) are their own rref once scaled and sorted.
-    Otherwise A is reduced modulo the primes below 2^31 in descending order.
-    Primes with the best pivot tuple seen (most pivots, then lexicographically
-    least) are kept; a better tuple restarts the accumulation.  Over the
-    kept primes the complement-column entries are combined by CRT and
-    rationally reconstructed as N/L, with one common denominator L.  The
-    candidate R = N/L is returned only if every row a of A satisfies
-    L*a[c] = sum_i a[p_i]*N_i[c] on every complement column c.  That makes
-    a = sum_i a[p_i]*R_i, so rowspace(A) is inside rowspace(R); and
-    rank_Q(A) >= rank_p(A) = rank(R) for integer A, so R is the rref over Q.
+    Otherwise A is reduced once modulo a prime p, first `_LIFT_PRIME`.  That
+    gives the pivot columns p_i, the complement columns c, the rank rk, and
+    rk input rows independent mod p whose pivot block B is invertible mod p;
+    C is their complement block.  X = B^-1 C is lifted p-adically (Dixon):
+    the rref mod p holds X mod p, and each step adds the digit
+    X_i = B^-1 b mod p and sets b <- (b - B X_i)/p.  After each step X mod p^k
+    is rationally reconstructed as N/L with one common denominator L, and the
+    candidate R_i = e_{p_i} + N_i/L is returned only if
+    (1) each N_i is zero on the complement columns left of p_i, and
+    (2) every row a of A satisfies L*a[c] = sum_i a[p_i]*N_i[c] on every
+    complement column c.
+    (2) makes a = sum_i a[p_i]*R_i, so rowspace(A) is inside rowspace(R); and
+    rank_Q(A) >= rank_p(A) = rank(R) for integer A, so the two are equal.
+    (1) puts R in reduced echelon form, so R is the rref over Q.  (1) is not
+    implied by (2): a prime that moves the pivot columns but keeps the rank
+    gives an exact lift that spans rowspace(A) but is not in echelon form
+    ([[p, 1, 0], [0, 1, 1]] has pivots (1, 2) mod p and (0, 1) over Q).
 
     The loop is bounded.  Every minor of A is at most H = prod ||a||_2
-    (Hadamard), and so are L and the entries of N, which are minors up to a
-    common factor.  A prime with the wrong pivot tuple divides a fixed
-    nonzero minor (the rational pivot minor), so the product of such primes
-    is at most H.  Once the CRT modulus M of the kept primes exceeds 2*H^2,
-    one of them has the true tuple, which is the best, so all of them do,
-    and Wang's reconstruction (unique for |N|, L <= sqrt(M/2)) returns R.
-    A failed check past that point raises InternalInvariantError, and so
-    does a product of skipped primes (tuples worse than the best seen, hence
-    wrong) above H, so every path through the loop ends.
+    (Hadamard).  By Cramer's rule the entries of X are minors of A over
+    det B, so L and the entries of N are at most H, and once p^k > 2*H^2
+    Wang's reconstruction (unique for |N|, L <= sqrt(p^k/2)) returns X
+    itself; no candidate there raises InternalInvariantError.  So one prime
+    takes at most log_p(2*H^2) + 1 steps.  A prime that keeps the rational
+    pivot columns and rank lifts to the rref and passes both checks, so a
+    prime whose exact lift fails does not: it divides the rational pivot
+    minor, a nonzero minor of A, and the product of such primes is at most
+    H.  Such a prime gives way to the next prime below it, and a product of
+    dropped primes above H raises InternalInvariantError, so every path
+    through the loop ends.
     """
     f = m.field
     if f.is_rational:
-        dense, pivots = _rref_multimodular(m.rows, m.ncols)
+        dense, pivots = _rref_padic(m.rows, m.ncols)
     else:
-        a, pivots = _eliminate_mod(m.rows, m.ncols, f.modulus)
+        a, pivots, _ = _eliminate_mod(m.rows, m.ncols, f.modulus)
         dense = [[int(x) for x in a[i]] for i in range(len(pivots))]
     while len(dense) < m.nrows:
         dense.append([f.zero] * m.ncols)

@@ -21,7 +21,7 @@ from gradus import (
     subspace_sum,
 )
 from gradus.errors import AmbientMismatchError, PreconditionError
-from gradus.linalg import rank_mod
+from gradus.linalg import _LIFT_PRIME, is_prime, rank_mod
 from gradus.poly import Polynomial, monomials, random_poly
 
 from .oracles import naive_rank, naive_rank_mod, naive_reduce, naive_rref_rational
@@ -372,11 +372,25 @@ def rational_matrices(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(rational_matrices())
-# rank 2 over Q but rank 1 mod 2^31 - 1, the first prime: a better pivot
-# tuple from the next prime must restart the accumulation
+# rank 2 over Q and mod the lift prime, but rank 1 mod 2^31 - 1
 @example(([[1, 1], [1, 1 << 31]], 2))
+# pivots (1, 2) mod the lift prime P, (0, 1) over Q: the exact lift spans the
+# rows but is not in echelon form, so the next prime must take over
+@example(([[_LIFT_PRIME, 1, 0], [0, 1, 1]], 3))
+# rank 2 over Q, rank 1 mod P: the lift spans one row only
+@example(([[1, 1], [1, 1 + _LIFT_PRIME]], 2))
+# entries above 2^63 and a denominator above P: lifted in `object` arrays
+@example(([[1 << 64, 1, 0], [1, 2, 3]], 3))
 def test_rref_qq_matches_fraction_free_oracle(matrix):
     assert_rref_matches_oracle(*matrix)
+
+
+def test_lift_prime_is_prime_and_keeps_int64_digits():
+    # the lift's int64 digits need rk * P^2 < 2^63 for the ranks it meets
+    # (the largest rational rref in the library has 210 columns), and the
+    # modular image of the eliminator runs in int64 below 2^31
+    assert is_prime(_LIFT_PRIME) and _LIFT_PRIME < 1 << 26
+    assert 2048 * _LIFT_PRIME**2 < 1 << 63
 
 
 @settings(max_examples=50, deadline=None)

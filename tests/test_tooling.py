@@ -1,5 +1,7 @@
 """The benchmark's tracer wraps library functions by name and skips a name
-it cannot find, whose metrics then read 0; every name it lists must exist."""
+it cannot find, whose metrics then read 0; every name it lists must exist.
+It counts calls to those public functions, so a layer's own internal work
+must not go through them."""
 
 import importlib
 import importlib.util
@@ -23,3 +25,23 @@ def test_every_tracing_target_resolves_to_a_callable():
         for part in attr.split("."):
             obj = getattr(obj, part, None)
         assert callable(obj), f"gradus.{modname}.{attr}"
+
+
+def test_rational_rref_calls_no_traced_linalg_function(monkeypatch):
+    # the tracer counts calls to the public rref, rank_mod and kernel; the
+    # rational rref's own modular work must not show up among them
+    from gradus import FieldConfig, Matrix, SeedStream, child_seed, linalg
+    from gradus.poly import random_poly
+
+    from .test_linalg import jacobian_rows
+
+    qq = FieldConfig.rationals()
+    rows = jacobian_rows(random_poly(qq, SeedStream(child_seed(20260101, 3)), 5, 3, 10), 5)
+    rref = linalg.rref
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a traced linalg function was called")
+
+    for name in ("rref", "rank_mod", "kernel"):
+        monkeypatch.setattr(linalg, name, forbidden)
+    assert rref(Matrix(qq, rows, 126))[2] == 125
