@@ -5,22 +5,25 @@ the associated cubic.
 For a smooth F of degree d, S/J_F is a graded complete intersection, hence
 Gorenstein with socle degree T = nvars*(d-2): with lambda the socle
 functional, a of degree k lies in J_k exactly when lambda(a*S_{T-k}) = 0,
-over any field.  `_contract(lam, h)` evaluates m -> lambda(h*m) on
-S_{T-deg h}; its entry at x^c over c! is the coefficient of y^c in h o G,
-G = sum lambda(x^a)/a! y^a the Macaulay dual generator, and <b, h o G> =
-lambda(h*b).  Q, C, the pairing matrix and the pipeline's colon-invariance
-check are all read from such contractions, exactly in every characteristic;
-p > d is needed only to divide by the weights c!, |c| = d.  `colon_graded`
-and `perp_graded` stay the general routes.  Quotient pieces are represented
-in the canonical complement-monomial coordinates (the non-pivot columns of
-the Jacobian rref basis), so all outputs are exactly comparable.
+over any field.  The catalecticant lambda(m_i*b_j) is one gather of lambda
+through `poly.product_index`, and `_contract(lam, h)` = (m -> lambda(h*m)
+on S_{T-deg h}) combines its columns; its entry at x^c over c! is the
+coefficient of y^c in h o G, G = sum lambda(x^a)/a! y^a the Macaulay dual
+generator, and <b, h o G> = lambda(h*b).  Q, C, the pairing matrix and the
+pipeline's colon-invariance check are all read from such contractions,
+exactly in every characteristic; p > d is needed only to divide by the
+weights c!, |c| = d.  `colon_graded` and `perp_graded` stay the general
+routes.  Quotient pieces are represented in the canonical complement-monomial
+coordinates (the non-pivot columns of the Jacobian rref basis), so all
+outputs are exactly comparable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
+
+import numpy as np
 
 from .errors import (
     AmbientMismatchError,
@@ -31,7 +34,7 @@ from .errors import (
     ZeroPolynomialError,
     invariant,
 )
-from .jacobian import jacobian_graded, require_smooth
+from .jacobian import _multiplication_matrix, _require_same_ring, jacobian_graded, require_smooth
 from .linalg import (
     CACHE_SIZE,
     FieldConfig,
@@ -39,6 +42,7 @@ from .linalg import (
     Matrix,
     _dot,
     kernel,
+    primitive_int_rows,
     span,
     subspace_le,
 )
@@ -48,6 +52,7 @@ from .poly import (
     monomial_index,
     monomials,
     pairing_weight,
+    product_index,
 )
 
 
@@ -129,22 +134,26 @@ def _socle_functional(f: Polynomial) -> SocleFunctional:
     return SocleFunctional(f.field, f.nvars, t, null.rows[0])
 
 
+def _catalecticant(lam: SocleFunctional, e: int, integral: bool = False) -> np.ndarray:
+    """lambda(m_i * b_j) for m_i in S_{T-e} (rows) and b_j in S_e (columns),
+    one gather of lambda through `product_index`; needs 0 <= e <= T.
+    `integral` scales lambda to primitive integers first (a nonzero multiple)."""
+    vec = lam.vector
+    if integral:
+        vec = primitive_int_rows(Matrix(lam.field, [vec], len(vec)))[0]
+    return np.array(vec, dtype=object)[product_index(lam.nvars, e, lam.degree)]
+
+
 def _contract(lam: SocleFunctional, h: Polynomial) -> list:
     """The functional m -> lambda(h*m) on S_{T-deg h}, in its monomial basis;
     empty when deg h > T.  h is nonzero and homogeneous."""
-    rest = lam.degree - h.homogeneous_degree()
-    if rest < 0:
+    e = h.homogeneous_degree()
+    if e > lam.degree:
         return []
-    idx_t = monomial_index(lam.nvars, lam.degree)
-    mons, coeffs = zip(*h.terms.items())
-    return [
-        _dot(lam.field, coeffs, [lam.vector[idx_t[tuple(map(add, b, m))]] for b in mons])
-        for m in monomials(lam.nvars, rest)
-    ]
-
-
-def _monomial(f: Polynomial, m: tuple) -> Polynomial:
-    return Polynomial(f.field, f.nvars, f.family, {m: f.field.one})
+    idx = monomial_index(lam.nvars, e)
+    cat = _catalecticant(lam, e)[:, [idx[m] for m in h.terms]]
+    coeffs = list(h.terms.values())
+    return [_dot(lam.field, coeffs, row) for row in cat.tolist()]
 
 
 def macaulay_pairing_matrix(f: Polynomial, j: int) -> Matrix:
@@ -157,13 +166,10 @@ def macaulay_pairing_matrix(f: Polynomial, j: int) -> Matrix:
     t = lam.degree
     if not 0 <= j <= t:
         raise PreconditionError(f"pairing degree {j} outside [0, {t}]")
+    cols_j = jacobian_graded(f, j).complement_columns
     cols_tj = jacobian_graded(f, t - j).complement_columns
-    mons_j = monomials(f.nvars, j)
-    rows = []
-    for a in jacobian_graded(f, j).complement_columns:
-        full = _contract(lam, _monomial(f, mons_j[a]))
-        rows.append([full[b] for b in cols_tj])
-    return Matrix(f.field, rows, len(cols_tj))
+    cat = _catalecticant(lam, t - j)[np.ix_(cols_j, cols_tj)]
+    return Matrix(f.field, cat.tolist(), len(cols_tj))
 
 
 def annihilator_quadric(f: Polynomial, g_dual: Polynomial) -> Polynomial:
@@ -188,29 +194,30 @@ def annihilator_quadric(f: Polynomial, g_dual: Polynomial) -> Polynomial:
     if any(_dot(field, row, gw) != field.zero for row in jacobian_graded(f, d).basis.rows):
         raise PreconditionError("G is not in the perp of the Jacobian piece")
 
-    # lambda(q*H) = 0 on H = g_dual-perp  <=>  q o G = t*g_dual, G the dual
-    # generator of F: solve for (q, t)
+    # lambda(q*H) = 0 on H = g_dual-perp  <=>  q o G = t*g_dual (G the dual
+    # generator, up to scale in the integral catalecticant); J_{T-d} o G = 0,
+    # so solving over the complement monomials of J_{T-d} gives the reduced q
     qdeg = lam.degree - d
-    cols = [_contract(lam, _monomial(f, m)) for m in monomials(nvars, qdeg)]
+    j2 = jacobian_graded(f, qdeg)
+    cat = _catalecticant(lam, d, integral=True)
+    j2_g = np.array(primitive_int_rows(j2.basis), dtype=object).reshape(-1, len(cat)) @ cat
+    invariant(not any(map(field.coerce, j2_g.flat)), "Jacobian quadrics do not annihilate H")
+    comp = list(j2.complement_columns)
+    cols = cat[comp].tolist()
     cols.append([field.neg(x) for x in gw])
     null = kernel(Matrix(field, cols, len(gw)).transpose())
-    # t is fixed by q since g != 0, so the q-parts are still in rref
-    sol = Matrix(field, [row[:-1] for row in null.rows], len(cols) - 1)
-
-    j2 = jacobian_graded(f, qdeg)
-    sol_space = GradedSubspace(field, nvars, qdeg, f.family, sol, _pivot_cols(sol))
-    invariant(subspace_le(j2, sol_space), "Jacobian quadrics do not annihilate H")
-    reduced = [j2.reduce(row) for row in sol.rows]
-    quotient = span(field, nvars, qdeg, f.family, reduced)
-    if quotient.dim != 1:
+    if null.nrows != 1:
         raise DegeneratePairError(
-            f"annihilator solution space has dimension {quotient.dim} mod the "
+            f"annihilator solution space has dimension {null.nrows} mod the "
             "Jacobian piece; expected 1",
-            dim=quotient.dim,
+            dim=null.nrows,
         )
-    qprime = Polynomial.from_vector(field, nvars, f.family, qdeg, quotient.basis.rows[0])
+    # t is fixed by q since g != 0, so the q-part leads with 1
+    q_comp, mons = null.rows[0][:-1], monomials(nvars, qdeg)
+    qprime = Polynomial(field, nvars, f.family, {mons[c]: x for c, x in zip(comp, q_comp)})
     # recheck the defining property exactly: Q o G lies in span(g_dual)
-    recheck = span(field, nvars, d, g_dual.family, [gw, _contract(lam, qprime)])
+    qg = (np.array(q_comp, dtype=object) @ cat[comp]).tolist()
+    recheck = span(field, nvars, d, g_dual.family, [gw, qg])
     invariant(recheck.dim == 1, "annihilator recheck failed")
     return qprime
 
@@ -223,28 +230,13 @@ def colon_graded(f: Polynomial, q: Polynomial, k: int) -> GradedSubspace:
     if q.is_zero():
         dim_k = graded_dim(nvars, k)
         return span(field, nvars, k, f.family, Matrix.identity(field, dim_k).rows)
-    e = q.homogeneous_degree()
-    j = jacobian_graded(f, k + e)
-    comp = j.complement_columns
-    cols = []
-    for m in monomials(nvars, k):
-        vec = (_monomial(f, m) * q).coeff_vector(k + e)
-        resid = j.reduce(vec)
-        cols.append([resid[c] for c in comp])
-    # a is in the colon iff sum_m a_m * resid_m = 0
-    mat = Matrix(field, cols, len(comp)).transpose()
-    null = kernel(mat)
+    # a is in the colon iff a*q reduces to zero modulo J_{k + deg q}
+    j = jacobian_graded(f, k + q.homogeneous_degree())
+    null = kernel(_multiplication_matrix(q, j))
     out = GradedSubspace(field, nvars, k, f.family, null, _pivot_cols(null))
     jk = jacobian_graded(f, k)
     invariant(subspace_le(jk, out), "colon does not contain the Jacobian piece")
     return out
-
-
-def _require_same_ring(f: Polynomial, q: Polynomial):
-    if not q.is_homogeneous():
-        raise PreconditionError("polynomial must be homogeneous")
-    if q.nvars != f.nvars or q.field != f.field or q.family != f.family:
-        raise AmbientMismatchError("F and Q live in different rings")
 
 
 def extract_c(f: Polynomial, q: Polynomial) -> CubicC:
@@ -253,10 +245,13 @@ def extract_c(f: Polynomial, q: Polynomial) -> CubicC:
     _require_same_ring(f, q)
     field = f.field
     d = f.homogeneous_degree()
-    rest = lam.degree - d - (q.degree() or 0)
-    mons = monomials(f.nvars, rest) if rest >= 0 and not q.is_zero() else ()
-    # the functionals of the (q*m) o G, which span the perp of the colon
-    funcs = [_contract(lam, q * _monomial(f, m)) for m in mons]
+    e = q.degree()
+    funcs = []
+    if e is not None and lam.degree - e >= d:
+        # the functionals of the (q*m) o G, m in S_{T-d-e}, which span the
+        # perp of the colon: lambda(q*m*b) = (q o G)(m*b) for b in S_d
+        qg = np.array(_contract(lam, q), dtype=object)
+        funcs = qg[product_index(f.nvars, d, lam.degree - e)].tolist()
     line = span(field, f.nvars, d, f.family, funcs)
     if line.dim != 1:
         raise DegeneratePairError(

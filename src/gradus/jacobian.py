@@ -7,7 +7,8 @@ Jacobian ideal, T = nvars*(d-2).  Over the rationals the check first runs
 modulo a fixed prime: full rank mod p certifies full rank over the rationals
 for integer matrices, so a modular "smooth" verdict is promoted; a modular
 deficiency triggers the exact computation.  All ranks are of matrices with
-entries from the input field, so rational verdicts are conclusive.
+entries from the input field, so rational verdicts are conclusive.  Rows
+m*g of a generator g are scattered through `poly.product_index`.
 """
 
 from __future__ import annotations
@@ -31,11 +32,12 @@ from .linalg import (
     FieldConfig,
     GradedSubspace,
     Matrix,
+    _primitive,
     rank_mod,
     rref,
     span,
 )
-from .poly import Polynomial, graded_dim, monomial_index, monomials
+from .poly import Polynomial, graded_dim, monomial_index, product_index
 
 DEFAULT_KMAX = 12
 DEFAULT_SEARCH_PRIME = 7
@@ -59,11 +61,12 @@ class SmoothnessCertificate:
     """Machine-checkable smoothness evidence.
 
     verdict is "smooth", "singular", or "inconclusive".  For smooth verdicts
-    `degree` is the degree at which fullness was certified and `field_used`
-    the field of the rank computation; `promoted` marks modular certificates
-    that are valid over the rationals.  For singular verdicts `witness_point`
-    carries a singular point when one was found (possibly over a small prime
-    field, recorded in `field_used`).
+    `degree` is where the rows built through `poly.product_index` fill up
+    and `field_used` the field of the rank computation; `promoted` marks
+    modular certificates that are valid over the rationals.  A singular
+    `ci_smooth` verdict rests on `witness_point`, a zero checked exactly in
+    `field_used`; a singular hypersurface verdict rests on an exact rank,
+    its witness (if any) a point over F_7 named in the note.
     """
 
     verdict: str
@@ -108,38 +111,37 @@ class EmptinessResult:
 # generator rows
 
 
-def _shifted_rows(g: Polynomial, k: int, terms: dict | None = None):
-    """Coefficient vectors of m*g for all monomials m of degree k - deg(g).
-
-    `terms` replaces the coefficients of g (same monomials), for integer rows.
-    """
+def _shifted_rows(g: Polynomial, k: int, terms: dict | None = None) -> list:
+    """Coefficient vectors of m*g for the monomials m of degree k - deg(g), in
+    order: g's coefficients, or `terms` (integer ones on the same
+    monomials), scattered through `product_index`."""
     e = g.homogeneous_degree()
     if e is None or e > k:
         return []
     if terms is None:
         terms = g.terms
-    idx = monomial_index(g.nvars, k)
+    idx = monomial_index(g.nvars, e)
+    vals = list(terms.values())
+    n = graded_dim(g.nvars, k)
     rows = []
-    for m in monomials(g.nvars, k - e):
-        row = [0] * len(idx)
-        for gm, c in terms.items():
-            row[idx[tuple(a + b for a, b in zip(m, gm))]] = c
+    for cols in product_index(g.nvars, e, k)[:, [idx[m] for m in terms]].tolist():
+        row = [0] * n
+        for c, v in zip(cols, vals):
+            row[c] = v
         rows.append(row)
     return rows
 
 
-def _integer_poly_terms(p: Polynomial) -> dict:
-    """Primitive integer coefficients of a rational polynomial (same ideal)."""
-    den = 1
-    for c in p.terms.values():
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}
-    g = 0
-    for v in ints.values():
-        g = math.gcd(g, v)
-    if g > 1:
-        ints = {m: v // g for m, v in ints.items()}
-    return ints
+def _multiplication_matrix(g: Polynomial, target: GradedSubspace, src=None) -> Matrix:
+    """Multiplication by g into S_k / target, k = target.degree: column s
+    holds the complement coordinates of m_s*g reduced modulo target, for
+    the monomials m_s of degree k - deg g (all, or those indexed by src)."""
+    rows = _shifted_rows(g, target.degree)
+    if src is not None:
+        rows = [rows[s] for s in src]
+    comp = target.complement_columns
+    cols = [[resid[c] for c in comp] for resid in map(target.reduce, rows)]
+    return Matrix(g.field, cols, len(comp)).transpose()
 
 
 def _integer_rows(gens, k: int) -> list:
@@ -151,7 +153,7 @@ def _integer_rows(gens, k: int) -> list:
     rows = []
     for g in gens:
         if not g.is_zero():
-            terms = _integer_poly_terms(g) if g.field.is_rational else None
+            terms = _primitive(g.terms) if g.field.is_rational else None
             rows.extend(_shifted_rows(g, k, terms))
     return rows
 
@@ -162,6 +164,13 @@ def projective_points(nvars: int, p: int):
     for pivot in range(nvars):
         for tail in itertools.product(range(p), repeat=nvars - pivot - 1):
             yield (0,) * pivot + (1,) + tail
+
+
+def _require_same_ring(f: Polynomial, q: Polynomial):
+    if not q.is_homogeneous():
+        raise PreconditionError("polynomial must be homogeneous")
+    if q.nvars != f.nvars or q.field != f.field or q.family != f.family:
+        raise AmbientMismatchError("F and Q live in different rings")
 
 
 def _require_homogeneous(p: Polynomial, what: str) -> int:
@@ -179,9 +188,7 @@ def _require_homogeneous(p: Polynomial, what: str) -> int:
 def jacobian_graded(f: Polynomial, k: int) -> GradedSubspace:
     """Degree-k piece of the ideal of first partials, canonical basis."""
     _require_homogeneous(f, "F")
-    rows = []
-    for i in range(f.nvars):
-        rows.extend(_shifted_rows(f.partial(i), k))
+    rows = _integer_rows([f.partial(i) for i in range(f.nvars)], k)
     return span(f.field, f.nvars, k, f.family, rows)
 
 
@@ -220,7 +227,9 @@ def smooth_reference_dims(nvars: int, d: int) -> list:
 # ---------------------------------------------------------------------------
 # smoothness of a hypersurface
 
-def _common_zero_mod(polys, nvars: int, p: int):
+def _common_zeros_mod(polys, nvars: int, p: int):
+    """The points of `projective_points(nvars, p)` where all of `polys`
+    vanish, rational ones reduced mod p, the others in their own field."""
     field = FieldConfig.prime_field(p)
     reduced = []
     for g in polys:
@@ -228,13 +237,12 @@ def _common_zero_mod(polys, nvars: int, p: int):
             continue
         if g.field.is_rational:
             # primitive integer scaling: same zero locus, no denominator issues
-            terms = {m: c % p for m, c in _integer_poly_terms(g).items()}
+            terms = {m: c % p for m, c in _primitive(g.terms).items()}
             g = Polynomial(field, nvars, g.family, terms)
         reduced.append(g)
     for point in projective_points(nvars, p):
         if all(g.evaluate(point) == 0 for g in reduced):
-            return point
-    return None
+            yield point
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -257,8 +265,7 @@ def is_smooth_hypersurface(f: Polynomial) -> SmoothnessCertificate:
         raise CharacteristicError(f"smoothness check at degree {d} needs p > {d}")
     p = DEFAULT_PRIME if field.is_rational else field.modulus
     partials = [f.partial(i) for i in range(nvars)]
-    int_rows = _integer_rows(partials, t1)
-    full_mod_p = rank_mod(int_rows, target, p, target=target) == target
+    full_mod_p = _ideal_full_mod(partials, t1, p)
 
     if not field.is_rational:
         if full_mod_p:
@@ -276,12 +283,12 @@ def is_smooth_hypersurface(f: Polynomial) -> SmoothnessCertificate:
             note="modular fullness promoted to a rational certificate",
         )
     # exact fallback: rational rank decides
-    _, _, rk = rref(Matrix(field, int_rows, target))
+    _, _, rk = rref(Matrix(field, _integer_rows(partials, t1), target))
     if rk == target:
         return SmoothnessCertificate("smooth", t1, "rational", False)
     witness = None
     if nvars <= 5:
-        witness = _common_zero_mod(partials + [f], nvars, DEFAULT_SEARCH_PRIME)
+        witness = next(_common_zeros_mod(partials + [f], nvars, DEFAULT_SEARCH_PRIME), None)
     return SmoothnessCertificate(
         "singular", t1, "rational", False, witness,
         note=(
@@ -305,23 +312,24 @@ def require_smooth(f: Polynomial) -> SmoothnessCertificate:
 # general graded ideals and projective emptiness
 
 
-def ideal_graded(generators, k: int) -> GradedSubspace:
-    """Degree-k piece of the ideal generated by homogeneous polynomials."""
+def _generators(generators) -> list:
+    """The generators as a list: nonempty, nonzero, homogeneous, one ring."""
     gens = list(generators)
     if not gens:
         raise PreconditionError("need at least one generator")
-    nvars = gens[0].nvars
-    field = gens[0].field
-    family = gens[0].family
-    rows = []
+    ring = (gens[0].nvars, gens[0].field, gens[0].family)
     for g in gens:
-        if g.is_zero():
-            raise ZeroPolynomialError("zero generator rejected")
-        if g.nvars != nvars or g.field != field or g.family != family:
+        if (g.nvars, g.field, g.family) != ring:
             raise AmbientMismatchError("generators live in different rings")
         _require_homogeneous(g, "generator")
-        rows.extend(_shifted_rows(g, k))
-    return span(field, nvars, k, family, rows)
+    return gens
+
+
+def ideal_graded(generators, k: int) -> GradedSubspace:
+    """Degree-k piece of the ideal generated by homogeneous polynomials."""
+    gens = _generators(generators)
+    g = gens[0]
+    return span(g.field, g.nvars, k, g.family, _integer_rows(gens, k))
 
 
 def _ideal_full_mod(gens, k: int, p: int) -> bool:
@@ -341,15 +349,9 @@ def projective_empty(
     modular accelerator only ever promotes fullness, never deficiency).
     A sweep that never fills up is reported as inconclusive.
     """
-    gens = [g for g in generators]
-    if not gens:
-        raise PreconditionError("need at least one generator")
+    gens = _generators(generators)
     if k_max < 0:
         raise PreconditionError(f"k_max must be >= 0, got {k_max}")
-    for g in gens:
-        if g.is_zero():
-            raise ZeroPolynomialError("zero generator rejected")
-        _require_homogeneous(g, "generator")
     field = gens[0].field
     p = DEFAULT_PRIME if field.is_rational else field.modulus
     k0 = max(g.degree() for g in gens)
@@ -384,8 +386,7 @@ def ci_smooth(
     """
     df = _require_homogeneous(f, "F")
     dq = _require_homogeneous(q, "Q")
-    if f.nvars != q.nvars or f.field != q.field or f.family != q.family:
-        raise AmbientMismatchError("F and Q live in different rings")
+    _require_same_ring(f, q)
     if not allow_general and (f.nvars, df, dq) != (5, 3, 2):
         raise PreconditionError(
             "expected the cubic/quadric configuration in 5 variables; "
@@ -403,18 +404,26 @@ def ci_smooth(
             "smooth", sweep.degree, sweep.field_used, f.field.is_rational,
             note=f"ideal of (F, Q, minors) full at degree {sweep.degree}",
         )
-    if not falsify:
-        return SmoothnessCertificate(
-            "inconclusive", sweep.kmax, sweep.field_used, False,
-            note=f"no fullness up to degree {sweep.kmax}; falsification skipped",
-        )
-    point = _common_zero_mod(gens, f.nvars, DEFAULT_SEARCH_PRIME)
-    if point is not None:
-        return SmoothnessCertificate(
-            "singular", None, f"fp:{DEFAULT_SEARCH_PRIME}", False, point,
-            note=f"common zero of (F, Q, minors) over F_{DEFAULT_SEARCH_PRIME}",
-        )
+    reason = "; falsification skipped"
+    if falsify:
+        # a singular verdict needs an exact zero in the input field: over Q,
+        # the F_7 zeros are lifted to coordinates in [-3, 3] and checked
+        s = DEFAULT_SEARCH_PRIME
+        near = None
+        for point in _common_zeros_mod(gens, f.nvars, s):
+            if f.field.is_rational:
+                near = near or point
+                point = tuple(c - s if 2 * c > s else c for c in point)
+                if any(g.evaluate(point) for g in gens):
+                    continue
+            return SmoothnessCertificate(
+                "singular", None, f.field.descriptor(), False, point,
+                note="common zero of (F, Q, minors), checked exactly in the input field",
+            )
+        reason = ", no small-field witness"
+        if near is not None:
+            reason = f"; the common zero {near} over F_{s} does not lift to an exact zero"
     return SmoothnessCertificate(
         "inconclusive", sweep.kmax, sweep.field_used, False,
-        note=f"no fullness up to degree {sweep.kmax}, no small-field witness",
+        note=f"no fullness up to degree {sweep.kmax}{reason}",
     )

@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionError, ZeroPolynomialError, require_positive
-from .jacobian import jacobian_graded, require_smooth
+from .jacobian import _multiplication_matrix, jacobian_graded, require_smooth
 from .linalg import Matrix, SeedStream, child_seed, rank
-from .poly import Polynomial, monomials, random_linear_form
+from .poly import Polynomial, random_linear_form
 
 
 @dataclass(frozen=True)
@@ -68,24 +68,8 @@ def mult_map(f: Polynomial, g: Polynomial, j: int) -> Matrix:
         raise ZeroPolynomialError("multiplier must be nonzero")
     if not g.is_homogeneous():
         raise PreconditionError("multiplier must be homogeneous")
-    m = g.homogeneous_degree()
-    src = jacobian_graded(f, j)
-    tgt = jacobian_graded(f, j + m)
-    src_cols = src.complement_columns
-    tgt_cols = tgt.complement_columns
-    field = f.field
-    src_mons = monomials(f.nvars, j)
-    columns = []
-    for c in src_cols:
-        mono = Polynomial(field, f.nvars, f.family, {src_mons[c]: field.one})
-        vec = (mono * g).coeff_vector(j + m)
-        resid = tgt.reduce(vec)
-        columns.append([resid[t] for t in tgt_cols])
-    rows = [
-        tuple(columns[s][t] for s in range(len(src_cols)))
-        for t in range(len(tgt_cols))
-    ]
-    return Matrix(field, rows, len(src_cols))
+    src = jacobian_graded(f, j).complement_columns
+    return _multiplication_matrix(g, jacobian_graded(f, j + g.homogeneous_degree()), src)
 
 
 def slp_check(f: Polynomial, ell: Polynomial) -> LefschetzProfile:

@@ -295,11 +295,6 @@ class Matrix:
             self.nrows,
         )
 
-    def stack(self, other: "Matrix") -> "Matrix":
-        if other.ncols != self.ncols or other.field != self.field:
-            raise AmbientMismatchError("cannot stack matrices of mismatched shape/field")
-        return Matrix(self.field, self.rows + other.rows, self.ncols)
-
     def is_zero(self) -> bool:
         z = self.field.zero
         return all(x == z for row in self.rows for x in row)
@@ -331,20 +326,25 @@ def _dot(field: FieldConfig, u, v):
 # -- primitive integer rows -------------------------------------------------
 
 
-def _row_to_primitive(row) -> dict:
-    """Sparse primitive integer form of a rational row (leading entry > 0)."""
-    nonzero = [(j, x) for j, x in enumerate(row) if x]
+def _primitive(entries: dict) -> dict:
+    """Primitive integer multiple of a dict of nonzero int or Fraction
+    values with any keys; the value at the smallest key is positive."""
     den = 1
-    for _, x in nonzero:
+    for x in entries.values():
         if isinstance(x, Fraction):
             den = den * x.denominator // math.gcd(den, x.denominator)
-    ints = {}
-    for j, x in nonzero:
-        if isinstance(x, Fraction):
-            ints[j] = x.numerator * (den // x.denominator)
-        else:
-            ints[j] = int(x) * den
-    return _make_primitive(ints)
+    ints = {
+        j: x.numerator * (den // x.denominator) if isinstance(x, Fraction) else int(x) * den
+        for j, x in entries.items()
+    }
+    g = 0
+    for v in ints.values():
+        g = math.gcd(g, v)
+    if ints and ints[min(ints)] < 0:
+        g = -g
+    if g != 1:
+        ints = {j: v // g for j, v in ints.items()}
+    return ints
 
 
 def primitive_int_rows(matrix: Matrix) -> list:
@@ -352,27 +352,22 @@ def primitive_int_rows(matrix: Matrix) -> list:
     rows = []
     for row in matrix.rows:
         dense = [0] * matrix.ncols
-        for c, v in _row_to_primitive(row).items():
+        for c, v in _primitive({j: x for j, x in enumerate(row) if x}).items():
             dense[c] = v
         rows.append(dense)
     return rows
 
 
-def _make_primitive(r: dict) -> dict:
-    if not r:
-        return r
-    g = 0
-    for v in r.values():
-        g = math.gcd(g, v)
-    lead = min(r)
-    if r[lead] < 0:
-        g = -g
-    if g != 1:
-        r = {c: v // g for c, v in r.items()}
-    return r
-
-
 # -- prime-field elimination -------------------------------------------------
+
+
+def _mod(x, p: int):
+    """x mod p in [0, p), in place, for a temporary int64 or `object` array:
+    numpy's floor division by a scalar is much faster than its `%`."""
+    q = x // p
+    q *= p
+    x -= q
+    return x
 
 
 def _eliminate_mod(
@@ -413,19 +408,19 @@ def _eliminate_mod(
             order[r], order[i] = order[i], order[r]
         inv = pow(int(a[r, c]), -1, p)
         if reduced:
-            a[r, c:] = a[r, c:] * inv % p
+            a[r, c:] = _mod(a[r, c:] * inv, p)
             col = a[:, c].copy()
             col[r] = 0
             nzr = np.nonzero(col)[0]
             if nzr.size:
-                a[nzr, c:] = (a[nzr, c:] - np.outer(col[nzr], a[r, c:])) % p
+                a[nzr, c:] = _mod(a[nzr, c:] - np.outer(col[nzr], a[r, c:]), p)
         else:
             below = a[r + 1 :, c]
             nzb = np.nonzero(below)[0]
             if nzb.size:
                 factors = below[nzb] * inv % p
                 rows_b = r + 1 + nzb
-                a[rows_b, c:] = (a[rows_b, c:] - np.outer(factors, a[r, c:])) % p
+                a[rows_b, c:] = _mod(a[rows_b, c:] - np.outer(factors, a[r, c:]), p)
         pivots.append(c)
         r += 1
     return a, pivots, order
@@ -582,7 +577,7 @@ def _lift(prim: list, int_rows: list, a_max: int, p: int, h2: int):
 
 def _rref_padic(rows, ncols: int):
     """Rational rref from one modular image lifted p-adically; see `rref`."""
-    prim = [r for r in map(_row_to_primitive, rows) if r]
+    prim = [r for r in (_primitive({j: x for j, x in enumerate(row) if x}) for row in rows) if r]
     if _is_reduced_up_to_scale(prim):
         prim.sort(key=min)
         pivots = [min(r) for r in prim]

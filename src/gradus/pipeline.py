@@ -488,13 +488,8 @@ def reproduce_example(field=None) -> dict:
 
     j4 = jacobian_graded(q, 4)
     pure = {tuple(4 if i == j else 0 for i in range(5)) for j in range(5)}
-    w_rows = []
-    for m in monomials(5, 4):
-        if m in pure:
-            continue
-        vec = [field.zero] * graded_dim(5, 4)
-        vec[monomials(5, 4).index(m)] = field.one
-        w_rows.append(vec)
+    unit_rows = Matrix.identity(field, graded_dim(5, 4)).rows
+    w_rows = [row for row, m in zip(unit_rows, monomials(5, 4)) if m not in pure]
     w = span(field, 5, 4, "x", w_rows)
     add("jacobian_degree4_equals_w", j4 == w, j4_dim=j4.dim, w_dim=w.dim)
 

@@ -5,6 +5,9 @@ monomial order is descending lexicographic on exponent vectors, so x0^k comes
 first and x_{n}^k last; every canonical object in the library (subspace bases,
 normalized representatives, printed terms) refers to this order.
 
+`product_index` tabulates products of monomials; every Macaulay row, colon,
+multiplication map and socle contraction in the library reads it.
+
 Two variable families exist: primal "x" and dual "y".  They never mix inside
 one polynomial; the polar pairing is the only bridge between them.
 
@@ -27,7 +30,10 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from typing import Sequence
+
+import numpy as np
 
 from .errors import (
     AmbientMismatchError,
@@ -35,12 +41,12 @@ from .errors import (
     ParseError,
     PreconditionError,
 )
-from .linalg import FieldConfig, SeedStream, format_scalar, random_scalar
+from .linalg import CACHE_SIZE, FieldConfig, SeedStream, format_scalar, random_scalar
 
 FAMILIES = ("x", "y")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def monomials(nvars: int, degree: int) -> tuple:
     """All exponent tuples of the given degree, descending lex order."""
     if nvars < 1 or degree < 0:
@@ -57,9 +63,24 @@ def monomials(nvars: int, degree: int) -> tuple:
     return tuple(gen(nvars, degree))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def monomial_index(nvars: int, degree: int) -> dict:
     return {m: i for i, m in enumerate(monomials(nvars, degree))}
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def product_index(nvars: int, e: int, k: int) -> np.ndarray:
+    """Read-only int array whose entry [i, j] is the degree-k column of
+    m_i * b_j, for m_i in monomials(nvars, k - e) and b_j in
+    monomials(nvars, e); needs 0 <= e <= k."""
+    idx = monomial_index(nvars, k)
+    base = monomials(nvars, e)
+    table = np.array(
+        [[idx[tuple(map(add, m, b))] for b in base] for m in monomials(nvars, k - e)],
+        dtype=np.intp,
+    )
+    table.flags.writeable = False
+    return table
 
 
 def graded_dim(nvars: int, degree: int) -> int:

@@ -1,9 +1,10 @@
 """Independent oracles: naive elimination ranks, the Fraction-free rational
 rref the library used before its multi-modular one, full-row subspace
 reduction, brute-force colon bases, the pairing evaluated by literal
-repeated differentiation, and the annihilator quadric and associated cubic
+repeated differentiation, the annihilator quadric and associated cubic
 the library built before its socle contractions (a hyperplane loop, and the
-perp of the colon ideal).
+perp of the colon ideal), and the Macaulay rows and socle contractions the
+library built monomial by monomial before its product-index table.
 
 These deliberately avoid the library's elimination code paths (modular
 images, quotient shortcuts) so agreement is meaningful.
@@ -283,3 +284,41 @@ def colon_perp_cubic(f: Polynomial, q: Polynomial) -> Polynomial:
         raise DegeneratePairError(f"colon perp has dimension {perp_dim}", dim=perp_dim)
     line = perp_graded(colon)
     return Polynomial.from_vector(f.field, f.nvars, line.family, d, line.basis.rows[0])
+
+
+def product_rows(gens, k: int) -> list:
+    """Coefficient vectors of m*g for every generator g and every monomial m
+    of degree k - deg g, in that order, by Polynomial products; no rows for
+    a zero g or for deg g > k."""
+    rows = []
+    for g in gens:
+        e = g.degree()
+        if e is None or e > k:
+            continue
+        for m in monomials(g.nvars, k - e):
+            mono = Polynomial(g.field, g.nvars, g.family, {m: g.field.one})
+            rows.append((mono * g).coeff_vector(k))
+    return rows
+
+
+def jacobian_rows(f: Polynomial, k: int) -> list:
+    """Generator rows x^m * dF/dx_i of the degree-k Jacobian piece."""
+    return product_rows([f.partial(i) for i in range(f.nvars)], k)
+
+
+def contract_by_index_loop(lam, h: Polynomial) -> list:
+    """m -> lambda(h*m) on S_{T - deg h}, one exponent sum and index lookup
+    per (monomial, term); empty when deg h > T."""
+    rest = lam.degree - h.homogeneous_degree()
+    if rest < 0:
+        return []
+    field = lam.field
+    idx_t = monomial_index(lam.nvars, lam.degree)
+    out = []
+    for m in monomials(lam.nvars, rest):
+        total = field.zero
+        for b, c in h.terms.items():
+            prod = tuple(x + y for x, y in zip(b, m))
+            total = field.add(total, field.mul(c, lam.vector[idx_t[prod]]))
+        out.append(total)
+    return out

@@ -26,7 +26,7 @@ from gradus import (
     socle_functional,
     span,
 )
-from gradus.apolarity import _contract, _pairing_weights
+from gradus.apolarity import SocleFunctional, _contract, _pairing_weights
 from gradus.errors import (
     CharacteristicError,
     DegeneratePairError,
@@ -38,6 +38,7 @@ from gradus.linalg import Matrix
 from .oracles import (
     brute_colon_basis,
     colon_perp_cubic,
+    contract_by_index_loop,
     hyperplane_annihilator_quadric,
     pairing_by_differentiation,
 )
@@ -375,3 +376,29 @@ def test_macaulay_pairing_entries_are_socle_products(smooth_cubics):
             for x, b in zip(row, cols_tj):
                 prod = Polynomial(QQ, 5, "x", {mons_j[a]: 1}) * Polynomial(QQ, 5, "x", {mons_tj[b]: 1})
                 assert x == sum(u * v for u, v in zip(lam.vector, prod.coeff_vector(5)))
+
+
+@st.composite
+def functionals_and_forms(draw):
+    """(lambda, h): any functional on a small top degree T over Q or F_p, and
+    a nonzero form h of degree at most T + 1."""
+    p = draw(st.sampled_from((None, 5, 101, 10007, 2147483629)))
+    field = QQ if p is None else FieldConfig.prime_field(p)
+    nvars, t = draw(st.integers(1, 4)), draw(st.integers(0, 5))
+    e = draw(st.integers(0, t + 1))
+    entry = st.integers(-5, 5)
+    if p is None and draw(st.booleans()):
+        entry = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 6))
+    n_t, n_e = graded_dim(nvars, t), graded_dim(nvars, e)
+    vector = draw(st.lists(entry.map(field.coerce), min_size=n_t, max_size=n_t))
+    coeffs = draw(st.lists(entry.map(field.coerce), min_size=n_e, max_size=n_e))
+    h = Polynomial.from_vector(field, nvars, "x", e, coeffs)
+    assume(not h.is_zero())
+    return SocleFunctional(field, nvars, t, tuple(vector)), h
+
+
+@settings(max_examples=150, deadline=None)
+@given(functionals_and_forms())
+def test_contract_matches_index_loop(case):
+    lam, h = case
+    assert _contract(lam, h) == contract_by_index_loop(lam, h)

@@ -1,4 +1,8 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradus import (
     FieldConfig,
@@ -20,6 +24,10 @@ from gradus import (
     span,
 )
 from gradus.errors import PreconditionError, ZeroPolynomialError
+from gradus.jacobian import _integer_rows, _shifted_rows
+from gradus.linalg import _primitive
+
+from .oracles import product_rows
 
 QQ = FieldConfig.rationals()
 
@@ -175,3 +183,48 @@ def test_monotone_fullness_during_sweep(fermat):
     parts = [fermat.partial(i) for i in range(5)]
     res = projective_empty(parts, 8, check_monotone=True)
     assert res.certified
+
+
+def test_ci_smooth_singular_only_on_an_exact_zero(fermat):
+    # (1, 6, 0, 0, 0) is a common zero of (F, Q, minors) over F_7 but not a
+    # rational one (Q = 7 there); at degree 7 the ideal is full mod 10007
+    q = parse_poly("8*x0^2 - x1^2 + x2*x3 + x4^2 + x2*x4", QQ)
+    cert = ci_smooth(fermat, q, 5)
+    assert cert.verdict == "inconclusive" and cert.witness_point is None
+    assert "(1, 6, 0, 0, 0) over F_7" in cert.note
+    cert = ci_smooth(fermat, q)
+    assert cert.verdict == "smooth" and cert.degree == 7
+    # a singular verdict carries an exact zero of its own field
+    x0sq = parse_poly("x0^2", QQ, nvars=5)
+    cert = ci_smooth(fermat, x0sq)
+    assert cert.verdict == "singular" and cert.field_used == "rational"
+    assert fermat.evaluate(cert.witness_point) == x0sq.evaluate(cert.witness_point) == 0
+
+
+@st.composite
+def generators(draw):
+    """(g, k): a homogeneous form over Q (integer or fraction terms) or F_p,
+    possibly zero, and a target degree possibly below deg g."""
+    p = draw(st.sampled_from((None, 5, 101, 10007, 2147483629)))
+    field = QQ if p is None else FieldConfig.prime_field(p)
+    nvars, e, k = draw(st.integers(1, 4)), draw(st.integers(0, 3)), draw(st.integers(0, 5))
+    entry = st.integers(-5, 5)
+    if p is None and draw(st.booleans()):
+        entry = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 6))
+    n = graded_dim(nvars, e)
+    coeffs = draw(st.lists(entry.map(field.coerce), min_size=n, max_size=n))
+    return Polynomial.from_vector(field, nvars, "x", e, coeffs), k
+
+
+@settings(max_examples=150, deadline=None)
+@given(generators())
+def test_shifted_rows_match_polynomial_products(case):
+    g, k = case
+    assert _shifted_rows(g, k) == product_rows([g], k)
+    if g.field.is_rational and not g.is_zero():
+        ints = _primitive(g.terms)
+        g_int = Polynomial(QQ, g.nvars, "x", {m: Fraction(v) for m, v in ints.items()})
+        assert _shifted_rows(g, k, ints) == product_rows([g_int], k)
+        assert _integer_rows([g, g.scale(0)], k) == product_rows([g_int], k)
+    elif not g.field.is_rational:
+        assert _integer_rows([g], k) == product_rows([g], k)

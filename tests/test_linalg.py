@@ -22,9 +22,15 @@ from gradus import (
 )
 from gradus.errors import AmbientMismatchError, PreconditionError
 from gradus.linalg import _LIFT_PRIME, is_prime, rank_mod
-from gradus.poly import Polynomial, monomials, random_poly
+from gradus.poly import random_poly
 
-from .oracles import naive_rank, naive_rank_mod, naive_reduce, naive_rref_rational
+from .oracles import (
+    jacobian_rows,
+    naive_rank,
+    naive_rank_mod,
+    naive_reduce,
+    naive_rref_rational,
+)
 
 QQ = FieldConfig.rationals()
 FP = FieldConfig.prime_field(10007)
@@ -303,17 +309,6 @@ def test_reduce_matches_full_row_oracle(case):
     assert fast == naive_reduce(sub, vec)
     assert all(fast[c] == sub.field.zero for c in sub.pivots)
     assert sub.contains_vector(vec) == all(x == sub.field.zero for x in fast)
-
-
-def jacobian_rows(f, k):
-    """Generator rows x^m * dF/dx_i of the degree-k Jacobian piece of a cubic."""
-    rows = []
-    for i in range(f.nvars):
-        pf = f.partial(i)
-        for m in monomials(f.nvars, k - 2):
-            mono = Polynomial(f.field, f.nvars, "x", {m: f.field.one})
-            rows.append((mono * pf).coeff_vector(k))
-    return rows
 
 
 def test_rref_and_rank_mod_on_full_rank_jacobian_piece():

@@ -1,10 +1,11 @@
 """The benchmark's tracer wraps library functions by name and skips a name
 it cannot find, whose metrics then read 0; every name it lists must exist.
 It counts calls to those public functions, so a layer's own internal work
-must not go through them."""
+must not go through them.  Every memo cache in the library is bounded."""
 
 import importlib
 import importlib.util
+import pkgutil
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -33,7 +34,7 @@ def test_rational_rref_calls_no_traced_linalg_function(monkeypatch):
     from gradus import FieldConfig, Matrix, SeedStream, child_seed, linalg
     from gradus.poly import random_poly
 
-    from .test_linalg import jacobian_rows
+    from .oracles import jacobian_rows
 
     qq = FieldConfig.rationals()
     rows = jacobian_rows(random_poly(qq, SeedStream(child_seed(20260101, 3)), 5, 3, 10), 5)
@@ -45,3 +46,19 @@ def test_rational_rref_calls_no_traced_linalg_function(monkeypatch):
     for name in ("rref", "rank_mod", "kernel"):
         monkeypatch.setattr(linalg, name, forbidden)
     assert rref(Matrix(qq, rows, 126))[2] == 125
+
+
+def test_every_functools_cache_is_bounded():
+    import gradus
+    from gradus.linalg import CACHE_SIZE
+
+    sizes = {}
+    for info in pkgutil.iter_modules(gradus.__path__):
+        module = importlib.import_module(f"gradus.{info.name}")
+        for name, obj in vars(module).items():
+            members = vars(obj).items() if isinstance(obj, type) else ()
+            for qual, candidate in [(name, obj), *((f"{name}.{a}", v) for a, v in members)]:
+                if hasattr(candidate, "cache_parameters"):
+                    sizes[f"{info.name}.{qual}"] = candidate.cache_parameters()["maxsize"]
+    assert {"poly.product_index", "poly.monomials", "poly.monomial_index"} <= set(sizes)
+    assert {name: size for name, size in sizes.items() if size != CACHE_SIZE} == {}
