@@ -21,7 +21,7 @@ from .errors import (
     PreconditionError,
     RangeError,
 )
-from .jacobian import milnor_dim, projective_points, smooth_reference_dims
+from .jacobian import _common_zeros_mod, _reduce_mod, milnor_dim, smooth_reference_dims
 from .linalg import FieldConfig, Matrix, rank
 from .poly import Polynomial, monomials
 
@@ -166,20 +166,14 @@ def singular_points(f: Polynomial, candidates: PointSet) -> PointSet:
 
 
 def brute_singular_search(f: Polynomial, p: int) -> PointSet:
-    """Scan all of projective space over F_p for common zeros of the partials."""
+    """Scan all of projective space over F_p for common zeros of the
+    partials of F mod p.  A rational F is scaled to primitive integers
+    before it is reduced, so no denominator vanishes; an F over a prime
+    field is read in that field (see `jacobian._common_zeros_mod`)."""
     field = FieldConfig.prime_field(p)
-    nvars = f.nvars
-    partials = []
-    for i in range(nvars):
-        pf = f.partial(i)
-        terms = {m: field.coerce(c) for m, c in pf.terms.items()}
-        partials.append(Polynomial(field, nvars, f.family, terms))
-    found = [
-        pt
-        for pt in projective_points(nvars, p)
-        if all(g.evaluate(pt) == 0 for g in partials)
-    ]
-    return PointSet(field, nvars, tuple(found))
+    f_mod = _reduce_mod(f, field)
+    partials = [f_mod.partial(i) for i in range(f.nvars)]
+    return PointSet(field, f.nvars, tuple(_common_zeros_mod(partials, f.nvars, p)))
 
 
 def is_node(f: Polynomial, point) -> bool:

@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import (
     AmbientMismatchError,
     CharacteristicError,
@@ -32,6 +34,7 @@ from .linalg import (
     FieldConfig,
     GradedSubspace,
     Matrix,
+    _elimination_dtype,
     _primitive,
     rank_mod,
     rref,
@@ -111,22 +114,32 @@ class EmptinessResult:
 # generator rows
 
 
+def _term_columns(g: Polynomial, k: int, terms: dict):
+    """Array whose entry [i, j] is the degree-k column of m_i * b_j, for the
+    monomials m_i of degree k - deg(g) in order and the monomials b_j of
+    `terms`; None when g is zero or deg(g) > k."""
+    e = g.homogeneous_degree()
+    if e is None or e > k:
+        return None
+    idx = monomial_index(g.nvars, e)
+    return product_index(g.nvars, e, k)[:, [idx[m] for m in terms]]
+
+
 def _shifted_rows(g: Polynomial, k: int, terms: dict | None = None) -> list:
     """Coefficient vectors of m*g for the monomials m of degree k - deg(g), in
     order: g's coefficients, or `terms` (integer ones on the same
     monomials), scattered through `product_index`."""
-    e = g.homogeneous_degree()
-    if e is None or e > k:
-        return []
     if terms is None:
         terms = g.terms
-    idx = monomial_index(g.nvars, e)
+    cols = _term_columns(g, k, terms)
+    if cols is None:
+        return []
     vals = list(terms.values())
     n = graded_dim(g.nvars, k)
     rows = []
-    for cols in product_index(g.nvars, e, k)[:, [idx[m] for m in terms]].tolist():
+    for row_cols in cols.tolist():
         row = [0] * n
-        for c, v in zip(cols, vals):
+        for c, v in zip(row_cols, vals):
             row[c] = v
         rows.append(row)
     return rows
@@ -150,12 +163,35 @@ def _integer_rows(gens, k: int) -> list:
     Zero generators are skipped; rational generators are scaled to primitive
     integers (same ideal), prime-field ones keep their residues.
     """
-    rows = []
+    return [row for g in gens for row in _shifted_rows(g, k, _integer_terms(g))]
+
+
+def _integer_terms(g: Polynomial) -> dict:
+    """g's terms scaled to primitive integers over Q (none for g = 0), its
+    residues over F_p."""
+    return _primitive(g.terms) if g.field.is_rational else g.terms
+
+
+def _residue_rows(gens, k: int, p: int) -> np.ndarray:
+    """`_integer_rows(gens, k)` reduced mod p, as an array in the dtype of
+    modular elimination: each generator's integer terms are reduced first,
+    then scattered through `product_index`, so no row holds the wide
+    integers of a primitive scaling."""
+    blocks = []
     for g in gens:
-        if not g.is_zero():
-            terms = _primitive(g.terms) if g.field.is_rational else None
-            rows.extend(_shifted_rows(g, k, terms))
-    return rows
+        terms = _integer_terms(g)
+        cols = _term_columns(g, k, terms)
+        if cols is not None:
+            blocks.append((cols, [v % p for v in terms.values()]))
+    a = np.zeros(
+        (sum(len(cols) for cols, _ in blocks), graded_dim(gens[0].nvars, k)),
+        dtype=_elimination_dtype(p)[0],
+    )
+    start = 0
+    for cols, residues in blocks:
+        a[np.arange(start, start + len(cols))[:, None], cols] = residues
+        start += len(cols)
+    return a
 
 
 def projective_points(nvars: int, p: int):
@@ -227,21 +263,31 @@ def smooth_reference_dims(nvars: int, d: int) -> list:
 # ---------------------------------------------------------------------------
 # smoothness of a hypersurface
 
+def _reduce_mod(g: Polynomial, field: FieldConfig) -> Polynomial:
+    """A rational g scaled to primitive integers (same zero locus, no
+    denominator to vanish) and reduced into the prime field `field`; g
+    itself when it is over a prime field already."""
+    if not g.field.is_rational:
+        return g
+    p = field.modulus
+    return Polynomial(field, g.nvars, g.family, {m: c % p for m, c in _primitive(g.terms).items()})
+
+
+def _balanced_lift(point, p: int) -> tuple:
+    """The integer point with coordinates in (-p/2, p/2) congruent to an F_p point."""
+    return tuple(c - p if 2 * c > p else c for c in point)
+
+
 def _common_zeros_mod(polys, nvars: int, p: int):
     """The points of `projective_points(nvars, p)` where all of `polys`
-    vanish, rational ones reduced mod p, the others in their own field."""
+    vanish.  Each poly is read through `_reduce_mod` and evaluated in its
+    own field at the point's balanced lift: over F_p that is the point
+    itself, over another prime field an exact zero with small coordinates."""
     field = FieldConfig.prime_field(p)
-    reduced = []
-    for g in polys:
-        if g.is_zero():
-            continue
-        if g.field.is_rational:
-            # primitive integer scaling: same zero locus, no denominator issues
-            terms = {m: c % p for m, c in _primitive(g.terms).items()}
-            g = Polynomial(field, nvars, g.family, terms)
-        reduced.append(g)
+    reduced = [_reduce_mod(g, field) for g in polys if not g.is_zero()]
     for point in projective_points(nvars, p):
-        if all(g.evaluate(point) == 0 for g in reduced):
+        lift = _balanced_lift(point, p)
+        if all(g.evaluate(lift) == 0 for g in reduced):
             yield point
 
 
@@ -334,7 +380,7 @@ def ideal_graded(generators, k: int) -> GradedSubspace:
 
 def _ideal_full_mod(gens, k: int, p: int) -> bool:
     target = graded_dim(gens[0].nvars, k)
-    return rank_mod(_integer_rows(gens, k), target, p, target=target) == target
+    return rank_mod(_residue_rows(gens, k, p), target, p, target=target) == target
 
 
 def projective_empty(
@@ -406,18 +452,21 @@ def ci_smooth(
         )
     reason = "; falsification skipped"
     if falsify:
-        # a singular verdict needs an exact zero in the input field: over Q,
-        # the F_7 zeros are lifted to coordinates in [-3, 3] and checked
+        # a singular verdict needs an exact zero in the input field, with
+        # coordinates in [-3, 3]: over F_q the scan evaluates in F_q at
+        # those lifts already, over Q each F_7 zero's lift is checked
         s = DEFAULT_SEARCH_PRIME
         near = None
         for point in _common_zeros_mod(gens, f.nvars, s):
+            lift = _balanced_lift(point, s)
             if f.field.is_rational:
                 near = near or point
-                point = tuple(c - s if 2 * c > s else c for c in point)
-                if any(g.evaluate(point) for g in gens):
+                if any(g.evaluate(lift) for g in gens):
                     continue
+            else:
+                lift = tuple(f.field.coerce(c) for c in lift)
             return SmoothnessCertificate(
-                "singular", None, f.field.descriptor(), False, point,
+                "singular", None, f.field.descriptor(), False, lift,
                 note="common zero of (F, Q, minors), checked exactly in the input field",
             )
         reason = ", no small-field witness"

@@ -10,9 +10,12 @@ Prime-field elimination has one numpy loop, `_eliminate_mod`, behind `rref`
 over F_p and over Q (full reduction) and `rank_mod` (forward elimination with
 an optional early exit).  Each pivot updates only the trailing columns from
 the pivot column on, since the pivot row is zero left of it.  Its dtype
-follows the modulus: int64 below `_NUMPY_MOD_LIMIT` = 2^31, where every
-product of two residues fits, and Python ints in an `object` array at or
-above it.
+follows the modulus alone: int32 while (p-1)^2 + p < 2^31 (p <= 46337),
+int64 below `_NUMPY_MOD_LIMIT` = 2^31, Python ints in an `object` array at
+or above it.  In the int dtypes reduction is delayed: an update subtracts a
+product of two residues, at most (p-1)^2, so after k updates an entry lies
+in [-k(p-1)^2, p), and the trailing block is reduced only every
+slack = (dtype max - p) // (p-1)^2 updates (21 at p = 10007 in int32).
 
 The rational rref lifts one modular image p-adically (Dixon).  The rows are
 scaled to primitive integer rows A and reduced once modulo the fixed prime
@@ -362,12 +365,27 @@ def primitive_int_rows(matrix: Matrix) -> list:
 
 
 def _mod(x, p: int):
-    """x mod p in [0, p), in place, for a temporary int64 or `object` array:
+    """x mod p in [0, p), in place, for an int or `object` array or view:
     numpy's floor division by a scalar is much faster than its `%`."""
     q = x // p
     q *= p
     x -= q
     return x
+
+
+def _elimination_dtype(p: int):
+    """(dtype, slack) of modular elimination for the prime p.
+
+    int32 while (p-1)^2 + p < 2^31 (p <= 46337), int64 below 2^31, Python
+    ints in an `object` array above.  `slack` = (dtype max - p) // (p-1)^2
+    is how many rank-1 updates an entry may take unreduced: see
+    `_eliminate_mod`.  `object` entries never overflow but grow, so they are
+    reduced after every update.
+    """
+    if p >= _NUMPY_MOD_LIMIT:
+        return object, 1
+    dtype = np.int32 if (p - 1) ** 2 + p < 1 << 31 else np.int64
+    return dtype, (int(np.iinfo(dtype).max) - p) // (p - 1) ** 2
 
 
 def _eliminate_mod(
@@ -376,54 +394,82 @@ def _eliminate_mod(
     """Gaussian elimination of integer rows mod p: (array, pivot columns,
     row order), where row i of the array came from input row order[i].
 
-    `reduced` clears every pivot column to give the rref in the first rows;
-    otherwise only the rows below each pivot are updated (forward
-    elimination), and `target` stops the sweep once the rank reaches it or
-    provably cannot.  Either way the first r rows of the array span what
-    input rows order[:r] span once r pivots are found, so the input rows
-    order[:rank] are independent mod p.
+    `rows` is a list of integer rows, reduced mod p here, or an ndarray of
+    residues in [0, p), which is copied.  `reduced` clears every pivot
+    column to give the rref in the first rows; otherwise only the rows below
+    each pivot are updated (forward elimination), and `target` stops the
+    sweep once the rank reaches it or provably cannot.  Either way the first
+    r rows of the array span what input rows order[:r] span once r pivots
+    are found, so the input rows order[:rank] are independent mod p.  The
+    returned array is reduced to [0, p).
 
     At pivot column c the pivot row is zero left of c, so the swap, the
     normalisation and the row updates touch only the trailing columns c:,
     and the cost of pivot c is (rows updated) x (ncols - c).
+
+    Reduction is delayed (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).
+    An update subtracts f * x with a factor f and a pivot-row entry x in
+    [0, p), so after k updates every entry of the trailing block lies in
+    [-k(p-1)^2, p), and reducing it passes through x // p * p >=
+    -k(p-1)^2 - p + 1.  Both fit the dtype of `_elimination_dtype` while
+    k <= slack.  So only the pivot column is reduced before its nonzero
+    test and the pivot row before it is used; the whole trailing block is
+    reduced after `slack` updates and once at the end.  With slack 1
+    (p = 46337 and `object` entries) the updated rows are reduced at once,
+    as nothing may wait.  The residues, and
+    so the pivots, the row order and the result, are those of an
+    elimination that reduces after every update.
     """
-    dtype = np.int64 if p < _NUMPY_MOD_LIMIT else object
-    a = np.array([[x % p for x in row] for row in rows], dtype=dtype)
+    dtype, slack = _elimination_dtype(p)
+    if isinstance(rows, np.ndarray):
+        a = rows.astype(dtype)
+    else:
+        a = np.array([[x % p for x in row] for row in rows], dtype=dtype)
     a = a.reshape(len(rows), ncols)
     nrows = a.shape[0]
     order = list(range(nrows))
     pivots = []
-    r = 0
+    r = pending = 0
     for c in range(ncols):
         if r == nrows:
             break
         if target is not None and (r >= target or r + (ncols - c) < target):
             break
-        nz = np.nonzero(a[r:, c])[0]
+        top = 0 if reduced else r
+        nz = np.nonzero(_mod(a[top:, c], p)[r - top :])[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
             a[[r, i], c:] = a[[i, r], c:]
             order[r], order[i] = order[i], order[r]
-        inv = pow(int(a[r, c]), -1, p)
+        pivot_row = _mod(a[r, c:], p)
+        inv = pow(int(pivot_row[0]), -1, p)
         if reduced:
-            a[r, c:] = _mod(a[r, c:] * inv, p)
-            col = a[:, c].copy()
-            col[r] = 0
-            nzr = np.nonzero(col)[0]
-            if nzr.size:
-                a[nzr, c:] = _mod(a[nzr, c:] - np.outer(col[nzr], a[r, c:]), p)
+            _mod(np.multiply(pivot_row, inv, out=pivot_row), p)
+            first = 0
+            factors = a[:, c].copy()
+            factors[r] = 0
         else:
-            below = a[r + 1 :, c]
-            nzb = np.nonzero(below)[0]
-            if nzb.size:
-                factors = below[nzb] * inv % p
-                rows_b = r + 1 + nzb
-                a[rows_b, c:] = _mod(a[rows_b, c:] - np.outer(factors, a[r, c:]), p)
+            first = r + 1
+            factors = _mod(a[first:, c] * inv, p)
+        nzf = np.nonzero(factors)[0]
+        if nzf.size:
+            # only the rows with a nonzero factor, gathered: their contiguous
+            # copy updates faster than a strided view of the trailing block
+            updated = first + nzf
+            update = np.multiply.outer(factors[nzf], pivot_row)
+            if slack == 1:  # no delay: reduce just the updated rows
+                a[updated, c:] = _mod(a[updated, c:] - update, p)
+            else:
+                a[updated, c:] -= update
+                pending += 1
+                if pending == slack:
+                    _mod(a[first:, c:], p)
+                    pending = 0
         pivots.append(c)
         r += 1
-    return a, pivots, order
+    return _mod(a, p), pivots, order
 
 
 # -- rational elimination: one modular image, lifted p-adically -------------
@@ -525,9 +571,10 @@ def _padic_images(int_rows, a_max: int, p: int, pivots, comp, pivot_rows, x0):
     rk, k = len(pivots), len(comp)
     bmat = [[int_rows[i][c] for c in pivots] for i in pivot_rows]
     cmat = [[int_rows[i][c] for c in comp] for i in pivot_rows]
-    inv, inv_pivots, _ = _eliminate_mod(
-        [row + [int(i == j) for j in range(rk)] for i, row in enumerate(bmat)], 2 * rk, p
-    )
+    aug = np.zeros((rk, 2 * rk), dtype=_elimination_dtype(p)[0])
+    aug[:, :rk] = [[x % p for x in row] for row in bmat]
+    np.fill_diagonal(aug[:, rk:], 1)
+    inv, inv_pivots, _ = _eliminate_mod(aug, 2 * rk, p)
     invariant(inv_pivots == list(range(rk)), "pivot rows of the modular image are dependent")
     fits = rk * p * p < 1 << 63 and a_max * (1 + 2 * rk * p) < 1 << 63
     dtype = np.int64 if fits else object
@@ -655,7 +702,7 @@ def rref(m: Matrix):
         dense, pivots = _rref_padic(m.rows, m.ncols)
     else:
         a, pivots, _ = _eliminate_mod(m.rows, m.ncols, f.modulus)
-        dense = [[int(x) for x in a[i]] for i in range(len(pivots))]
+        dense = a[: len(pivots)].tolist()
     while len(dense) < m.nrows:
         dense.append([f.zero] * m.ncols)
     out = Matrix(f, dense, m.ncols)
@@ -669,9 +716,10 @@ def rank(m: Matrix) -> int:
 def rank_mod(int_rows: Sequence[Sequence[int]], ncols: int, p: int, target: int | None = None) -> int:
     """Rank of an integer matrix reduced mod p; forward elimination only.
 
-    With `target` set, stops as soon as the rank reaches it or provably
-    cannot, so the result equals `target` exactly when the rank is at least
-    `target`.  This is the accelerator behind fullness certificates: full
+    `int_rows` is a list of integer rows or an ndarray of residues in
+    [0, p), such as `jacobian._residue_rows` builds.  With `target` set,
+    stops as soon as the rank reaches it or provably cannot, so the result
+    equals `target` exactly when the rank is at least `target`.  This is the accelerator behind fullness certificates: full
     rank mod p implies full rank over the rationals for integer matrices.
     """
     return len(_eliminate_mod(int_rows, ncols, p, reduced=False, target=target)[1])

@@ -112,6 +112,10 @@ def test_special_q_matches_library(capsys):
 def test_singular_search_counts(capsys):
     rep = run_json(capsys, "singular-search", "--poly", SPECIAL, "--p", "7")
     assert rep["report"]["results"]["count"] == 5
+    # scaled to x0^3 + 7*x1^3 + 7*x2^3 before reduction, no denominator
+    # vanishes mod 7: x0^3 is singular on the whole line x0 = 0
+    rep = run_json(capsys, "singular-search", "--poly", "1/7*x0^3+x1^3+x2^3", "--p", "7")
+    assert rep["report"]["results"]["count"] == 8
 
 
 def test_node_check(capsys):

@@ -70,6 +70,32 @@ def test_brute_search_smooth_is_empty(fermat):
     assert len(brute_singular_search(fermat, 7)) == 0
 
 
+def test_brute_search_reduces_the_rational_form_once():
+    # 7*x0^3 + x1^3 + x2^3 reduces to x1^3 + x2^3 mod 7, singular at
+    # (1, 0, 0); scaling each partial to primitive integers would lose it
+    f = parse_poly("7*x0^3 + x1^3 + x2^3", QQ)
+    assert brute_singular_search(f, 7).points == ((1, 0, 0),)
+
+
+def test_brute_search_over_its_own_prime_field():
+    # (q, F over F_q, common zeros of the partials over F_q, scanned at p = q)
+    cases = [
+        (7, None, [tuple(1 if i == j else 0 for i in range(5)) for j in range(5)]),
+        (3, "x0^3+x1^3+x2^3", [(1, b, c) for b in range(3) for c in range(3)]
+         + [(0, 1, c) for c in range(3)] + [(0, 0, 1)]),
+        (5, "x0^2*x2 - x1^3 + x1^2*x2", [(0, 0, 1)]),
+        (11, "x0^2*x2 - x1^3 + x1^2*x2", [(0, 0, 1)]),
+        (7, "x0^3+x1^3+x2^3+x3^3+x4^3", []),
+        (13, "x0^3 - 3*x0*x1^2 + 5*x2^3 - x0*x1*x2", []),
+        (2, "x0^2*x1 + x1^2*x2 + x0*x1*x2", [(1, 0, 1), (0, 0, 1)]),
+    ]
+    for q, text, expected in cases:
+        field = FieldConfig.prime_field(q)
+        f = special_q(field, 4, 3) if text is None else parse_poly(text, field)
+        found = brute_singular_search(f, q)
+        assert found.field == field and list(found.points) == expected, (q, text)
+
+
 def test_is_node_at_coordinate_points(special_cubic):
     for j in range(5):
         pt = [1 if i == j else 0 for i in range(5)]

@@ -24,7 +24,7 @@ from gradus import (
     span,
 )
 from gradus.errors import PreconditionError, ZeroPolynomialError
-from gradus.jacobian import _integer_rows, _shifted_rows
+from gradus.jacobian import _integer_rows, _residue_rows, _shifted_rows
 from gradus.linalg import _primitive
 
 from .oracles import product_rows
@@ -199,6 +199,14 @@ def test_ci_smooth_singular_only_on_an_exact_zero(fermat):
     cert = ci_smooth(fermat, x0sq)
     assert cert.verdict == "singular" and cert.field_used == "rational"
     assert fermat.evaluate(cert.witness_point) == x0sq.evaluate(cert.witness_point) == 0
+    # over F_q the scan reads the same small lifts in F_q: (0, 1, 0, 0, -1)
+    fp = FieldConfig.prime_field(10007)
+    fermat_p = parse_poly("x0^3+x1^3+x2^3+x3^3+x4^3", fp)
+    x0sq_p = parse_poly("x0^2", fp, nvars=5)
+    cert = ci_smooth(fermat_p, x0sq_p)
+    assert cert.verdict == "singular" and cert.field_used == "fp:10007"
+    assert cert.witness_point == (0, 1, 0, 0, 10006)
+    assert fermat_p.evaluate(cert.witness_point) == x0sq_p.evaluate(cert.witness_point) == 0
 
 
 @st.composite
@@ -228,3 +236,33 @@ def test_shifted_rows_match_polynomial_products(case):
         assert _integer_rows([g, g.scale(0)], k) == product_rows([g_int], k)
     elif not g.field.is_rational:
         assert _integer_rows([g], k) == product_rows([g], k)
+
+
+def residues_oracle(gens, k, p):
+    return [[x % p for x in row] for row in _integer_rows(gens, k)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(generators(), st.sampled_from((5, 10007, 46337, 46349, 2147483629)))
+def test_residue_rows_are_integer_rows_mod_p(case, p):
+    # over F_q the rows are reduced mod q itself, as the sweeps do
+    g, k = case
+    if not g.field.is_rational:
+        p = g.field.modulus
+    for gens in ([g], [g.scale(0), g]):
+        assert _residue_rows(gens, k, p).tolist() == residues_oracle(gens, k, p)
+
+
+def test_residue_rows_of_a_pair_sweep(u_pairs):
+    # Q from construct_pair: its primitive integer scaling has ~140-bit entries
+    f, _, cert = u_pairs[0]
+    q = cert.q
+    assert max(abs(v) for v in _primitive(q.terms).values()).bit_length() > 120
+    minors = [
+        f.partial(i) * q.partial(j) - f.partial(j) * q.partial(i)
+        for i in range(5)
+        for j in range(i + 1, 5)
+    ]
+    gens = [f, q, *minors]
+    for k in (1, 3, 7):
+        assert _residue_rows(gens, k, 10007).tolist() == residues_oracle(gens, k, 10007)

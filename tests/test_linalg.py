@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -21,7 +22,7 @@ from gradus import (
     subspace_sum,
 )
 from gradus.errors import AmbientMismatchError, PreconditionError
-from gradus.linalg import _LIFT_PRIME, is_prime, rank_mod
+from gradus.linalg import _LIFT_PRIME, _elimination_dtype, is_prime, rank_mod
 from gradus.poly import random_poly
 
 from .oracles import (
@@ -232,14 +233,35 @@ def test_graded_subspace_equality_is_structural():
     assert a == b and isinstance(a, GradedSubspace)
 
 
-# primes on both sides of the int64/object switch at 2^31 of the eliminator
-ELIMINATION_PRIMES = (2, 3, 101, 10007, (1 << 31) - 1, (1 << 61) - 1)
+# primes on both sides of the eliminator's dtype switches: int32 up to 46337
+# (slack 21 at 10007, 5 at 20011, 1 at 46337), int64 from 46349 to 2^31 - 1,
+# `object` above
+ELIMINATION_PRIMES = (
+    2, 3, 101, 10007, 20011, 46337, 46349, (1 << 31) - 1, (1 << 61) - 1
+)
+
+
+def dense_pivot_rows(nrows: int, rank: int, ncols: int) -> list:
+    """L*U for L (nrows x rank) and U (rank x ncols) with unit diagonals, -1
+    below L's and above U's and 0 elsewhere: mod every p, elimination takes
+    `rank` pivots in order, each with factors p-1 and a pivot row of p-1, so
+    every trailing entry loses the largest product (p-1)^2 at every pivot."""
+    low = [[1 if i == k else -(k < i) for k in range(rank)] for i in range(nrows)]
+    up = [[1 if j == k else -(j > k) for j in range(ncols)] for k in range(rank)]
+    return [[sum(x * u[j] for x, u in zip(row, up)) for j in range(ncols)] for row in low]
 
 
 @st.composite
-def int_matrices(draw):
+def int_matrices(draw, dense_pivots=False):
     """(rows, ncols): small integer matrices, often rank deficient, some
-    entries far beyond the modulus so reduction mod p is exercised."""
+    entries far beyond the modulus so reduction mod p is exercised.  With
+    `dense_pivots`, one draw in four is `dense_pivot_rows` with 44 to 48
+    pivots, at least 2 * slack + 2 for every int32 prime but 2, 3 and 101,
+    so the delayed reduction reaches its bound mid-sweep."""
+    if dense_pivots and draw(st.integers(0, 3)) == 0:
+        rank = draw(st.integers(44, 48))
+        nrows, ncols = rank + draw(st.integers(0, 2)), rank + draw(st.integers(0, 2))
+        return dense_pivot_rows(nrows, rank, ncols), ncols
     ncols = draw(st.integers(1, 7))
     nrows = draw(st.integers(0, 7))
     entry = st.one_of(st.integers(-2, 2), st.integers(-(1 << 70), 1 << 70))
@@ -253,7 +275,7 @@ def int_matrices(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(int_matrices(), st.sampled_from(ELIMINATION_PRIMES), st.data())
+@given(int_matrices(dense_pivots=True), st.sampled_from(ELIMINATION_PRIMES), st.data())
 def test_rank_mod_matches_oracle_with_and_without_target(matrix, p, data):
     rows, ncols = matrix
     true_rank = naive_rank_mod(rows, p)
@@ -264,7 +286,7 @@ def test_rank_mod_matches_oracle_with_and_without_target(matrix, p, data):
 
 
 @settings(max_examples=100, deadline=None)
-@given(int_matrices(), st.sampled_from(ELIMINATION_PRIMES))
+@given(int_matrices(dense_pivots=True), st.sampled_from(ELIMINATION_PRIMES))
 def test_rref_mod_p_idempotent_and_keeps_row_space(matrix, p):
     rows, ncols = matrix
     field = FieldConfig.prime_field(p)
@@ -386,6 +408,18 @@ def test_lift_prime_is_prime_and_keeps_int64_digits():
     # modular image of the eliminator runs in int64 below 2^31
     assert is_prime(_LIFT_PRIME) and _LIFT_PRIME < 1 << 26
     assert 2048 * _LIFT_PRIME**2 < 1 << 63
+
+
+def test_elimination_dtype_follows_the_prime():
+    # int32 while (p-1)^2 + p < 2^31, int64 below 2^31, Python ints above;
+    # slack = (dtype max - p) // (p-1)^2 updates between reductions
+    assert _elimination_dtype(10007) == (np.int32, 21)
+    assert _elimination_dtype(20011) == (np.int32, 5)
+    assert _elimination_dtype(46337) == (np.int32, 1)
+    assert _elimination_dtype(46349)[0] is np.int64
+    assert _elimination_dtype(_LIFT_PRIME) == (np.int64, 2048)
+    assert _elimination_dtype((1 << 31) - 1) == (np.int64, 2)
+    assert _elimination_dtype((1 << 61) - 1) == (object, 1)
 
 
 @settings(max_examples=50, deadline=None)
