@@ -286,8 +286,11 @@ def _common_zeros_mod(polys, nvars: int, p: int):
     field = FieldConfig.prime_field(p)
     reduced = [_reduce_mod(g, field) for g in polys if not g.is_zero()]
     for point in projective_points(nvars, p):
-        lift = _balanced_lift(point, p)
-        if all(g.evaluate(lift) == 0 for g in reduced):
+        # over F_p itself the lift and the point agree: skip building it
+        if all(
+            g.evaluate(point if g.field == field else _balanced_lift(point, p)) == 0
+            for g in reduced
+        ):
             yield point
 
 
