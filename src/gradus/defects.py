@@ -168,8 +168,14 @@ def singular_points(f: Polynomial, candidates: PointSet) -> PointSet:
 def brute_singular_search(f: Polynomial, p: int) -> PointSet:
     """Scan all of projective space over F_p for common zeros of the
     partials of F mod p.  A rational F is scaled to primitive integers
-    before it is reduced, so no denominator vanishes; an F over a prime
-    field is read in that field (see `jacobian._common_zeros_mod`)."""
+    before it is reduced, so no denominator vanishes.  An F over F_q is
+    read in F_q, so q must be p: its partials read mod another prime define
+    no singular locus, and that input is a PreconditionError."""
+    if not f.field.is_rational and f.field.modulus != p:
+        raise PreconditionError(
+            f"F over {f.field.descriptor()} has no singular locus over F_{p}; "
+            f"pass p = {f.field.modulus}"
+        )
     field = FieldConfig.prime_field(p)
     f_mod = _reduce_mod(f, field)
     partials = [f_mod.partial(i) for i in range(f.nvars)]

@@ -9,6 +9,23 @@ for integer matrices, so a modular "smooth" verdict is promoted; a modular
 deficiency triggers the exact computation.  All ranks are of matrices with
 entries from the input field, so rational verdicts are conclusive.  Rows
 m*g of a generator g are scattered through `poly.product_index`.
+
+Modular fullness is read off h_k = dim (S/I)_k mod p, degree by degree from
+the normal forms of degree k-1 (Lazard, EUROCAL 1983): `_quotient_dims_mod`.
+With N_{k-1} the standard monomials (the free columns of the rref of I_{k-1}
+in the monomial order) and NF(m) the normal form of a monomial m over them,
+I_k = S_1 I_{k-1} + G_k, G_k the span of the degree-k generators, and
+S_1 I_{k-1} is spanned by x_j (m - NF(m)) for m not standard.  Let U be the
+span of the border B_k = {x_j n : n in N_{k-1}} and phi the projection of S_k
+onto U that fixes B_k and sends a monomial M off the border to x_j NF(m) for
+one fixed factorization M = x_j m.  Its kernel lies in I_k, so
+(S/I)_k = U / phi(I_k), and phi(I_k) is spanned by the relations
+phi(x_j m) - x_j NF(m) and by phi(g) for g in G_k.  Every term of phi(M) is
+below M, so an element of I_k and its image have the same leading monomial:
+the free columns of the rref of the relations are N_k, and h_k is
+graded_dim - (rank mod p of the degree-k Macaulay matrix), as a full
+elimination would give.  The promotion argument is untouched: h_k = 0 mod p
+means the Macaulay matrix has full rank mod p, hence over the rationals.
 """
 
 from __future__ import annotations
@@ -34,9 +51,10 @@ from .linalg import (
     FieldConfig,
     GradedSubspace,
     Matrix,
+    _eliminate_mod,
     _elimination_dtype,
+    _mod,
     _primitive,
-    rank_mod,
     rref,
     span,
 )
@@ -64,8 +82,10 @@ class SmoothnessCertificate:
     """Machine-checkable smoothness evidence.
 
     verdict is "smooth", "singular", or "inconclusive".  For smooth verdicts
-    `degree` is where the rows built through `poly.product_index` fill up
-    and `field_used` the field of the rank computation; `promoted` marks
+    `degree` is where the ideal is full: T+1 for a hypersurface, and for
+    `ci_smooth` the first degree k, at least the largest generator degree,
+    with h_k = dim (S/I)_k = 0 as `_quotient_dims_mod` computes it.
+    `field_used` is the field of that computation; `promoted` marks
     modular certificates that are valid over the rationals.  A singular
     `ci_smooth` verdict rests on `witness_point`, a zero checked exactly in
     `field_used`; a singular hypersurface verdict rests on an exact rank,
@@ -114,32 +134,22 @@ class EmptinessResult:
 # generator rows
 
 
-def _term_columns(g: Polynomial, k: int, terms: dict):
-    """Array whose entry [i, j] is the degree-k column of m_i * b_j, for the
-    monomials m_i of degree k - deg(g) in order and the monomials b_j of
-    `terms`; None when g is zero or deg(g) > k."""
-    e = g.homogeneous_degree()
-    if e is None or e > k:
-        return None
-    idx = monomial_index(g.nvars, e)
-    return product_index(g.nvars, e, k)[:, [idx[m] for m in terms]]
-
-
 def _shifted_rows(g: Polynomial, k: int, terms: dict | None = None) -> list:
     """Coefficient vectors of m*g for the monomials m of degree k - deg(g), in
     order: g's coefficients, or `terms` (integer ones on the same
     monomials), scattered through `product_index`."""
+    e = g.homogeneous_degree()
+    if e is None or e > k:
+        return []
     if terms is None:
         terms = g.terms
-    cols = _term_columns(g, k, terms)
-    if cols is None:
-        return []
+    idx = monomial_index(g.nvars, e)
     vals = list(terms.values())
     n = graded_dim(g.nvars, k)
     rows = []
-    for row_cols in cols.tolist():
+    for cols in product_index(g.nvars, e, k)[:, [idx[m] for m in terms]].tolist():
         row = [0] * n
-        for c, v in zip(row_cols, vals):
+        for c, v in zip(cols, vals):
             row[c] = v
         rows.append(row)
     return rows
@@ -170,28 +180,6 @@ def _integer_terms(g: Polynomial) -> dict:
     """g's terms scaled to primitive integers over Q (none for g = 0), its
     residues over F_p."""
     return _primitive(g.terms) if g.field.is_rational else g.terms
-
-
-def _residue_rows(gens, k: int, p: int) -> np.ndarray:
-    """`_integer_rows(gens, k)` reduced mod p, as an array in the dtype of
-    modular elimination: each generator's integer terms are reduced first,
-    then scattered through `product_index`, so no row holds the wide
-    integers of a primitive scaling."""
-    blocks = []
-    for g in gens:
-        terms = _integer_terms(g)
-        cols = _term_columns(g, k, terms)
-        if cols is not None:
-            blocks.append((cols, [v % p for v in terms.values()]))
-    a = np.zeros(
-        (sum(len(cols) for cols, _ in blocks), graded_dim(gens[0].nvars, k)),
-        dtype=_elimination_dtype(p)[0],
-    )
-    start = 0
-    for cols, residues in blocks:
-        a[np.arange(start, start + len(cols))[:, None], cols] = residues
-        start += len(cols)
-    return a
 
 
 def projective_points(nvars: int, p: int):
@@ -294,16 +282,25 @@ def _common_zeros_mod(polys, nvars: int, p: int):
             yield point
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def is_smooth_hypersurface(f: Polynomial) -> SmoothnessCertificate:
     """Smooth iff the Jacobian ideal is full in degree T+1.
 
     Rational inputs always get a conclusive smooth/singular verdict; prime
     field inputs get smooth (which certifies every integer lift) or
-    inconclusive.  Both first take the rank modulo a prime: DEFAULT_PRIME
-    over the rationals, the field's own modulus over F_p.
+    inconclusive.  Both first decide fullness modulo a prime: DEFAULT_PRIME
+    over the rationals, the field's own modulus over F_p.  The certificate
+    depends only on the projective class of F (ranks and the witness scan
+    read F and its partials up to scale), so it is computed and cached once
+    per class, on `f.normalized()`.
     """
-    d = _require_homogeneous(f, "F")
+    _require_homogeneous(f, "F")
+    return _smoothness_of_class(f.normalized())
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _smoothness_of_class(f: Polynomial) -> SmoothnessCertificate:
+    """`is_smooth_hypersurface` of a normalized F."""
+    d = f.degree()
     if d < 1:
         raise PreconditionError("constant polynomial defines no hypersurface")
     nvars = f.nvars
@@ -381,9 +378,91 @@ def ideal_graded(generators, k: int) -> GradedSubspace:
     return span(g.field, g.nvars, k, g.family, _integer_rows(gens, k))
 
 
+def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int, dtype) -> np.ndarray:
+    """a @ b mod p for arrays of residues, as `dtype`: summed in int64 while
+    a.shape[1] products of two residues cannot reach 2^63, in Python ints
+    otherwise."""
+    wide = np.int64 if a.shape[1] * (p - 1) ** 2 < 1 << 63 else object
+    return _mod(a.astype(wide) @ b.astype(wide), p).astype(dtype)
+
+
+def _quotient_dims_mod(gens, p: int):
+    """Yield (k, h_k) for k = 0, 1, 2, ..., h_k = dim (S/I)_k mod p for the
+    ideal I of `gens` (zero generators skipped, rational ones scaled to
+    primitive integers), from the normal forms of degree k-1; see the module
+    docstring.  Once h_k = 0 every later h is 0."""
+    nvars = gens[0].nvars
+    dtype = _elimination_dtype(p)[0]
+    by_degree: dict = {}
+    for g in gens:
+        if not g.is_zero():
+            by_degree.setdefault(g.homogeneous_degree(), []).append(g)
+    for k in itertools.count():
+        size = graded_dim(nvars, k)
+        if k == 0:
+            border, off = np.arange(1), np.arange(0)
+            refs = relations = np.zeros((0, 1), dtype)
+        else:
+            # tails[i * nvars + j] = x_j * NF(m_i) on the border, m_i not standard
+            table = product_index(nvars, 1, k)
+            in_border = np.zeros(size, bool)
+            in_border[table[std]] = True
+            border, off = np.flatnonzero(in_border), np.flatnonzero(~in_border)
+            pos = np.zeros(size, np.intp)
+            pos[border] = np.arange(len(border))
+            is_std = np.zeros(len(table), bool)
+            is_std[std] = True
+            nonstd = np.flatnonzero(~is_std)
+            tails = np.zeros((len(nonstd), nvars, len(border)), dtype)
+            for j in range(nvars):
+                tails[:, j][:, pos[table[std, j]]] = nf[nonstd]
+            tails = tails.reshape(-1, len(border))
+            leads = table[nonstd].ravel()
+            # a lead off the border takes one of its rows as the reference
+            # phi(lead); which one does not matter, N_k and NF are canonical
+            ref = np.zeros(size, np.intp)
+            ref[leads] = np.arange(len(leads))
+            on = in_border[leads]
+            unit = np.zeros((np.count_nonzero(on), len(border)), dtype)
+            unit[np.arange(len(unit)), pos[leads[on]]] = 1
+            others = np.flatnonzero(~on & (ref[leads] != np.arange(len(leads))))
+            refs = tails[ref[off]]
+            relations = _mod(np.concatenate([
+                unit - tails[on],
+                tails[ref[leads[others]]] - tails[others],
+            ]), p)
+        if k in by_degree:
+            idx = monomial_index(nvars, k)
+            rows = np.zeros((len(by_degree[k]), size), dtype)
+            for row, g in zip(rows, by_degree[k]):
+                for m, v in _integer_terms(g).items():
+                    row[idx[m]] = v % p
+            on_border = _mod(rows[:, border] + _matmul_mod(rows[:, off], refs, p, dtype), p)
+            relations = np.concatenate([relations, on_border])
+        a, pivots, _ = _eliminate_mod(relations, len(border), p)
+        h = len(border) - len(pivots)
+        yield k, h
+        if h == 0:
+            yield from ((j, 0) for j in itertools.count(k + 1))
+            return
+        # N_k and the normal form of every degree-k monomial over it
+        is_free = np.ones(len(border), bool)
+        is_free[pivots] = False
+        free, pivots = np.flatnonzero(is_free), np.array(pivots, np.intp)
+        rref_free = a[: len(pivots)][:, free]
+        std = border[free]
+        nf = np.zeros((size, h), dtype)
+        nf[std, np.arange(h)] = 1
+        nf[border[pivots]] = _mod(-rref_free, p)
+        nf[off] = _mod(refs[:, free] - _matmul_mod(refs[:, pivots], rref_free, p, dtype), p)
+
+
 def _ideal_full_mod(gens, k: int, p: int) -> bool:
-    target = graded_dim(gens[0].nvars, k)
-    return rank_mod(_residue_rows(gens, k, p), target, p, target=target) == target
+    """Whether the ideal of `gens` is full in degree k mod p; it stops at the
+    first full degree, since fullness is monotone."""
+    for j, h in _quotient_dims_mod(gens, p):
+        if h == 0 or j == k:
+            return h == 0
 
 
 def projective_empty(
@@ -396,7 +475,9 @@ def projective_empty(
     Fullness at any degree certifies that the generators have no common
     projective zero (over the complex numbers, for rational inputs: the
     modular accelerator only ever promotes fullness, never deficiency).
-    A sweep that never fills up is reported as inconclusive.
+    The certificate names the first degree, at least the largest generator
+    degree, where h_k = 0 mod p.  A sweep that never fills up is reported as
+    inconclusive.
     """
     gens = _generators(generators)
     if k_max < 0:
@@ -404,13 +485,11 @@ def projective_empty(
     field = gens[0].field
     p = DEFAULT_PRIME if field.is_rational else field.modulus
     k0 = max(g.degree() for g in gens)
-    for k in range(k0, k_max + 1):
-        if _ideal_full_mod(gens, k, p):
-            if check_monotone and k + 1 <= k_max:
-                invariant(
-                    _ideal_full_mod(gens, k + 1, p),
-                    "fullness is not monotone across degrees",
-                )
+    dims = _quotient_dims_mod(gens, p)
+    for k, h in itertools.islice(dims, k_max + 1):
+        if h == 0 and k >= k0:
+            if check_monotone and k < k_max:
+                invariant(next(dims)[1] == 0, "fullness is not monotone across degrees")
             return EmptinessResult(True, k, k_max, f"fp:{p}")
     return EmptinessResult(False, None, k_max, f"fp:{p}")
 

@@ -7,12 +7,12 @@ form is the canonical representation throughout, so subspace equality is
 literal matrix equality.
 
 Prime-field elimination has one numpy loop, `_eliminate_mod`, behind `rref`
-over F_p and over Q (full reduction) and `rank_mod` (forward elimination with
-an optional early exit).  Each pivot updates only the trailing columns from
-the pivot column on, since the pivot row is zero left of it.  Its dtype
-follows the modulus alone: int32 while (p-1)^2 + p < 2^31 (p <= 46337),
-int64 below `_NUMPY_MOD_LIMIT` = 2^31, Python ints in an `object` array at
-or above it.  In the int dtypes reduction is delayed: an update subtracts a
+over F_p and over Q and the fullness sweeps of `jacobian._quotient_dims_mod`
+(full reduction), and `rank_mod` (forward elimination with an optional early
+exit).  Each pivot updates only the trailing columns from the pivot column
+on, since the pivot row is zero left of it.  Its dtype follows the modulus
+alone: int32 while (p-1)^2 + p < 2^31 (p <= 46337), int64 below
+`_NUMPY_MOD_LIMIT` = 2^31, Python ints in an `object` array at or above it.  In the int dtypes reduction is delayed: an update subtracts a
 product of two residues, at most (p-1)^2, so after k updates an entry lies
 in [-k(p-1)^2, p), and the trailing block is reduced only every
 slack = (dtype max - p) // (p-1)^2 updates (21 at p = 10007 in int32).
@@ -717,10 +717,10 @@ def rank_mod(int_rows: Sequence[Sequence[int]], ncols: int, p: int, target: int 
     """Rank of an integer matrix reduced mod p; forward elimination only.
 
     `int_rows` is a list of integer rows or an ndarray of residues in
-    [0, p), such as `jacobian._residue_rows` builds.  With `target` set,
-    stops as soon as the rank reaches it or provably cannot, so the result
-    equals `target` exactly when the rank is at least `target`.  This is the accelerator behind fullness certificates: full
-    rank mod p implies full rank over the rationals for integer matrices.
+    [0, p).  With `target` set, stops as soon as the rank reaches it or
+    provably cannot, so the result equals `target` exactly when the rank is
+    at least `target`.  Full rank mod p implies full rank over the rationals
+    for integer matrices.
     """
     return len(_eliminate_mod(int_rows, ncols, p, reduced=False, target=target)[1])
 

@@ -4,7 +4,9 @@ reduction, brute-force colon bases, the pairing evaluated by literal
 repeated differentiation, the annihilator quadric and associated cubic
 the library built before its socle contractions (a hyperplane loop, and the
 perp of the colon ideal), and the Macaulay rows and socle contractions the
-library built monomial by monomial before its product-index table.
+library built monomial by monomial before its product-index table, and
+quotient dimensions from whole Macaulay matrices, where the library's
+fullness sweeps go degree by degree from normal forms.
 
 These deliberately avoid the library's elimination code paths (modular
 images, quotient shortcuts) so agreement is meaningful.
@@ -24,6 +26,7 @@ from gradus import (
     span,
 )
 from gradus.errors import DegeneratePairError
+from gradus.jacobian import _integer_rows
 from gradus.poly import (
     Polynomial,
     graded_dim,
@@ -164,10 +167,22 @@ def naive_rank_mod(rows, p):
         inv = pow(a[r][c], -1, p)
         for j in range(r + 1, nrows):
             if a[j][c]:
+                # both rows are zero left of column c
                 f = a[j][c] * inv % p
-                a[j] = [(x - f * y) % p for x, y in zip(a[j], a[r])]
+                a[j][c:] = [(x - f * y) % p for x, y in zip(a[j][c:], a[r][c:])]
         r += 1
     return r
+
+
+def residues_oracle(gens, k, p):
+    """The integer rows of the degree-k Macaulay matrix of gens (rational
+    generators scaled to primitive integers), each entry reduced mod p."""
+    return [[x % p for x in row] for row in _integer_rows(gens, k)]
+
+
+def macaulay_quotient_dim(gens, k, p):
+    """dim (S/I)_k mod p from the rank of the whole degree-k Macaulay matrix."""
+    return graded_dim(gens[0].nvars, k) - naive_rank_mod(residues_oracle(gens, k, p), p)
 
 
 def naive_rank(rows, field):

@@ -63,6 +63,9 @@ def test_exit_codes(capsys):
         ("membership-u", "--poly", "x0^3+x1^3+x2^3", "--trials", "0"),
         ("theorem14", "--poly", FERMAT, "--trials", "0"),
         ("deformation", "--trials", "0"),
+        # F over F_13 has no singular locus mod 5
+        ("singular-search", "--field", "fp:13", "--poly", "x0^3 - 3*x0*x1^2 + 5*x2^3 - x0*x1*x2",
+         "--p", "5"),
     ]
     for argv in rejected:
         code, _, err = run_cli(capsys, *argv)

@@ -1,7 +1,8 @@
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gradus import (
@@ -24,10 +25,16 @@ from gradus import (
     span,
 )
 from gradus.errors import PreconditionError, ZeroPolynomialError
-from gradus.jacobian import _integer_rows, _residue_rows, _shifted_rows
+from gradus.jacobian import (
+    _integer_rows,
+    _quotient_dims_mod,
+    _shifted_rows,
+    _smoothness_of_class,
+)
 from gradus.linalg import _primitive
 
-from .oracles import product_rows
+from .oracles import macaulay_quotient_dim, product_rows
+from .test_linalg import ELIMINATION_PRIMES
 
 QQ = FieldConfig.rationals()
 
@@ -104,6 +111,28 @@ def test_is_smooth_prime_field_promotion():
     p = parse_poly("x0^3+x1^3+x2^3+x3^3+x4^3", f101)
     cert = is_smooth_hypersurface(p)
     assert cert.is_smooth and cert.field_used == "fp:101"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 3),
+    st.sampled_from((None, 7, 10007)),
+    st.integers(-10**6, 10**6),
+    st.integers(1, 50),
+)
+def test_smoothness_certificate_is_scale_free(fermat, special_cubic, nodal_cubic, i, p, num, den):
+    # is_smooth_hypersurface caches on f.normalized(); that is sound because
+    # the computation itself, uncached, gives c*f the certificate of f
+    form = (fermat, special_cubic, nodal_cubic, parse_poly("x0^3+x1^3+x2^3-3*x0*x1*x2", QQ))[i]
+    field = QQ if p is None else FieldConfig.prime_field(p)
+    c = field.coerce(Fraction(num, den) if p is None else num)
+    assume(c != field.zero)
+    f = form if p is None else parse_poly(str(form), field, nvars=form.nvars)
+    cert = is_smooth_hypersurface(f)
+    assert _smoothness_of_class.__wrapped__(f.scale(c)) == cert
+    assert is_smooth_hypersurface(f.scale(c)) == cert
+    if (i, p) == (2, None):
+        assert cert.field_used == "rational" and cert.witness_point == (1, 0, 0, 0, 0)
 
 
 def test_milnor_profile_matches_reference_for_smooth_cubics(smooth_cubics):
@@ -238,22 +267,55 @@ def test_shifted_rows_match_polynomial_products(case):
         assert _integer_rows([g], k) == product_rows([g], k)
 
 
-def residues_oracle(gens, k, p):
-    return [[x % p for x in row] for row in _integer_rows(gens, k)]
+@st.composite
+def ideals(draw):
+    """(gens, p): one to four forms of degrees 1-3 in 2-5 variables over Q or
+    F_p, p from ELIMINATION_PRIMES (one generator: a principal ideal), and
+    sometimes a generator that is 0 mod p (zero, or p times a form), or a
+    nonzero constant."""
+    p = draw(st.sampled_from(ELIMINATION_PRIMES))
+    field = QQ if draw(st.booleans()) else FieldConfig.prime_field(p)
+    nvars = draw(st.integers(2, 5))
+
+    def form(e):
+        n = graded_dim(nvars, e)
+        coeffs = draw(st.lists(st.integers(-3, 3).map(field.coerce), min_size=n, max_size=n))
+        return Polynomial.from_vector(field, nvars, "x", e, coeffs)
+
+    gens = [form(draw(st.integers(1, 3))) for _ in range(draw(st.integers(1, 4)))]
+    extra = draw(st.sampled_from((None, 0, p, "constant")))
+    if extra == "constant":
+        gens.append(Polynomial.constant(field, nvars, field.coerce(draw(st.integers(1, 3)))))
+    elif extra is not None:
+        gens.insert(draw(st.integers(0, len(gens))), gens[0].scale(extra))
+    return gens, p
 
 
 @settings(max_examples=150, deadline=None)
-@given(generators(), st.sampled_from((5, 10007, 46337, 46349, 2147483629)))
-def test_residue_rows_are_integer_rows_mod_p(case, p):
-    # over F_q the rows are reduced mod q itself, as the sweeps do
-    g, k = case
-    if not g.field.is_rational:
-        p = g.field.modulus
-    for gens in ([g], [g.scale(0), g]):
-        assert _residue_rows(gens, k, p).tolist() == residues_oracle(gens, k, p)
+@given(ideals())
+def test_quotient_dims_match_macaulay_ranks(case):
+    # every h_k up to degree 7, or while the oracle's Macaulay matrix has at
+    # most 126 columns, and up to the first full degree: fullness is monotone
+    gens, p = case
+    nvars = gens[0].nvars
+    for k, h in _quotient_dims_mod(gens, p):
+        assert h == macaulay_quotient_dim(gens, k, p), (k, h)
+        if h == 0 or k == 7 or graded_dim(nvars, k + 1) > 126:
+            break
 
 
-def test_residue_rows_of_a_pair_sweep(u_pairs):
+@pytest.mark.parametrize("p", [(1 << 31) - 1, (1 << 61) - 1])
+def test_quotient_dims_at_object_primes(p):
+    # products of residues overflow int64 here; at 2^61-1 elimination runs
+    # on Python ints too
+    field = FieldConfig.prime_field(p)
+    gens = [parse_poly(t, field) for t in ("3*x0^2 - x1*x2 + 5*x2^2", "x0*x1 - 7*x2^2", "x1^3 + x0*x2^2")]
+    dims = [h for _, h in itertools.islice(_quotient_dims_mod(gens, p), 8)]
+    assert dims == [macaulay_quotient_dim(gens, k, p) for k in range(8)]
+    assert dims[-1] == 0 and dims[1] == 3
+
+
+def test_ci_smooth_degree_is_the_first_full_macaulay_degree(u_pairs):
     # Q from construct_pair: its primitive integer scaling has ~140-bit entries
     f, _, cert = u_pairs[0]
     q = cert.q
@@ -264,5 +326,10 @@ def test_residue_rows_of_a_pair_sweep(u_pairs):
         for j in range(i + 1, 5)
     ]
     gens = [f, q, *minors]
-    for k in (1, 3, 7):
-        assert _residue_rows(gens, k, 10007).tolist() == residues_oracle(gens, k, 10007)
+    dims = dict(itertools.islice(_quotient_dims_mod(gens, 10007), 8))
+    k = cert.y_smooth.degree
+    assert k == 7 and cert.y_smooth.field_used == "fp:10007"
+    # full at k and not at k - 1 >= 3, the largest generator degree
+    for j in (1, 3, k - 1, k):
+        assert dims[j] == macaulay_quotient_dim(gens, j, 10007), j
+    assert dims[k - 1] > 0 and dims[k] == 0

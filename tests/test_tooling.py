@@ -1,11 +1,15 @@
 """The benchmark's tracer wraps library functions by name and skips a name
 it cannot find, whose metrics then read 0; every name it lists must exist.
 It counts calls to those public functions, so a layer's own internal work
-must not go through them.  Every memo cache in the library is bounded."""
+must not go through them.  Every memo cache in the library is bounded, and
+the smoothness checks leave `numpy.ma` unimported."""
 
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -62,3 +66,19 @@ def test_every_functools_cache_is_bounded():
                     sizes[f"{info.name}.{qual}"] = candidate.cache_parameters()["maxsize"]
     assert {"poly.product_index", "poly.monomials", "poly.monomial_index"} <= set(sizes)
     assert {name: size for name, size in sizes.items() if size != CACHE_SIZE} == {}
+
+
+def test_smoothness_checks_leave_numpy_ma_unimported():
+    # numpy.ma costs about 1.5 MB of resident memory; np.unique imports it
+    code = (
+        "import sys, gradus\n"
+        "qq = gradus.FieldConfig.rationals()\n"
+        "f = gradus.fermat_form(qq, 5, 3)\n"
+        "assert gradus.is_smooth_hypersurface(f).is_smooth\n"
+        "assert gradus.ci_smooth(f, gradus.parse_poly('x0*x1+x2*x3+x4^2', qq)).is_smooth\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
