@@ -16,6 +16,10 @@ weights c!, |c| = d.  `colon_graded` and `perp_graded` stay the general
 routes.  Quotient pieces are represented in the canonical complement-monomial
 coordinates (the non-pivot columns of the Jacobian rref basis), so all
 outputs are exactly comparable.
+
+Annihilators are read off rref bases at hand: lambda is the one null
+vector (`linalg._null_vectors`) of J_T, E-perp is W^-1 ker E, W = diag(c!),
+and every "pairs to zero" check is one exact product B W G^T, `_pairings`.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from .linalg import (
     GradedSubspace,
     Matrix,
     _dot,
+    _null_vectors,
     kernel,
     primitive_int_rows,
     span,
@@ -83,36 +88,45 @@ def _pairing_weights(field: FieldConfig, nvars: int, degree: int):
     return [pairing_weight(field, m) for m in monomials(nvars, degree)]
 
 
-def perp_graded(e: GradedSubspace, _check: bool = True) -> GradedSubspace:
-    """Annihilator of a subspace under the polar pairing, in the dual family."""
-    field = e.field
+def _pairings(e: GradedSubspace, duals) -> np.ndarray:
+    """<b_i, g_j> for the basis rows b_i of e and the dual coefficient
+    vectors g_j, as the product B W G^T with W = diag(c!): residues mod p,
+    and over Q on primitive integer rows, so that entry (i, j) is a nonzero
+    multiple of <b_i, g_j>, zero exactly when the pairing is."""
+    field, n = e.field, e.ambient_dim
     weights = _pairing_weights(field, e.nvars, e.degree)
-    rows = [
-        [field.mul(x, w) for x, w in zip(row, weights)]
-        for row in e.basis.rows
-    ]
-    null = kernel(Matrix(field, rows, e.ambient_dim))
+    rows, cols = e.basis.rows, list(duals)
+    if field.is_rational:
+        rows, cols = primitive_int_rows(e.basis), primitive_int_rows(Matrix(field, cols, n))
+        weights = [int(w) for w in weights]
+    weighted = np.array(rows, dtype=object).reshape(-1, n) * np.array(weights, dtype=object)
+    out = weighted @ np.array(cols, dtype=object).reshape(-1, n).T
+    return out if field.is_rational else out % field.modulus
+
+
+def perp_graded(e: GradedSubspace) -> GradedSubspace:
+    """Annihilator of a subspace under the polar pairing, in the dual family.
+
+    <a, g> = a W g for W = diag(c!), invertible since p > k, so
+    E-perp = W^-1 ker E, and ker E has the explicit basis of `_null_vectors`
+    on the rref rows of E.  The result is checked, not recomputed: it pairs
+    to zero with E (one exact product, `_pairings`), its dimension is
+    dim S_k - dim E, and it is in rref because `span` built it.  The first
+    two give out = E-perp (the pairing is perfect), so perp(out) = E, and the
+    third makes it the canonical basis.
+    """
+    field = e.field
+    inverses = [field.inv(w) for w in _pairing_weights(field, e.nvars, e.degree)]
+    null = _null_vectors(field, e.basis.rows, e.pivots, e.ambient_dim)
     other = "y" if e.family == "x" else "x"
-    out = GradedSubspace(field, e.nvars, e.degree, other, null, _pivot_cols(null))
+    scaled = [[field.mul(x, w) for x, w in zip(v, inverses)] for v in null]
+    out = span(field, e.nvars, e.degree, other, scaled)
     invariant(
         e.dim + out.dim == e.ambient_dim,
         "perp dimension law failed: dim E + dim E-perp != dim S_k",
     )
-    if _check:
-        back = perp_graded(out, _check=False)
-        invariant(back == e, "perp involution failed")
+    invariant(not _pairings(e, out.basis.rows).any(), "perp does not pair to zero with E")
     return out
-
-
-def _pivot_cols(m: Matrix) -> tuple:
-    pivots = []
-    zero = m.field.zero
-    for row in m.rows:
-        for c, x in enumerate(row):
-            if x != zero:
-                pivots.append(c)
-                break
-    return tuple(pivots)
 
 
 def socle_functional(f: Polynomial) -> SocleFunctional:
@@ -126,12 +140,13 @@ def _socle_functional(f: Polynomial) -> SocleFunctional:
     d = f.homogeneous_degree()
     t = f.nvars * (d - 2)
     jt = jacobian_graded(f, t)
-    null = kernel(jt.basis)
-    if null.nrows != 1:
+    null = _null_vectors(f.field, jt.basis.rows, jt.pivots, jt.ambient_dim)
+    if len(null) != 1:
         raise NotSmoothError(
-            f"socle is {null.nrows}-dimensional at degree {t}; expected 1"
+            f"socle is {len(null)}-dimensional at degree {t}; expected 1"
         )
-    return SocleFunctional(f.field, f.nvars, t, null.rows[0])
+    line = span(f.field, f.nvars, t, f.family, null)
+    return SocleFunctional(f.field, f.nvars, t, line.basis.rows[0])
 
 
 def _catalecticant(lam: SocleFunctional, e: int, integral: bool = False) -> np.ndarray:
@@ -188,11 +203,11 @@ def annihilator_quadric(f: Polynomial, g_dual: Polynomial) -> Polynomial:
 
     field = f.field
     nvars = f.nvars
-    # g_dual weighted by c!, so that <b, g_dual> is the dot product of b and gw
-    weights = _pairing_weights(field, nvars, d)
-    gw = [field.mul(c, w) for c, w in zip(g_dual.coeff_vector(d), weights)]
-    if any(_dot(field, row, gw) != field.zero for row in jacobian_graded(f, d).basis.rows):
+    gvec = g_dual.coeff_vector(d)
+    if _pairings(jacobian_graded(f, d), [gvec]).any():
         raise PreconditionError("G is not in the perp of the Jacobian piece")
+    # g_dual weighted by c!, so that <b, g_dual> is the dot product of b and gw
+    gw = [field.mul(c, w) for c, w in zip(gvec, _pairing_weights(field, nvars, d))]
 
     # lambda(q*H) = 0 on H = g_dual-perp  <=>  q o G = t*g_dual (G the dual
     # generator, up to scale in the integral catalecticant); J_{T-d} o G = 0,
@@ -232,8 +247,7 @@ def colon_graded(f: Polynomial, q: Polynomial, k: int) -> GradedSubspace:
         return span(field, nvars, k, f.family, Matrix.identity(field, dim_k).rows)
     # a is in the colon iff a*q reduces to zero modulo J_{k + deg q}
     j = jacobian_graded(f, k + q.homogeneous_degree())
-    null = kernel(_multiplication_matrix(q, j))
-    out = GradedSubspace(field, nvars, k, f.family, null, _pivot_cols(null))
+    out = span(field, nvars, k, f.family, kernel(_multiplication_matrix(q, j)).rows)
     jk = jacobian_graded(f, k)
     invariant(subspace_le(jk, out), "colon does not contain the Jacobian piece")
     return out

@@ -465,11 +465,7 @@ def _ideal_full_mod(gens, k: int, p: int) -> bool:
             return h == 0
 
 
-def projective_empty(
-    generators,
-    k_max: int = DEFAULT_KMAX,
-    check_monotone: bool = False,
-) -> EmptinessResult:
+def projective_empty(generators, k_max: int = DEFAULT_KMAX) -> EmptinessResult:
     """Sweep degrees for fullness of the generated ideal.
 
     Fullness at any degree certifies that the generators have no common
@@ -485,11 +481,8 @@ def projective_empty(
     field = gens[0].field
     p = DEFAULT_PRIME if field.is_rational else field.modulus
     k0 = max(g.degree() for g in gens)
-    dims = _quotient_dims_mod(gens, p)
-    for k, h in itertools.islice(dims, k_max + 1):
+    for k, h in itertools.islice(_quotient_dims_mod(gens, p), k_max + 1):
         if h == 0 and k >= k0:
-            if check_monotone and k < k_max:
-                invariant(next(dims)[1] == 0, "fullness is not monotone across degrees")
             return EmptinessResult(True, k, k_max, f"fp:{p}")
     return EmptinessResult(False, None, k_max, f"fp:{p}")
 

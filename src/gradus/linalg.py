@@ -6,16 +6,16 @@ mode.  Every operation is a pure function of its inputs; reduced row-echelon
 form is the canonical representation throughout, so subspace equality is
 literal matrix equality.
 
-Prime-field elimination has one numpy loop, `_eliminate_mod`, behind `rref`
-over F_p and over Q and the fullness sweeps of `jacobian._quotient_dims_mod`
-(full reduction), and `rank_mod` (forward elimination with an optional early
-exit).  Each pivot updates only the trailing columns from the pivot column
-on, since the pivot row is zero left of it.  Its dtype follows the modulus
-alone: int32 while (p-1)^2 + p < 2^31 (p <= 46337), int64 below
-`_NUMPY_MOD_LIMIT` = 2^31, Python ints in an `object` array at or above it.  In the int dtypes reduction is delayed: an update subtracts a
-product of two residues, at most (p-1)^2, so after k updates an entry lies
-in [-k(p-1)^2, p), and the trailing block is reduced only every
-slack = (dtype max - p) // (p-1)^2 updates (21 at p = 10007 in int32).
+Prime-field elimination is one numpy Gauss-Jordan loop, `_eliminate_mod`,
+behind `rref` over F_p and over Q, `rank_mod` and the fullness sweeps of
+`jacobian._quotient_dims_mod`.  Each pivot updates only the trailing
+columns from the pivot column on, since the pivot row is zero left of it.
+Its dtype follows the modulus alone: int32 while (p-1)^2 + p < 2^31
+(p <= 46337), int64 below `_NUMPY_MOD_LIMIT` = 2^31, Python ints in an
+`object` array at or above it.  In the int dtypes reduction is delayed: an
+update subtracts a product of two residues, at most (p-1)^2, so after k
+updates an entry lies in [-k(p-1)^2, p), and the trailing block is reduced
+only every slack = (dtype max - p) // (p-1)^2 updates (21 at p = 10007).
 
 The rational rref lifts one modular image p-adically (Dixon).  The rows are
 scaled to primitive integer rows A and reduced once modulo the fixed prime
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
@@ -388,20 +388,15 @@ def _elimination_dtype(p: int):
     return dtype, (int(np.iinfo(dtype).max) - p) // (p - 1) ** 2
 
 
-def _eliminate_mod(
-    rows, ncols: int, p: int, reduced: bool = True, target: int | None = None
-):
-    """Gaussian elimination of integer rows mod p: (array, pivot columns,
+def _eliminate_mod(rows, ncols: int, p: int):
+    """Gauss-Jordan elimination of integer rows mod p: (array, pivot columns,
     row order), where row i of the array came from input row order[i].
 
     `rows` is a list of integer rows, reduced mod p here, or an ndarray of
-    residues in [0, p), which is copied.  `reduced` clears every pivot
-    column to give the rref in the first rows; otherwise only the rows below
-    each pivot are updated (forward elimination), and `target` stops the
-    sweep once the rank reaches it or provably cannot.  Either way the first
-    r rows of the array span what input rows order[:r] span once r pivots
-    are found, so the input rows order[:rank] are independent mod p.  The
-    returned array is reduced to [0, p).
+    residues in [0, p), which is copied.  The first r rows of the returned
+    array, r the rank, are the rref; they span what input rows order[:r]
+    span, so those input rows are independent mod p.  The returned array is
+    reduced to [0, p).
 
     At pivot column c the pivot row is zero left of c, so the swap, the
     normalisation and the row updates touch only the trailing columns c:,
@@ -433,10 +428,7 @@ def _eliminate_mod(
     for c in range(ncols):
         if r == nrows:
             break
-        if target is not None and (r >= target or r + (ncols - c) < target):
-            break
-        top = 0 if reduced else r
-        nz = np.nonzero(_mod(a[top:, c], p)[r - top :])[0]
+        nz = np.nonzero(_mod(a[:, c], p)[r:])[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
@@ -444,28 +436,21 @@ def _eliminate_mod(
             a[[r, i], c:] = a[[i, r], c:]
             order[r], order[i] = order[i], order[r]
         pivot_row = _mod(a[r, c:], p)
-        inv = pow(int(pivot_row[0]), -1, p)
-        if reduced:
-            _mod(np.multiply(pivot_row, inv, out=pivot_row), p)
-            first = 0
-            factors = a[:, c].copy()
-            factors[r] = 0
-        else:
-            first = r + 1
-            factors = _mod(a[first:, c] * inv, p)
-        nzf = np.nonzero(factors)[0]
-        if nzf.size:
+        _mod(np.multiply(pivot_row, pow(int(pivot_row[0]), -1, p), out=pivot_row), p)
+        factors = a[:, c].copy()
+        factors[r] = 0
+        updated = np.nonzero(factors)[0]
+        if updated.size:
             # only the rows with a nonzero factor, gathered: their contiguous
             # copy updates faster than a strided view of the trailing block
-            updated = first + nzf
-            update = np.multiply.outer(factors[nzf], pivot_row)
+            update = np.multiply.outer(factors[updated], pivot_row)
             if slack == 1:  # no delay: reduce just the updated rows
                 a[updated, c:] = _mod(a[updated, c:] - update, p)
             else:
                 a[updated, c:] -= update
                 pending += 1
                 if pending == slack:
-                    _mod(a[first:, c:], p)
+                    _mod(a[:, c:], p)
                     pending = 0
         pivots.append(c)
         r += 1
@@ -714,32 +699,36 @@ def rank(m: Matrix) -> int:
 
 
 def rank_mod(int_rows: Sequence[Sequence[int]], ncols: int, p: int, target: int | None = None) -> int:
-    """Rank of an integer matrix reduced mod p; forward elimination only.
+    """Rank of an integer matrix reduced mod p, capped at `target` if set:
+    the result equals `target` exactly when the rank is at least `target`.
 
     `int_rows` is a list of integer rows or an ndarray of residues in
-    [0, p).  With `target` set, stops as soon as the rank reaches it or
-    provably cannot, so the result equals `target` exactly when the rank is
-    at least `target`.  Full rank mod p implies full rank over the rationals
-    for integer matrices.
+    [0, p).  Full rank mod p implies full rank over the rationals for
+    integer matrices.
     """
-    return len(_eliminate_mod(int_rows, ncols, p, reduced=False, target=target)[1])
+    rk = len(_eliminate_mod(int_rows, ncols, p)[1])
+    return rk if target is None else min(rk, target)
+
+
+def _null_vectors(field: FieldConfig, rows, pivots, ncols: int) -> list:
+    """Basis of {v : E @ v = 0} for E in rref with the given pivot columns:
+    e_c - sum_i E[i][c] * e_{p_i}, one vector per free column c, ascending.
+    Each is zero on the other free columns, so they are independent."""
+    vecs = []
+    for fc in sorted(set(range(ncols)) - set(pivots)):
+        v = [field.zero] * ncols
+        v[fc] = field.one
+        for row, pc in zip(rows, pivots):
+            v[pc] = field.neg(row[fc])
+        vecs.append(v)
+    return vecs
 
 
 def kernel(m: Matrix) -> Matrix:
     """Canonical basis (rref rows) of {v : m @ v = 0}."""
     f = m.field
     red, pivots, rk = rref(m)
-    free = [c for c in range(m.ncols) if c not in set(pivots)]
-    vecs = []
-    for fc in free:
-        v = [f.zero] * m.ncols
-        v[fc] = f.one
-        for i, pc in enumerate(pivots):
-            x = red.rows[i][fc]
-            if x != f.zero:
-                v[pc] = f.neg(x)
-        vecs.append(v)
-    red2, _, krank = rref(Matrix(f, vecs, m.ncols))
+    red2, _, krank = rref(Matrix(f, _null_vectors(f, red.rows, pivots, m.ncols), m.ncols))
     invariant(krank == m.ncols - rk, "kernel dimension law violated")
     return Matrix(f, red2.rows[:krank], m.ncols)
 
@@ -753,7 +742,8 @@ class GradedSubspace:
     """Subspace of the degree-k graded piece, canonical rref basis rows.
 
     `family` is "x" for the primal variables and "y" for the dual ones; the
-    apolarity pairing is the only bridge between the two.
+    apolarity pairing is the only bridge between the two.  Only `span`
+    builds one, so `pivots` are the pivot columns that `reduce` relies on.
     """
 
     field: FieldConfig
@@ -761,7 +751,7 @@ class GradedSubspace:
     degree: int
     family: str
     basis: Matrix
-    pivots: tuple = dc_field(default=())
+    pivots: tuple
 
     @property
     def dim(self) -> int:

@@ -4,9 +4,12 @@ reduction, brute-force colon bases, the pairing evaluated by literal
 repeated differentiation, the annihilator quadric and associated cubic
 the library built before its socle contractions (a hyperplane loop, and the
 perp of the colon ideal), and the Macaulay rows and socle contractions the
-library built monomial by monomial before its product-index table, and
+library built monomial by monomial before its product-index table,
 quotient dimensions from whole Macaulay matrices, where the library's
-fullness sweeps go degree by degree from normal forms.
+fullness sweeps go degree by degree from normal forms, and the perp and
+the socle functional through `kernel`, the perp checked by its involution,
+where the library reads both off rref null vectors and checks one pairing
+product.
 
 These deliberately avoid the library's elimination code paths (modular
 images, quotient shortcuts) so agreement is meaningful.
@@ -15,6 +18,8 @@ images, quotient shortcuts) so agreement is meaningful.
 import math
 from fractions import Fraction
 from math import gcd
+
+import numpy as np
 
 from gradus import (
     Matrix,
@@ -25,7 +30,7 @@ from gradus import (
     socle_functional,
     span,
 )
-from gradus.errors import DegeneratePairError
+from gradus.errors import CharacteristicError, DegeneratePairError
 from gradus.jacobian import _integer_rows
 from gradus.poly import (
     Polynomial,
@@ -151,25 +156,29 @@ def naive_rref_rational(rows, ncols: int):
 
 
 def naive_rank_mod(rows, p):
-    """Textbook dense elimination over F_p."""
-    a = [[int(x) % p for x in row] for row in rows]
-    if not a:
+    """Textbook dense forward elimination over F_p, every update reduced at
+    once, one numpy block per pivot: int64 while a residue product fits,
+    Python ints in an `object` array above."""
+    if not len(rows):
         return 0
-    nrows, ncols = len(a), len(a[0])
+    dtype = np.int64 if (p - 1) ** 2 < 1 << 62 else object
+    a = np.array([[int(x) % p for x in row] for row in rows], dtype=dtype)
+    nrows, ncols = a.shape
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        piv = next((i for i in range(r, nrows) if a[i][c]), None)
-        if piv is None:
+        nz = np.flatnonzero(a[r:, c])
+        if nz.size == 0:
             continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = pow(a[r][c], -1, p)
-        for j in range(r + 1, nrows):
-            if a[j][c]:
-                # both rows are zero left of column c
-                f = a[j][c] * inv % p
-                a[j][c:] = [(x - f * y) % p for x, y in zip(a[j][c:], a[r][c:])]
+        i = r + int(nz[0])
+        a[[r, i]] = a[[i, r]]
+        inv = pow(int(a[r, c]), -1, p)
+        # both rows are zero left of column c
+        below = r + 1 + np.flatnonzero(a[r + 1 :, c])
+        if below.size:
+            f = a[below, c] * inv % p
+            a[below, c:] = (a[below, c:] - np.multiply.outer(f, a[r, c:])) % p
         r += 1
     return r
 
@@ -236,6 +245,35 @@ def brute_colon_basis(f: Polynomial, q: Polynomial, k: int):
     null = kernel(Matrix(field, rows, len(cols)))
     projected = [row[:a_dim] for row in null.rows]
     return span(field, nvars, k, f.family, projected)
+
+
+def _weighted_kernel(e):
+    """{g : <b, g> = 0 for every basis row b of e}, as the kernel of the rows
+    of e weighted by c!; CharacteristicError when some c! vanishes."""
+    field = e.field
+    weights = [pairing_weight(field, m) for m in monomials(e.nvars, e.degree)]
+    if field.zero in weights:
+        raise CharacteristicError(f"a weight c! vanishes in degree {e.degree}")
+    rows = [[field.mul(x, w) for x, w in zip(row, weights)] for row in e.basis.rows]
+    other = "y" if e.family == "x" else "x"
+    null = kernel(Matrix(field, rows, e.ambient_dim))
+    return span(field, e.nvars, e.degree, other, null.rows)
+
+
+def perp_by_involution(e):
+    """The perp as the kernel of the weighted rows, checked by computing the
+    perp of the perp and comparing it with e."""
+    out = _weighted_kernel(e)
+    assert _weighted_kernel(out) == e, "perp involution failed"
+    return out
+
+
+def socle_by_kernel(f: Polynomial) -> tuple:
+    """The socle functional as the one rref row of the kernel of the
+    degree-T Jacobian basis; None unless that kernel is a line."""
+    t = f.nvars * (f.homogeneous_degree() - 2)
+    null = kernel(jacobian_graded(f, t).basis)
+    return null.rows[0] if null.nrows == 1 else None
 
 
 def pairing_by_differentiation(f: Polynomial, g_dual: Polynomial):

@@ -21,26 +21,40 @@ from gradus import (
     monomials,
     parse_poly,
     perp_graded,
+    polar_pair,
     random_poly,
+    random_scalar,
     rank,
     socle_functional,
     span,
+    special_q,
 )
-from gradus.apolarity import SocleFunctional, _contract, _pairing_weights
+from gradus import apolarity
+from gradus.apolarity import (
+    SocleFunctional,
+    _contract,
+    _pairing_weights,
+    _pairings,
+    _socle_functional,
+)
 from gradus.errors import (
     CharacteristicError,
     DegeneratePairError,
+    InternalInvariantError,
     NotSmoothError,
     PreconditionError,
 )
 from gradus.linalg import Matrix
 
+from .conftest import _seeded_smooth_cubics
 from .oracles import (
     brute_colon_basis,
     colon_perp_cubic,
     contract_by_index_loop,
     hyperplane_annihilator_quadric,
     pairing_by_differentiation,
+    perp_by_involution,
+    socle_by_kernel,
 )
 
 QQ = FieldConfig.rationals()
@@ -73,8 +87,9 @@ def test_perp_of_monomial_line():
 def test_perp_dimension_law_and_involution(smooth_cubics):
     f = smooth_cubics[0]
     j3 = jacobian_graded(f, 3)
-    perp = perp_graded(j3)  # involution asserted internally
+    perp = perp_graded(j3)
     assert j3.dim + perp.dim == 35
+    assert perp_graded(perp) == j3
 
 
 def test_socle_functional_fermat(fermat):
@@ -327,6 +342,97 @@ def test_perp_needs_characteristic_above_degree(p, nvars, degree):
             perp_graded(e)
     else:
         assert perp_graded(e).dim == e.ambient_dim
+
+
+# ---------------------------------------------------------------------------
+# the perp and the socle functional from rref null vectors, against the
+# kernel routes they replaced (tests/oracles.py)
+
+
+@st.composite
+def jacobian_pieces(draw):
+    """J_k, k in 0..T+1, of a cubic in 3 or 4 variables: a random draw,
+    smooth or not, the special nodal form, or a random combination of the
+    squarefree cubic monomials (singular at the coordinate points); over Q,
+    F_10007, the least prime above k, or a prime at most k."""
+    nvars = draw(st.sampled_from((3, 4)))
+    k = draw(st.integers(0, nvars + 1))
+    small = [p for p in (2, 3, 5) if p <= k]
+    p = draw(st.sampled_from([None, 10007, next(q for q in (2, 3, 5, 7) if q > k), *small]))
+    field = QQ if p is None else FieldConfig.prime_field(p)
+    stream = SeedStream(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(("random", "special", "nodal")))
+    if kind == "special":
+        f = special_q(field, nvars - 1, 3)
+    else:
+        mons = [m for m in monomials(nvars, 3) if kind == "random" or max(m) == 1]
+        f = Polynomial(field, nvars, "x", {m: random_scalar(field, stream, 5) for m in mons})
+    assume(not f.is_zero())
+    return jacobian_graded(f, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(jacobian_pieces())
+def test_perp_matches_kernel_route_with_involution(e):
+    field = e.field
+    too_small = not field.is_rational and field.modulus <= e.degree
+    try:
+        expected = perp_by_involution(e)
+    except CharacteristicError:
+        assert too_small
+        with pytest.raises(CharacteristicError):
+            perp_graded(e)
+    else:
+        assert not too_small
+        assert perp_graded(e) == expected
+
+
+def test_socle_functional_matches_kernel_route(smooth_cubics, special_cubic):
+    fp = FieldConfig.prime_field(10007)
+    for f in [*smooth_cubics[:3], *_seeded_smooth_cubics(fp, 3)]:
+        assert _socle_functional(f).vector == socle_by_kernel(f)
+    assert socle_by_kernel(special_cubic) is None
+    with pytest.raises(NotSmoothError, match="socle is 5-dimensional"):
+        _socle_functional(special_cubic)
+
+
+@pytest.mark.parametrize("field", [QQ, FieldConfig.prime_field(10007)])
+@pytest.mark.parametrize(
+    "corruption, message",
+    [("shift", "does not pair to zero"), ("drop", "dimension law")],
+)
+def test_perp_check_catches_corrupted_null_vectors(monkeypatch, field, corruption, message):
+    # shift: the first null vector gains e_(first pivot), so it stays
+    # independent of the others but E no longer kills it; drop: one fewer
+    j3 = jacobian_graded(fermat_form(field, 5, 3), 3)
+    honest = apolarity._null_vectors
+
+    def corrupted(field, rows, pivots, ncols):
+        first, *rest = honest(field, rows, pivots, ncols)
+        if corruption == "drop":
+            return rest
+        first[pivots[0]] = field.add(first[pivots[0]], field.one)
+        return [first, *rest]
+
+    monkeypatch.setattr(apolarity, "_null_vectors", corrupted)
+    with pytest.raises(InternalInvariantError, match=message):
+        perp_graded(j3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graded_subspaces(), st.data())
+def test_pairings_vanish_exactly_where_polar_pair_does(e, data):
+    field, n = e.field, e.ambient_dim
+    entry = st.integers(-3, 3).map(field.coerce)
+    duals = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=3))
+    duals += perp_graded(e).basis.rows[:1]  # a dual pairing to zero with all of e
+    got = _pairings(e, duals)
+    assert got.shape == (e.dim, len(duals))
+    for i, b in enumerate(e.basis.rows):
+        fb = Polynomial.from_vector(field, e.nvars, "x", e.degree, b)
+        for j, g in enumerate(duals):
+            gy = Polynomial.from_vector(field, e.nvars, "y", e.degree, g)
+            assert (got[i, j] == 0) == (polar_pair(fb, gy) == field.zero)
 
 
 @settings(max_examples=40, deadline=None)

@@ -176,7 +176,7 @@ def test_projective_empty_inconclusive_for_positive_dimensional_locus():
 def test_projective_empty_partials_of_smooth_cubic(smooth_cubics):
     f = smooth_cubics[0]
     parts = [f.partial(i) for i in range(5)]
-    res = projective_empty(parts, 8, check_monotone=True)
+    res = projective_empty(parts, 8)
     assert res.certified and res.degree <= 6
     assert is_smooth_hypersurface(f).is_smooth
 
@@ -208,10 +208,25 @@ def test_ci_smooth_rejects_zero_and_offsize(fermat):
     assert cert.verdict in ("smooth", "singular", "inconclusive")
 
 
-def test_monotone_fullness_during_sweep(fermat):
-    parts = [fermat.partial(i) for i in range(5)]
-    res = projective_empty(parts, 8, check_monotone=True)
-    assert res.certified
+def _ci_system(f, q):
+    """(F, Q, the 2x2 minors of the Jacobian matrix of (F, Q))."""
+    minors = [
+        f.partial(i) * q.partial(j) - f.partial(j) * q.partial(i)
+        for i in range(5)
+        for j in range(i + 1, 5)
+    ]
+    return [f, q, *minors]
+
+
+def test_monotone_fullness_during_sweep(fermat, u_pairs):
+    # the sweep stops at the first full degree; the whole Macaulay matrices
+    # one and two degrees further are full too
+    f, _, cert = u_pairs[0]
+    for gens in ([fermat.partial(i) for i in range(5)], _ci_system(f, cert.q)):
+        res = projective_empty(gens, 8)
+        assert res.certified
+        for k in (res.degree + 1, res.degree + 2):
+            assert macaulay_quotient_dim(gens, k, 10007) == 0, k
 
 
 def test_ci_smooth_singular_only_on_an_exact_zero(fermat):
@@ -320,12 +335,7 @@ def test_ci_smooth_degree_is_the_first_full_macaulay_degree(u_pairs):
     f, _, cert = u_pairs[0]
     q = cert.q
     assert max(abs(v) for v in _primitive(q.terms).values()).bit_length() > 120
-    minors = [
-        f.partial(i) * q.partial(j) - f.partial(j) * q.partial(i)
-        for i in range(5)
-        for j in range(i + 1, 5)
-    ]
-    gens = [f, q, *minors]
+    gens = _ci_system(f, q)
     dims = dict(itertools.islice(_quotient_dims_mod(gens, 10007), 8))
     k = cert.y_smooth.degree
     assert k == 7 and cert.y_smooth.field_used == "fp:10007"

@@ -1,9 +1,11 @@
 """The benchmark's tracer wraps library functions by name and skips a name
 it cannot find, whose metrics then read 0; every name it lists must exist.
 It counts calls to those public functions, so a layer's own internal work
-must not go through them.  Every memo cache in the library is bounded, and
-the smoothness checks leave `numpy.ma` unimported."""
+must not go through them.  Every memo cache in the library is bounded, the
+smoothness checks leave `numpy.ma` unimported, and only `linalg.span`
+builds a `GradedSubspace`."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -13,6 +15,7 @@ import sys
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+SRC = Path(__file__).resolve().parents[1] / "src" / "gradus"
 
 
 def _load_tracing():
@@ -82,3 +85,35 @@ def test_smoothness_checks_leave_numpy_ma_unimported():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+class _ConstructorCalls(ast.NodeVisitor):
+    """Dotted names of the definitions that call `GradedSubspace(...)`."""
+
+    def __init__(self, module: str):
+        self.scope, self.found = [module], set()
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "GradedSubspace":
+            self.found.add(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def test_only_span_builds_a_graded_subspace():
+    # `GradedSubspace.reduce` trusts `pivots`, which only `span` reads off
+    # the rref of the basis
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        visitor = _ConstructorCalls(path.stem)
+        visitor.visit(ast.parse(path.read_text()))
+        found |= visitor.found
+    assert found == {"linalg.span"}
