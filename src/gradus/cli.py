@@ -5,8 +5,9 @@ report (text by default, JSON with --output json).  Exit codes: 0 = a verdict
 was computed (even a negative or inconclusive one), 1 = usage error,
 2 = precondition violation, 3 = internal invariant breach.
 
-`COMMANDS` maps each subcommand to its own flags and its handler; the parser,
-the dispatch, `SUBCOMMANDS` and the report's parameters all read that table.
+`COMMANDS` maps each subcommand to the flags its handler reads and to the
+handler; the parser, the dispatch, `SUBCOMMANDS` and the report's parameters
+all read that table.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .errors import (
     ParseError,
 )
 from .jacobian import (
+    DEFAULT_KMAX,
     ci_smooth,
     is_smooth_hypersurface,
     jacobian_graded,
@@ -48,7 +50,7 @@ from .jacobian import (
     smooth_reference_dims,
 )
 from .lefschetz import slp_check, slp_search
-from .linalg import FieldConfig, rank
+from .linalg import DEFAULT_BOUND, DEFAULT_TRIALS, FieldConfig, rank
 from .poly import Polynomial, parse_poly
 from .report import build_report, render_text, report_json
 
@@ -227,39 +229,38 @@ def _theorem14(args, field, inputs, certs):
 
 
 def _deformation(args, field, inputs, certs):
-    return pipeline.deformation_experiment(
-        args.seed, args.steps, args.trials, bound=5, field=field
-    )
+    return pipeline.deformation_experiment(args.seed, args.steps, args.trials, field=field)
 
 
 def _reproduce_example(args, field, inputs, certs):
     return pipeline.reproduce_example(field)
 
 
+def _int(default: int | None) -> dict:
+    return dict(type=int, default=default)
+
+
 COMMON_FLAGS = {
     "--field": dict(default=None, help="rational | fp:<p>"),
-    "--seed": dict(type=int, default=0),
-    "--coeff-bound": dict(type=int, default=10),
-    "--kmax": dict(type=int, default=12),
-    "--trials": dict(type=int, default=5),
+    "--seed": _int(0),
     "--output": dict(choices=("json", "text"), default="text"),
-    "--nvars": dict(type=int, default=None),
 }
 
-_REQ = dict(required=True)
-POLY = {"--poly": _REQ}
-PAIR = {"-f": _REQ, "-q": _REQ}
-
-
-def _int(default: int) -> dict:
-    return dict(type=int, default=default)
+# own-flag groups, each given only to the commands that read it
+_REQ, _OPT = dict(required=True), dict(default=None)
+NVARS = {"--nvars": _int(None)}
+KMAX = {"--kmax": _int(DEFAULT_KMAX)}
+TRIALS = {"--trials": _int(DEFAULT_TRIALS)}
+DRAWS = {**TRIALS, "--coeff-bound": _int(DEFAULT_BOUND)}
+POLY = {"--poly": _REQ, **NVARS}
+PAIR = {"-f": _REQ, "-q": _REQ, **NVARS}
 
 
 # name -> (the subcommand's own flags, handler); the common flags come first
 COMMANDS = {
     "milnor-dims": (POLY, _milnor_dims),
     "smooth": (POLY, _smooth),
-    "ci-smooth": (PAIR, _ci_smooth),
+    "ci-smooth": ({**PAIR, **KMAX}, _ci_smooth),
     "perp": ({**POLY, "--k": _int(3)}, _perp),
     "colon": ({**PAIR, "--k": _int(1)}, _colon),
     "extract-c": (PAIR, _extract_c),
@@ -269,15 +270,16 @@ COMMANDS = {
     "special-q": ({"--n": _int(4), "--d": _int(3)}, _special_q),
     "singular-search": ({**POLY, "--p": _int(7)}, _singular_search),
     "node-check": ({**POLY, "--point": _REQ}, _node_check),
-    "lefschetz": ({**POLY, "--ell": dict(default=None)}, _lefschetz),
-    "membership-u": (POLY, _membership_u),
+    "lefschetz": ({**POLY, "--ell": _OPT, **DRAWS}, _lefschetz),
+    "membership-u": ({**POLY, **DRAWS}, _membership_u),
     "construct-pair": (
-        {"-f": _REQ, "--g": dict(default=None), "--max-perturbations": _int(10)},
+        {"-f": _REQ, **NVARS, "--g": _OPT, "--max-perturbations": _int(pipeline.DEFAULT_BUDGET),
+         **DRAWS, **KMAX},
         _construct_pair,
     ),
-    "verify-corollary": (PAIR, _verify_corollary),
-    "theorem14": (POLY, _theorem14),
-    "deformation": ({"--steps": _int(4)}, _deformation),
+    "verify-corollary": ({**PAIR, **KMAX}, _verify_corollary),
+    "theorem14": ({**POLY, **DRAWS, **KMAX}, _theorem14),
+    "deformation": ({"--steps": _int(4), **TRIALS}, _deformation),
     "reproduce-example": ({}, _reproduce_example),
 }
 SUBCOMMANDS = tuple(COMMANDS)
@@ -306,8 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parameters(args) -> dict:
-    # inputs are digested separately; flags only here
-    skip = {"command", "output", "field", *TEXT_FLAGS}
+    # inputs are digested separately, field and seed sit in the envelope
+    skip = {"command", "output", "field", "seed", *TEXT_FLAGS}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
 
 

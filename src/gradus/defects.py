@@ -21,7 +21,7 @@ from .errors import (
     PreconditionError,
     RangeError,
 )
-from .jacobian import _common_zeros_mod, _reduce_mod, milnor_dim, smooth_reference_dims
+from .jacobian import _common_zeros_mod, _reduce_mod, milnor_dim, partials, smooth_reference_dims
 from .linalg import FieldConfig, Matrix, rank
 from .poly import Polynomial, monomials
 
@@ -156,11 +156,11 @@ def singular_points(f: Polynomial, candidates: PointSet) -> PointSet:
     """Subset of candidates where every first partial of F vanishes."""
     if candidates.nvars != f.nvars:
         raise AmbientMismatchError("point length != nvars")
-    partials = [f.partial(i) for i in range(f.nvars)]
+    derivs = partials(f)
     verified = [
         pt
         for pt in candidates.points
-        if all(p.evaluate(pt) == f.field.zero for p in partials)
+        if all(p.evaluate(pt) == f.field.zero for p in derivs)
     ]
     return PointSet(candidates.field, candidates.nvars, tuple(verified))
 
@@ -178,8 +178,7 @@ def brute_singular_search(f: Polynomial, p: int) -> PointSet:
         )
     field = FieldConfig.prime_field(p)
     f_mod = _reduce_mod(f, field)
-    partials = [f_mod.partial(i) for i in range(f.nvars)]
-    return PointSet(field, f.nvars, tuple(_common_zeros_mod(partials, f.nvars, p)))
+    return PointSet(field, f.nvars, tuple(_common_zeros_mod(partials(f_mod), f.nvars, p)))
 
 
 def is_node(f: Polynomial, point) -> bool:

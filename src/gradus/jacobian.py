@@ -208,24 +208,28 @@ def _require_homogeneous(p: Polynomial, what: str) -> int:
 # ---------------------------------------------------------------------------
 # Jacobian ideal pieces and Milnor dimensions
 
+def partials(f: Polynomial) -> list:
+    """The first partials of F, d/dx_0 F, ..., d/dx_{nvars-1} F."""
+    return [f.partial(i) for i in range(f.nvars)]
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def jacobian_graded(f: Polynomial, k: int) -> GradedSubspace:
     """Degree-k piece of the ideal of first partials, canonical basis."""
     _require_homogeneous(f, "F")
-    rows = _integer_rows([f.partial(i) for i in range(f.nvars)], k)
-    return span(f.field, f.nvars, k, f.family, rows)
+    return span(f.field, f.nvars, k, f.family, _integer_rows(partials(f), k))
 
 
 def milnor_dim(f: Polynomial, k: int) -> int:
     return graded_dim(f.nvars, k) - jacobian_graded(f, k).dim
 
 
-def milnor_profile(f: Polynomial, k_max: int | None = None) -> MilnorProfile:
+def milnor_profile(f: Polynomial) -> MilnorProfile:
+    """dim (S/J_F)_k for k = 0, ..., max(T, 0), T = nvars*(d-2); for smooth F
+    these are `smooth_reference_dims`, and S/J_F vanishes above T."""
     d = _require_homogeneous(f, "F")
     t = f.nvars * (d - 2)
-    if k_max is None:
-        k_max = max(t, 0)
-    dims = tuple(milnor_dim(f, k) for k in range(k_max + 1))
+    dims = tuple(milnor_dim(f, k) for k in range(max(t, 0) + 1))
     return MilnorProfile(f.nvars, d, t, dims)
 
 
@@ -299,7 +303,11 @@ def is_smooth_hypersurface(f: Polynomial) -> SmoothnessCertificate:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _smoothness_of_class(f: Polynomial) -> SmoothnessCertificate:
-    """`is_smooth_hypersurface` of a normalized F."""
+    """`is_smooth_hypersurface` of a normalized F.  `projective_empty` of the
+    nonzero partials up to t1 = T+1 certifies exactly when h_{t1} = 0 mod p:
+    fullness is monotone, t1 = nvars*(d-2) + 1 >= d - 1 (the partials'
+    degree), and d != 0 in the field, so d*F = sum x_i dF/dx_i (Euler) makes
+    some partial nonzero."""
     d = f.degree()
     if d < 1:
         raise PreconditionError("constant polynomial defines no hypersurface")
@@ -309,32 +317,27 @@ def _smoothness_of_class(f: Polynomial) -> SmoothnessCertificate:
     field = f.field
     if not field.is_rational and field.modulus <= d:
         raise CharacteristicError(f"smoothness check at degree {d} needs p > {d}")
-    p = DEFAULT_PRIME if field.is_rational else field.modulus
-    partials = [f.partial(i) for i in range(nvars)]
-    full_mod_p = _ideal_full_mod(partials, t1, p)
+    derivs = partials(f)
+    sweep = projective_empty([g for g in derivs if not g.is_zero()], t1)
 
-    if not field.is_rational:
-        if full_mod_p:
-            return SmoothnessCertificate(
-                "smooth", t1, field.descriptor(), False,
-                note="full Jacobian rank; certifies every integer lift",
-            )
+    if sweep.certified:
         return SmoothnessCertificate(
-            "inconclusive", t1, field.descriptor(), False,
+            "smooth", t1, sweep.field_used, field.is_rational,
+            note="modular fullness promoted to a rational certificate" if field.is_rational
+            else "full Jacobian rank; certifies every integer lift",
+        )
+    if not field.is_rational:
+        return SmoothnessCertificate(
+            "inconclusive", t1, sweep.field_used, False,
             note="modular rank deficiency; no rational lift available",
         )
-    if full_mod_p:
-        return SmoothnessCertificate(
-            "smooth", t1, f"fp:{p}", True,
-            note="modular fullness promoted to a rational certificate",
-        )
     # exact fallback: rational rank decides
-    _, _, rk = rref(Matrix(field, _integer_rows(partials, t1), target))
+    _, _, rk = rref(Matrix(field, _integer_rows(derivs, t1), target))
     if rk == target:
         return SmoothnessCertificate("smooth", t1, "rational", False)
     witness = None
     if nvars <= 5:
-        witness = next(_common_zeros_mod(partials + [f], nvars, DEFAULT_SEARCH_PRIME), None)
+        witness = next(_common_zeros_mod(derivs + [f], nvars, DEFAULT_SEARCH_PRIME), None)
     return SmoothnessCertificate(
         "singular", t1, "rational", False, witness,
         note=(
@@ -457,14 +460,6 @@ def _quotient_dims_mod(gens, p: int):
         nf[off] = _mod(refs[:, free] - _matmul_mod(refs[:, pivots], rref_free, p, dtype), p)
 
 
-def _ideal_full_mod(gens, k: int, p: int) -> bool:
-    """Whether the ideal of `gens` is full in degree k mod p; it stops at the
-    first full degree, since fullness is monotone."""
-    for j, h in _quotient_dims_mod(gens, p):
-        if h == 0 or j == k:
-            return h == 0
-
-
 def projective_empty(generators, k_max: int = DEFAULT_KMAX) -> EmptinessResult:
     """Sweep degrees for fullness of the generated ideal.
 
@@ -495,10 +490,10 @@ def ci_smooth(
     f: Polynomial,
     q: Polynomial,
     k_max: int = DEFAULT_KMAX,
-    allow_general: bool = False,
     falsify: bool = True,
 ) -> SmoothnessCertificate:
-    """Jacobian-criterion certificate for the complete intersection {F=Q=0}.
+    """Jacobian-criterion certificate for the complete intersection {F=Q=0}
+    of a cubic F and a quadric Q in 5 variables (any other is rejected).
 
     The generator set is {F, Q} plus the 2x2 minors of the Jacobian matrix of
     (F, Q); an empty projective zero locus of that system is exactly
@@ -508,17 +503,14 @@ def ci_smooth(
     df = _require_homogeneous(f, "F")
     dq = _require_homogeneous(q, "Q")
     _require_same_ring(f, q)
-    if not allow_general and (f.nvars, df, dq) != (5, 3, 2):
-        raise PreconditionError(
-            "expected the cubic/quadric configuration in 5 variables; "
-            "pass allow_general to override"
-        )
+    if (f.nvars, df, dq) != (5, 3, 2):
+        raise PreconditionError("expected the cubic/quadric configuration in 5 variables")
     gens = [f, q]
-    for i in range(f.nvars):
-        for j in range(i + 1, f.nvars):
-            minor = f.partial(i) * q.partial(j) - f.partial(j) * q.partial(i)
-            if not minor.is_zero():
-                gens.append(minor)
+    fd, qd = partials(f), partials(q)
+    for i, j in itertools.combinations(range(f.nvars), 2):
+        minor = fd[i] * qd[j] - fd[j] * qd[i]
+        if not minor.is_zero():
+            gens.append(minor)
     sweep = projective_empty(gens, k_max)
     if sweep.certified:
         return SmoothnessCertificate(

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionError, ZeroPolynomialError, require_positive
-from .jacobian import _multiplication_matrix, jacobian_graded, require_smooth
-from .linalg import Matrix, SeedStream, child_seed, rank
+from .jacobian import _multiplication_matrix, _require_same_ring, jacobian_graded, require_smooth
+from .linalg import DEFAULT_BOUND, DEFAULT_TRIALS, Matrix, SeedStream, child_seed, rank
 from .poly import Polynomial, random_linear_form
 
 
@@ -62,12 +62,12 @@ class SlpSearchResult:
 
 def mult_map(f: Polynomial, g: Polynomial, j: int) -> Matrix:
     """Matrix of multiplication by g from the degree-j quotient piece to the
-    degree-(j + deg g) piece, in the canonical complement-monomial bases."""
+    degree-(j + deg g) piece, in the canonical complement-monomial bases.
+    g must be homogeneous and live in F's ring: same field, nvars and family."""
     require_smooth(f)
     if g.is_zero():
         raise ZeroPolynomialError("multiplier must be nonzero")
-    if not g.is_homogeneous():
-        raise PreconditionError("multiplier must be homogeneous")
+    _require_same_ring(f, g)
     src = jacobian_graded(f, j).complement_columns
     return _multiplication_matrix(g, jacobian_graded(f, j + g.homogeneous_degree()), src)
 
@@ -96,7 +96,7 @@ def slp_check(f: Polynomial, ell: Polynomial) -> LefschetzProfile:
 
 
 def slp_search(
-    f: Polynomial, trials: int = 5, seed: int = 0, bound: int = 10
+    f: Polynomial, trials: int = DEFAULT_TRIALS, seed: int = 0, bound: int = DEFAULT_BOUND
 ) -> SlpSearchResult:
     """First linear form (in deterministic seed order) with a full profile.
 

@@ -237,6 +237,11 @@ def child_seed(seed: int, index: int) -> int:
     return _mix64((seed ^ ((index + 1) * _MIX & MASK64)) & MASK64)
 
 
+# defaults of a seeded random search: its trials and its coefficient bound
+DEFAULT_TRIALS = 5
+DEFAULT_BOUND = 10
+
+
 def random_scalar(field: FieldConfig, stream: SeedStream, bound: int):
     """Rational mode: uniform integer in [-bound, bound]; F_p: uniform residue."""
     require_positive(bound=bound)
@@ -698,16 +703,14 @@ def rank(m: Matrix) -> int:
     return rref(m)[2]
 
 
-def rank_mod(int_rows: Sequence[Sequence[int]], ncols: int, p: int, target: int | None = None) -> int:
-    """Rank of an integer matrix reduced mod p, capped at `target` if set:
-    the result equals `target` exactly when the rank is at least `target`.
+def rank_mod(int_rows: Sequence[Sequence[int]], ncols: int, p: int) -> int:
+    """Rank of an integer matrix reduced mod p.
 
     `int_rows` is a list of integer rows or an ndarray of residues in
     [0, p).  Full rank mod p implies full rank over the rationals for
     integer matrices.
     """
-    rk = len(_eliminate_mod(int_rows, ncols, p)[1])
-    return rk if target is None else min(rk, target)
+    return len(_eliminate_mod(int_rows, ncols, p)[1])
 
 
 def _null_vectors(field: FieldConfig, rows, pivots, ncols: int) -> list:

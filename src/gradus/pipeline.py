@@ -41,15 +41,20 @@ from .errors import (
     require_positive,
 )
 from .jacobian import (
+    DEFAULT_KMAX,
     SmoothnessCertificate,
     ci_smooth,
     is_smooth_hypersurface,
     jacobian_graded,
     milnor_dim,
+    partials,
     smooth_reference_dims,
 )
 from .lefschetz import mult_map
 from .linalg import (
+    DEFAULT_BOUND,
+    DEFAULT_TRIALS,
+    FieldConfig,
     Matrix,
     SeedStream,
     child_seed,
@@ -68,10 +73,9 @@ from .poly import (
     random_poly,
 )
 
-DEFAULT_TRIALS = 5
-DEFAULT_BOUND = 10
-DEFAULT_KMAX = 12
 DEFAULT_BUDGET = 10
+# coefficient bound of the deformation direction R
+DEFORMATION_BOUND = 5
 
 
 @dataclass(frozen=True)
@@ -215,12 +219,12 @@ def construct_pair(
     y_cert = ci_smooth(f, q, kmax, falsify=False)
     perturbations = 0
     if not y_cert.is_smooth:
-        partials = [f.partial(i) for i in range(f.nvars)]
+        derivs = partials(f)
         found = False
         for i in range(max_perturbations):
             stream = SeedStream(child_seed(seed, i))
             pert = Polynomial.zero(field, f.nvars, f.family)
-            for p in partials:
+            for p in derivs:
                 pert = pert + p.scale(random_scalar(field, stream, bound))
             cand = q_base + pert
             cand_cert = ci_smooth(f, cand, kmax, falsify=False)
@@ -396,26 +400,24 @@ def deformation_experiment(
     seed: int = 0,
     steps: int = 4,
     trials: int = DEFAULT_TRIALS,
-    bound: int = 5,
     field=None,
 ) -> dict:
-    """Walk F_t = (special nodal form) + t*R for t = 1, 1/2, ..., 1/steps.
+    """Walk F_t = (special nodal form) + t*R for t = 1, 1/2, ..., 1/steps, R a
+    smooth cubic with coefficients in [-DEFORMATION_BOUND, DEFORMATION_BOUND].
 
     Records smoothness, the perp dimension, membership of each F_t, and the
     drift of the perp toward the Fermat direction (distance recorded as data,
     never asserted).
     """
-    from .linalg import FieldConfig
-
     if field is None:
         field = FieldConfig.rationals()
     if not field.is_rational:
         raise PreconditionError("the deformation sweep runs over exact rationals")
-    require_positive(steps=steps, trials=trials, bound=bound)
+    require_positive(steps=steps, trials=trials)
     q0 = special_q(field, 4, 3)
     stream = SeedStream(child_seed(seed, 0))
     while True:
-        r = random_poly(field, stream, 5, 3, bound)
+        r = random_poly(field, stream, 5, 3, DEFORMATION_BOUND)
         if not r.is_zero() and is_smooth_hypersurface(r).is_smooth:
             break
     fermat_dual = fermat_form(field, 5, 3, family="y")
@@ -433,7 +435,7 @@ def deformation_experiment(
             dist_sq = _distance_sq_to_subspace(perp.basis, fermat_vec)
             rec["fermat_distance_sq"] = str(dist_sq)
             rec["fermat_distance_float"] = float(dist_sq) ** 0.5
-            um = membership_u(f_t, trials, child_seed(seed, s), bound=DEFAULT_BOUND)
+            um = membership_u(f_t, trials, child_seed(seed, s))
             rec["membership"] = um.verdict
             rec["membership_trials"] = um.trials_used
             if um.in_u:
@@ -454,8 +456,6 @@ def deformation_experiment(
 
 def reproduce_example(field=None) -> dict:
     """Run every fixed-value check for the special nodal form in 5 variables."""
-    from .linalg import FieldConfig
-
     if field is None:
         field = FieldConfig.rationals()
     q = special_q(field, 4, 3)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .linalg import format_scalar
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 def to_jsonable(value):

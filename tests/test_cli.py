@@ -176,45 +176,46 @@ def test_reproduce_example_cli(capsys):
 
 def test_reports_carry_digests_and_schema(capsys):
     rep = run_json(capsys, "smooth", "--poly", FERMAT)
-    assert rep["report"]["schema_version"] == "1"
+    assert rep["report"]["schema_version"] == "2"
     assert rep["report"]["inputs"]["poly"].startswith("sha256:")
     assert rep["report"]["command"] == "smooth"
     assert "wall_time_ms" in rep
 
 
-COMMON = {
-    "field": None,
-    "seed": 0,
-    "coeff_bound": 10,
-    "kmax": 12,
-    "trials": 5,
-    "output": "text",
-    "nvars": None,
-}
+COMMON = {"field": None, "seed": 0, "output": "text"}
+
+# the own-flag groups, as dests after parsing their defaults
+NV = {"nvars": None}
+KM = {"kmax": 12}
+TR = {"trials": 5}
+DR = {**TR, "coeff_bound": 10}
 
 # subcommand -> (required flags, the subcommand's own dests after parsing them)
 PARSER_SURFACE = {
-    "milnor-dims": (("--poly", "P"), {"poly": "P"}),
-    "smooth": (("--poly", "P"), {"poly": "P"}),
-    "ci-smooth": (("-f", "F", "-q", "Q"), {"f": "F", "q": "Q"}),
-    "perp": (("--poly", "P"), {"poly": "P", "k": 3}),
-    "colon": (("-f", "F", "-q", "Q"), {"f": "F", "q": "Q", "k": 1}),
-    "extract-c": (("-f", "F", "-q", "Q"), {"f": "F", "q": "Q"}),
-    "socle-pairing": (("--poly", "P"), {"poly": "P", "j": 2}),
+    "milnor-dims": (("--poly", "P"), {"poly": "P", **NV}),
+    "smooth": (("--poly", "P"), {"poly": "P", **NV}),
+    "ci-smooth": (("-f", "F", "-q", "Q"), {"f": "F", "q": "Q", **NV, **KM}),
+    "perp": (("--poly", "P"), {"poly": "P", **NV, "k": 3}),
+    "colon": (("-f", "F", "-q", "Q"), {"f": "F", "q": "Q", **NV, "k": 1}),
+    "extract-c": (("-f", "F", "-q", "Q"), {"f": "F", "q": "Q", **NV}),
+    "socle-pairing": (("--poly", "P"), {"poly": "P", **NV, "j": 2}),
     "defect": (("--points", "PTS"), {"points": "PTS", "k": 1}),
     "lemma-defect": (
         ("--poly", "P", "--points", "PTS"),
-        {"poly": "P", "points": "PTS", "k": 0},
+        {"poly": "P", **NV, "points": "PTS", "k": 0},
     ),
     "special-q": ((), {"n": 4, "d": 3}),
-    "singular-search": (("--poly", "P"), {"poly": "P", "p": 7}),
-    "node-check": (("--poly", "P", "--point", "PT"), {"poly": "P", "point": "PT"}),
-    "lefschetz": (("--poly", "P"), {"poly": "P", "ell": None}),
-    "membership-u": (("--poly", "P"), {"poly": "P"}),
-    "construct-pair": (("-f", "F"), {"f": "F", "g": None, "max_perturbations": 10}),
-    "verify-corollary": (("-f", "F", "-q", "Q"), {"f": "F", "q": "Q"}),
-    "theorem14": (("--poly", "P"), {"poly": "P"}),
-    "deformation": ((), {"steps": 4}),
+    "singular-search": (("--poly", "P"), {"poly": "P", **NV, "p": 7}),
+    "node-check": (("--poly", "P", "--point", "PT"), {"poly": "P", **NV, "point": "PT"}),
+    "lefschetz": (("--poly", "P"), {"poly": "P", **NV, "ell": None, **DR}),
+    "membership-u": (("--poly", "P"), {"poly": "P", **NV, **DR}),
+    "construct-pair": (
+        ("-f", "F"),
+        {"f": "F", **NV, "g": None, "max_perturbations": 10, **DR, **KM},
+    ),
+    "verify-corollary": (("-f", "F", "-q", "Q"), {"f": "F", "q": "Q", **NV, **KM}),
+    "theorem14": (("--poly", "P"), {"poly": "P", **NV, **DR, **KM}),
+    "deformation": ((), {"steps": 4, **TR}),
     "reproduce-example": ((), {}),
 }
 
@@ -270,3 +271,37 @@ def test_readme_lists_the_command_table():
             for flag, kw in COMMANDS[name][0].items()
         ]
         assert documented == expected, name
+
+
+def test_commands_reject_flags_they_do_not_read(capsys):
+    # each flag below belongs to other commands only: a usage error here
+    for argv in (
+        ("defect", "--points", "1,0;0,1", "--kmax", "5", "--nvars", "9"),
+        ("deformation", "--coeff-bound", "3"),
+        ("smooth", "--poly", FERMAT, "--trials", "2"),
+        ("special-q", "--nvars", "5"),
+        ("lefschetz", "--poly", FERMAT, "--kmax", "12"),
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1 and "unrecognized arguments" in err, (argv, code, err)
+
+
+def test_parameters_hold_only_the_commands_own_flags():
+    """Each pinned report's parameters are its command's own non-text dests
+    as parsed (an unset --nvars left out); field and seed sit in the
+    envelope.  Criterion 9 pins tests/golden to the CLI's output."""
+    from pathlib import Path
+
+    from gradus.cli import COMMANDS, TEXT_FLAGS, build_parser
+
+    from .test_acceptance import CLI_CASES, criterion_9_argv
+
+    golden = Path(__file__).with_name("golden")
+    parser = build_parser()
+    for case in CLI_CASES:
+        rep = json.loads((golden / f"{case[0]}.json").read_text(encoding="utf-8"))
+        parsed = vars(parser.parse_args(criterion_9_argv(case)))
+        own = {flag.lstrip("-").replace("-", "_") for flag in COMMANDS[case[0]][0]}
+        want = {k: parsed[k] for k in own - TEXT_FLAGS if parsed[k] is not None}
+        assert rep["parameters"] == want, case[0]
+        assert (rep["field"], rep["seed"]) == ("rational", parsed["seed"]), case[0]

@@ -12,7 +12,8 @@ from gradus import (
     slp_check,
     slp_search,
 )
-from gradus.errors import PreconditionError, ZeroPolynomialError
+from gradus.cli import main
+from gradus.errors import AmbientMismatchError, PreconditionError, ZeroPolynomialError
 from gradus.poly import monomials
 
 QQ = FieldConfig.rationals()
@@ -50,6 +51,23 @@ def test_mult_map_rejects_zero_and_singular(smooth_cubics, special_cubic):
         mult_map(f, Polynomial.zero(QQ, 5), 1)
     with pytest.raises(PreconditionError):
         mult_map(special_cubic, _linear([1, 0, 0, 0, 0]), 1)
+
+
+def test_mult_map_and_slp_check_reject_another_ring(smooth_cubics, capsys):
+    f = smooth_cubics[0]
+    others = (
+        parse_poly("y0+y1+y2+y3+y4", QQ),  # the dual family
+        parse_poly("x0+x1", QQ),  # 2 variables
+        parse_poly("x0+x1", FieldConfig.prime_field(7), nvars=5),
+    )
+    for g in others:
+        with pytest.raises(AmbientMismatchError):
+            mult_map(f, g, 1)
+        with pytest.raises(AmbientMismatchError):
+            slp_check(f, g)
+    fermat = "x0^3+x1^3+x2^3+x3^3+x4^3"
+    assert main(["lefschetz", "--poly", fermat, "--ell", "y0+y1+y2+y3+y4"]) == 2
+    assert "different rings" in capsys.readouterr().err
 
 
 def test_slp_check_random_smooth(smooth_cubics):

@@ -275,14 +275,10 @@ def int_matrices(draw, dense_pivots=False):
 
 
 @settings(max_examples=150, deadline=None)
-@given(int_matrices(dense_pivots=True), st.sampled_from(ELIMINATION_PRIMES), st.data())
-def test_rank_mod_matches_oracle_with_and_without_target(matrix, p, data):
+@given(int_matrices(dense_pivots=True), st.sampled_from(ELIMINATION_PRIMES))
+def test_rank_mod_matches_oracle(matrix, p):
     rows, ncols = matrix
-    true_rank = naive_rank_mod(rows, p)
-    assert rank_mod(rows, ncols, p) == true_rank
-    target = data.draw(st.integers(0, ncols + 1))
-    # contract: the result equals target exactly when the rank reaches it
-    assert (rank_mod(rows, ncols, p, target=target) == target) == (true_rank >= target)
+    assert rank_mod(rows, ncols, p) == naive_rank_mod(rows, p)
 
 
 @settings(max_examples=100, deadline=None)
@@ -345,7 +341,6 @@ def test_rref_and_rank_mod_on_full_rank_jacobian_piece():
     assert red.rows[:210] == Matrix.identity(FP, 210).rows
     assert all(not any(r) for r in red.rows[210:])
     assert rank_mod(rows, 210, 10007) == 210
-    assert rank_mod(rows, 210, 10007, target=210) == 210
 
 
 def assert_rref_matches_oracle(rows, ncols):
