@@ -239,7 +239,7 @@ def annihilator_quadric(f: Polynomial, g_dual: Polynomial) -> Polynomial:
 
 def colon_graded(f: Polynomial, q: Polynomial, k: int) -> GradedSubspace:
     """{a of degree k : a*q lies in the Jacobian ideal piece of degree k+deg q}."""
-    _require_same_ring(f, q)
+    _require_same_ring(f, q, "Q")
     field = f.field
     nvars = f.nvars
     if q.is_zero():
@@ -256,7 +256,7 @@ def colon_graded(f: Polynomial, q: Polynomial, k: int) -> GradedSubspace:
 def extract_c(f: Polynomial, q: Polynomial) -> CubicC:
     """Normalized generator of the perp line of (J_F : Q) in degree deg F."""
     lam = socle_functional(f)
-    _require_same_ring(f, q)
+    _require_same_ring(f, q, "Q")
     field = f.field
     d = f.homogeneous_degree()
     e = q.degree()

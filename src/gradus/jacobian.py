@@ -26,6 +26,23 @@ the free columns of the rref of the relations are N_k, and h_k is
 graded_dim - (rank mod p of the degree-k Macaulay matrix), as a full
 elimination would give.  The promotion argument is untouched: h_k = 0 mod p
 means the Macaulay matrix has full rank mod p, hence over the rationals.
+
+Milnor dimensions and hypersurface smoothness read one sweep per projective
+class: h_0, ..., h_{T+1} of the partials of F mod p (DEFAULT_PRIME over the
+rationals), cached on `f.normalized()` (`_milnor_sweep`).  Over F_p the
+sweep runs in the field itself, so every h_k is dim (S/J_F)_k.  Over the
+rationals h_k is exact wherever it equals the smooth reference,
+`smooth_reference_dims(n, d)[k]` (0 past T), because that reference is a
+lower bound and h_k an upper one:
+- dim_Q (S/J_F)_k <= h_k: the rank of an integer matrix mod p is at most
+  its rank over the rationals;
+- dim_Q (S/J_F)_k >= ref_k: the degree-k Macaulay matrix of the partials
+  has entries linear in F's coefficients, so its rank is at most its rank
+  for generic F.  That generic rank is reached on a dense open set of
+  forms, which meets the dense open set of smooth ones; there the partials
+  form a regular sequence and S/J_F has the complete-intersection series
+  ((1 - t^(d-1))/(1 - t))^n (Stanley, Adv. Math. 28, 1978).
+Any other degree takes the exact route, graded_dim - dim J_k by rref.
 """
 
 from __future__ import annotations
@@ -190,11 +207,11 @@ def projective_points(nvars: int, p: int):
             yield (0,) * pivot + (1,) + tail
 
 
-def _require_same_ring(f: Polynomial, q: Polynomial):
+def _require_same_ring(f: Polynomial, q: Polynomial, what: str):
     if not q.is_homogeneous():
-        raise PreconditionError("polynomial must be homogeneous")
+        raise PreconditionError(f"{what} must be homogeneous")
     if q.nvars != f.nvars or q.field != f.field or q.family != f.family:
-        raise AmbientMismatchError("F and Q live in different rings")
+        raise AmbientMismatchError(f"F and {what} live in different rings")
 
 
 def _require_homogeneous(p: Polynomial, what: str) -> int:
@@ -220,7 +237,23 @@ def jacobian_graded(f: Polynomial, k: int) -> GradedSubspace:
     return span(f.field, f.nvars, k, f.family, _integer_rows(partials(f), k))
 
 
+@lru_cache(maxsize=CACHE_SIZE)
+def _milnor_sweep(f: Polynomial) -> tuple:
+    """h_0, ..., h_{T+1} mod p of the partials of a normalized F of degree >= 1."""
+    p = DEFAULT_PRIME if f.field.is_rational else f.field.modulus
+    sweep = _quotient_dims_mod(partials(f), p)
+    return tuple(h for _, h in itertools.islice(sweep, max(f.nvars * (f.degree() - 2) + 2, 1)))
+
+
 def milnor_dim(f: Polynomial, k: int) -> int:
+    """dim (S/J_F)_k, off the sweep of F's class where exact, else by rref."""
+    d = _require_homogeneous(f, "F")
+    if d >= 2 and k >= 0:  # past T+1 the sweep's last h decides only when it is 0
+        hs = _milnor_sweep(f.normalized())
+        j = min(k, len(hs) - 1)
+        ref = smooth_reference_dims(f.nvars, d) + [0] if f.field.is_rational else hs
+        if hs[j] == ref[j] and (j == k or hs[j] == 0):
+            return hs[j]
     return graded_dim(f.nvars, k) - jacobian_graded(f, k).dim
 
 
@@ -291,11 +324,11 @@ def is_smooth_hypersurface(f: Polynomial) -> SmoothnessCertificate:
 
     Rational inputs always get a conclusive smooth/singular verdict; prime
     field inputs get smooth (which certifies every integer lift) or
-    inconclusive.  Both first decide fullness modulo a prime: DEFAULT_PRIME
-    over the rationals, the field's own modulus over F_p.  The certificate
-    depends only on the projective class of F (ranks and the witness scan
-    read F and its partials up to scale), so it is computed and cached once
-    per class, on `f.normalized()`.
+    inconclusive.  Both first decide fullness modulo a prime, DEFAULT_PRIME
+    over the rationals and the field's own modulus over F_p, in the sweep of
+    F's class.  Ranks and the witness scan read F and its partials up to
+    scale, so the certificate too is cached once per class, on
+    `f.normalized()`.
     """
     _require_homogeneous(f, "F")
     return _smoothness_of_class(f.normalized())
@@ -303,11 +336,8 @@ def is_smooth_hypersurface(f: Polynomial) -> SmoothnessCertificate:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _smoothness_of_class(f: Polynomial) -> SmoothnessCertificate:
-    """`is_smooth_hypersurface` of a normalized F.  `projective_empty` of the
-    nonzero partials up to t1 = T+1 certifies exactly when h_{t1} = 0 mod p:
-    fullness is monotone, t1 = nvars*(d-2) + 1 >= d - 1 (the partials'
-    degree), and d != 0 in the field, so d*F = sum x_i dF/dx_i (Euler) makes
-    some partial nonzero."""
+    """`is_smooth_hypersurface` of a normalized F: certified when the class's
+    sweep has h_{T+1} = 0 mod p."""
     d = f.degree()
     if d < 1:
         raise PreconditionError("constant polynomial defines no hypersurface")
@@ -318,17 +348,17 @@ def _smoothness_of_class(f: Polynomial) -> SmoothnessCertificate:
     if not field.is_rational and field.modulus <= d:
         raise CharacteristicError(f"smoothness check at degree {d} needs p > {d}")
     derivs = partials(f)
-    sweep = projective_empty([g for g in derivs if not g.is_zero()], t1)
+    field_used = f"fp:{DEFAULT_PRIME if field.is_rational else field.modulus}"
 
-    if sweep.certified:
+    if _milnor_sweep(f)[t1] == 0:
         return SmoothnessCertificate(
-            "smooth", t1, sweep.field_used, field.is_rational,
+            "smooth", t1, field_used, field.is_rational,
             note="modular fullness promoted to a rational certificate" if field.is_rational
             else "full Jacobian rank; certifies every integer lift",
         )
     if not field.is_rational:
         return SmoothnessCertificate(
-            "inconclusive", t1, sweep.field_used, False,
+            "inconclusive", t1, field_used, False,
             note="modular rank deficiency; no rational lift available",
         )
     # exact fallback: rational rank decides
@@ -502,7 +532,7 @@ def ci_smooth(
     """
     df = _require_homogeneous(f, "F")
     dq = _require_homogeneous(q, "Q")
-    _require_same_ring(f, q)
+    _require_same_ring(f, q, "Q")
     if (f.nvars, df, dq) != (5, 3, 2):
         raise PreconditionError("expected the cubic/quadric configuration in 5 variables")
     gens = [f, q]

@@ -67,7 +67,7 @@ def mult_map(f: Polynomial, g: Polynomial, j: int) -> Matrix:
     require_smooth(f)
     if g.is_zero():
         raise ZeroPolynomialError("multiplier must be nonzero")
-    _require_same_ring(f, g)
+    _require_same_ring(f, g, "the multiplier")
     src = jacobian_graded(f, j).complement_columns
     return _multiplication_matrix(g, jacobian_graded(f, j + g.homogeneous_degree()), src)
 
@@ -77,6 +77,7 @@ def slp_check(f: Polynomial, ell: Polynomial) -> LefschetzProfile:
     require_smooth(f)
     if ell.is_zero():
         raise ZeroPolynomialError("linear form must be nonzero")
+    _require_same_ring(f, ell, "the linear form ell")
     if ell.homogeneous_degree() != 1:
         raise PreconditionError("multiplier must be a linear form")
     d = f.homogeneous_degree()

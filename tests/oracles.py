@@ -9,7 +9,8 @@ quotient dimensions from whole Macaulay matrices, where the library's
 fullness sweeps go degree by degree from normal forms, and the perp and
 the socle functional through `kernel`, the perp checked by its involution,
 where the library reads both off rref null vectors and checks one pairing
-product.
+product, and Milnor dimensions from the rref of the generator rows, where
+the library reads them off its modular sweep.
 
 These deliberately avoid the library's elimination code paths (modular
 images, quotient shortcuts) so agreement is meaningful.
@@ -357,6 +358,11 @@ def product_rows(gens, k: int) -> list:
 def jacobian_rows(f: Polynomial, k: int) -> list:
     """Generator rows x^m * dF/dx_i of the degree-k Jacobian piece."""
     return product_rows([f.partial(i) for i in range(f.nvars)], k)
+
+
+def milnor_dims_by_rref(f: Polynomial, k: int) -> int:
+    """dim (S/J_F)_k: graded_dim less the rank of the rows x^m * dF/dx_i."""
+    return graded_dim(f.nvars, k) - span(f.field, f.nvars, k, f.family, jacobian_rows(f, k)).dim
 
 
 def contract_by_index_loop(lam, h: Polynomial) -> list:

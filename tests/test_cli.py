@@ -142,6 +142,20 @@ def test_lefschetz_with_explicit_witness(capsys):
     assert rep["report"]["results"]["verdict"] is True
 
 
+def test_ring_mismatch_names_the_operands_passed(capsys):
+    # a multiplier from another ring is a precondition failure (exit 2)
+    # whose message names what the command was given
+    for argv, message in (
+        (("lefschetz", "--poly", FERMAT, "--ell", "y0+y1+y2+y3+y4"),
+         "F and the linear form ell live in different rings"),
+        (("lefschetz", "--poly", FERMAT, "--ell", "x0^2+x1"), "the linear form ell must be homogeneous"),
+        (("colon", "-f", FERMAT, "-q", "y0*y1+y2^2"), "F and Q live in different rings"),
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2, (argv, code, err)
+        assert err.strip() == f"gradus: {message}", argv
+
+
 def test_membership_u_honest_negative_for_fermat(capsys):
     # every perp element of this form is supported on squarefree monomials,
     # hence singular at the coordinate points: not_certified is correct

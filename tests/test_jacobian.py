@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gradus import (
+    DEFAULT_PRIME,
     FieldConfig,
     Polynomial,
     SeedStream,
@@ -21,19 +22,23 @@ from gradus import (
     parse_poly,
     projective_empty,
     random_poly,
+    random_scalar,
     smooth_reference_dims,
     span,
+    special_q,
 )
+from gradus import jacobian, linalg
 from gradus.errors import PreconditionError, ZeroPolynomialError
 from gradus.jacobian import (
     _integer_rows,
+    _milnor_sweep,
     _quotient_dims_mod,
     _shifted_rows,
     _smoothness_of_class,
 )
 from gradus.linalg import _primitive
 
-from .oracles import macaulay_quotient_dim, product_rows
+from .oracles import macaulay_quotient_dim, milnor_dims_by_rref, product_rows
 from .test_linalg import ELIMINATION_PRIMES
 
 QQ = FieldConfig.rationals()
@@ -340,3 +345,134 @@ def test_ci_smooth_degree_is_the_first_full_macaulay_degree(u_pairs):
     for j in (1, 3, k - 1, k):
         assert dims[j] == macaulay_quotient_dim(gens, j, 10007), j
     assert dims[k - 1] > 0 and dims[k] == 0
+
+
+# ---------------------------------------------------------------------------
+# Milnor dimensions from the sweep, against the rref route (tests/oracles.py)
+
+
+def _sheared(f, src, s):
+    """F with x_i -> x_i + s_i * x_src for every i != src."""
+    field, n = f.field, f.nvars
+    x = [Polynomial.variable(field, n, i) for i in range(n)]
+    image = [xi if i == src else xi + x[src].scale(field.coerce(s[i])) for i, xi in enumerate(x)]
+    out = Polynomial.zero(field, n)
+    for m, c in f.terms.items():
+        term = Polynomial.constant(field, n, c)
+        for xi, e in zip(image, m):
+            term = term * xi.pow(e)
+        out = out + term
+    return out
+
+
+@st.composite
+def milnor_forms(draw):
+    """F of degree 2 in 3-5 variables, 3 in 3-4 or 4 in 3, over Q, F_10007 or
+    F_p with p <= d: a dense draw; a survey-style nodal draw (no monomial of
+    x0-degree >= d-1, so e0 is singular, then sheared off e0); the special
+    cubic; a form without x_{n-1} (a zero partial), or that form sheared
+    along x_{n-1} (a cone with no zero partial).  Over Q, sometimes plus
+    DEFAULT_PRIME times a dense draw: then F is smooth for most draws, but
+    the sweep modulo DEFAULT_PRIME still sees the singular form."""
+    nvars, d = draw(st.sampled_from(((3, 2), (4, 2), (5, 2), (3, 3), (4, 3), (3, 4))))
+    p = draw(st.sampled_from((None, 10007, *(q for q in (2, 3) if q <= d))))
+    field = QQ if p is None else FieldConfig.prime_field(p)
+    kinds = ["dense", "nodal", "zero_partial", "cone"] + ["special"] * (d == 3)
+    kind = draw(st.sampled_from(kinds))
+    stream = SeedStream(draw(st.integers(0, 2**32)))
+    s = [draw(st.sampled_from((-1, 1))) for _ in range(nvars)]
+
+    def form(keep):
+        return Polynomial(field, nvars, "x", {
+            m: random_scalar(field, stream, 5) for m in monomials(nvars, d) if keep(m)
+        })
+
+    if kind == "special":
+        f = special_q(field, nvars - 1, 3)
+    elif kind == "dense":
+        f = form(lambda m: True)
+    elif kind == "nodal":
+        f = _sheared(form(lambda m: m[0] < d - 1), 0, s)
+    else:
+        f = form(lambda m: m[-1] == 0)
+        if kind == "cone":
+            f = _sheared(f, nvars - 1, s)
+    if p is None and draw(st.booleans()):
+        f = f + form(lambda m: True).scale(DEFAULT_PRIME)
+    assume(not f.is_zero())
+    return f
+
+
+def _assert_milnor_dims_match_rref(f):
+    t = f.nvars * (f.degree() - 2)
+    expected = [milnor_dims_by_rref(f, k) for k in range(t + 3)]
+    assert list(milnor_profile(f).dims) == expected[: t + 1]
+    assert [milnor_dim(f, k) for k in range(t + 3)] == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(milnor_forms())
+def test_milnor_dims_match_rref_route(f):
+    _assert_milnor_dims_match_rref(f)
+
+
+def test_milnor_dims_match_rref_route_on_larger_forms(special_cubic):
+    # E3 has dim_5 = 5 against the reference 1.  F = p*x0^3 + x0*x4^2 +
+    # x1^3 + x2^3 + x3^3 + x4^3, p = DEFAULT_PRIME, is smooth, but modulo p
+    # it is singular at e0, so the sweep's bound is not exact from degree 3 on
+    lifted = parse_poly(f"{DEFAULT_PRIME}*x0^3 + x0*x4^2 + x1^3 + x2^3 + x3^3 + x4^3", QQ)
+    assert _milnor_sweep(lifted.normalized()) == (1, 5, 10, 11, 9, 8, 8)
+    cert = is_smooth_hypersurface(lifted)
+    assert cert.is_smooth and cert.field_used == "rational"
+    quartic = random_poly(FieldConfig.prime_field(10007), SeedStream(5), 4, 4, 5)
+    for f in (special_cubic, lifted, quartic):
+        _assert_milnor_dims_match_rref(f)
+
+
+def _clear_milnor_caches():
+    for cached in (_milnor_sweep, _smoothness_of_class, jacobian_graded):
+        cached.cache_clear()
+
+
+def test_milnor_profile_reads_the_sweep(monkeypatch, smooth_cubics, nodal_cubic, special_cubic):
+    # a smooth survey draw: is_smooth_hypersurface and milnor_profile run
+    # one sweep and no rational rref
+    rational_rrefs = []
+
+    def spy(m):
+        if m.field.is_rational:
+            rational_rrefs.append((m.nrows, m.ncols))
+        return rref(m)
+
+    rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref", spy)
+    monkeypatch.setattr(jacobian, "rref", spy)
+    _clear_milnor_caches()
+    f = smooth_cubics[1]
+    assert is_smooth_hypersurface(f).is_smooth
+    assert list(milnor_profile(f).dims) == smooth_reference_dims(5, 3)
+    assert rational_rrefs == []
+    assert jacobian_graded.cache_info().misses == 0
+    assert _milnor_sweep.cache_info().misses == 1
+    # a survey-style nodal draw: its node shows from degree T+1 = 6 on only
+    _clear_milnor_caches()
+    assert milnor_profile(nodal_cubic).dims == (1, 5, 10, 10, 5, 1)
+    assert rational_rrefs == []
+    assert [milnor_dims_by_rref(nodal_cubic, k) for k in range(6)] == [1, 5, 10, 10, 5, 1]
+    # E3: J_k is built only where h_k mod p differs from the reference
+    _clear_milnor_caches()
+    built = []
+    graded = jacobian.jacobian_graded
+
+    def record(g, k):
+        built.append(k)
+        return graded(g, k)
+
+    monkeypatch.setattr(jacobian, "jacobian_graded", record)
+    hs = _milnor_sweep(special_cubic.normalized())
+    ref = smooth_reference_dims(5, 3) + [0]
+    assert [k for k in range(6) if hs[k] != ref[k]] == [5]
+    assert milnor_profile(special_cubic).dims == (1, 5, 10, 10, 5, 5)
+    assert built == [5]
+    assert [milnor_dim(special_cubic, k) for k in (6, 7)] == [5, 5]
+    assert built == [5, 6, 7]
