@@ -54,7 +54,8 @@ class RangeError(PreconditionError):
 
 
 class BudgetExhaustedError(GradusError):
-    """A randomized search ran out of trials; reported, not a crash."""
+    """A randomized search ran out of trials, or a computation's estimated
+    work is above `linalg.WORK_BUDGET`; reported, not a crash."""
 
 
 class InternalInvariantError(GradusError):

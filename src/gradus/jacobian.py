@@ -43,6 +43,31 @@ lower bound and h_k an upper one:
   form a regular sequence and S/J_F has the complete-intersection series
   ((1 - t^(d-1))/(1 - t))^n (Stanley, Adv. Math. 28, 1978).
 Any other degree takes the exact route, graded_dim - dim J_k by rref.
+
+A rational F whose sweep ends in h_{T+1} = 1 is read for its singular
+point before any rational elimination, as zeros are read off the dual of
+the quotient (Auzinger-Stetter, ISNM 86, 1988; Mourrain, J. Pure Appl.
+Algebra 117-118, 1997).  The sweep keeps the degree-(T+1) normal form,
+v(m) = the coefficient of NF(m) on the one standard monomial, a functional
+that spans the annihilator of J_{T+1} mod p.
+- Why the read-off almost always succeeds: a singular point P of F over
+  Q-bar gives ev_P: m -> m(P), which vanishes on J_{T+1}, and distinct
+  points give independent functionals on S_{T+1}.  So h_{T+1} = 1 >=
+  dim_Q (S/J_F)_{T+1} leaves at most one singular point; Galois fixes it,
+  so it is rational.  Scaled to a primitive integer point, ev_{P mod p} is
+  nonzero and vanishes on J_{T+1} mod p, so v is a multiple of it, and
+  P_i/P_j = v(x_j^T x_i)/v(x_j^(T+1)) mod p for any j with
+  v(x_j^(T+1)) != 0.
+- The read-off (`_node_off_sweep`) lifts these ratios by rational
+  reconstruction and clears denominators to a primitive integer point.
+- Soundness rests on the exact check that F and its partials vanish at
+  that point, and on two rank bounds that make the certificate's rank exact
+  without an rref: rank_Q J_{T+1} <= target - 1, as ev_P is nonzero and
+  vanishes on J_{T+1}, and rank_Q >= rank_p = target - 1.
+- The check fails when F is smooth over Q (p divides its discriminant) or
+  when a ratio lies beyond reconstruction mod p (a numerator or denominator
+  above sqrt(p/2), about 70); the rational rref and the F_7 scan then
+  decide as before.
 """
 
 from __future__ import annotations
@@ -56,6 +81,7 @@ import numpy as np
 
 from .errors import (
     AmbientMismatchError,
+    BudgetExhaustedError,
     CharacteristicError,
     NotSmoothError,
     PreconditionError,
@@ -65,6 +91,7 @@ from .errors import (
 from .linalg import (
     CACHE_SIZE,
     DEFAULT_PRIME,
+    WORK_BUDGET,
     FieldConfig,
     GradedSubspace,
     Matrix,
@@ -72,6 +99,7 @@ from .linalg import (
     _elimination_dtype,
     _mod,
     _primitive,
+    _reconstruct,
     rref,
     span,
 )
@@ -106,7 +134,10 @@ class SmoothnessCertificate:
     modular certificates that are valid over the rationals.  A singular
     `ci_smooth` verdict rests on `witness_point`, a zero checked exactly in
     `field_used`; a singular hypersurface verdict rests on an exact rank,
-    its witness (if any) a point over F_7 named in the note.
+    its witness (if any) a singular point over F_7 named in the note: the
+    reduction of the exact rational node where the node is read off the
+    sweep (see the module docstring), else the first F_7 zero of F and its
+    partials in scan order.
     """
 
     verdict: str
@@ -201,7 +232,12 @@ def _integer_terms(g: Polynomial) -> dict:
 
 def projective_points(nvars: int, p: int):
     """Every point of projective (nvars-1)-space over F_p, first nonzero
-    coordinate 1, in a fixed order."""
+    coordinate 1, in a fixed order; BudgetExhaustedError before the first
+    when there are more than WORK_BUDGET of them."""
+    count = (p**nvars - 1) // (p - 1)
+    if count > WORK_BUDGET:
+        raise BudgetExhaustedError(f"projective {nvars - 1}-space over F_{p} has {count} points, "
+                                   f"above the work budget of {WORK_BUDGET}")
     for pivot in range(nvars):
         for tail in itertools.product(range(p), repeat=nvars - pivot - 1):
             yield (0,) * pivot + (1,) + tail
@@ -239,17 +275,27 @@ def jacobian_graded(f: Polynomial, k: int) -> GradedSubspace:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _milnor_sweep(f: Polynomial) -> tuple:
-    """h_0, ..., h_{T+1} mod p of the partials of a normalized F of degree >= 1."""
+    """(hs, v) for a normalized F of degree >= 1: hs = (h_0, ..., h_{T+1})
+    mod p of its partials, and over the rationals with h_{T+1} = 1 the
+    degree-(T+1) normal-form functional v(m) = NF(m) mod p, one residue per
+    monomial of `monomials(nvars, T+1)`; v is None otherwise."""
     p = DEFAULT_PRIME if f.field.is_rational else f.field.modulus
     sweep = _quotient_dims_mod(partials(f), p)
-    return tuple(h for _, h in itertools.islice(sweep, max(f.nvars * (f.degree() - 2) + 2, 1)))
+    hs = tuple(h for _, h in itertools.islice(sweep, max(f.nvars * (f.degree() - 2) + 2, 1)))
+    keep = f.field.is_rational and hs[-1] == 1
+    return hs, (tuple(sweep.send(True)[:, 0].tolist()) if keep else None)
 
 
 def milnor_dim(f: Polynomial, k: int) -> int:
     """dim (S/J_F)_k, off the sweep of F's class where exact, else by rref."""
     d = _require_homogeneous(f, "F")
-    if d >= 2 and k >= 0:  # past T+1 the sweep's last h decides only when it is 0
-        hs = _milnor_sweep(f.normalized())
+    return _milnor_dim(f, d, _milnor_sweep(f.normalized())[0] if d >= 2 and k >= 0 else None, k)
+
+
+def _milnor_dim(f: Polynomial, d: int, hs, k: int) -> int:
+    """`milnor_dim` of F of degree d given hs, the h_k of its class's sweep
+    (None: the rref route)."""
+    if hs is not None:  # past T+1 the sweep's last h decides only when it is 0
         j = min(k, len(hs) - 1)
         ref = smooth_reference_dims(f.nvars, d) + [0] if f.field.is_rational else hs
         if hs[j] == ref[j] and (j == k or hs[j] == 0):
@@ -259,10 +305,12 @@ def milnor_dim(f: Polynomial, k: int) -> int:
 
 def milnor_profile(f: Polynomial) -> MilnorProfile:
     """dim (S/J_F)_k for k = 0, ..., max(T, 0), T = nvars*(d-2); for smooth F
-    these are `smooth_reference_dims`, and S/J_F vanishes above T."""
+    these are `smooth_reference_dims`, and S/J_F vanishes above T.  F is
+    normalized and its sweep looked up once for all degrees."""
     d = _require_homogeneous(f, "F")
     t = f.nvars * (d - 2)
-    dims = tuple(milnor_dim(f, k) for k in range(max(t, 0) + 1))
+    hs = _milnor_sweep(f.normalized())[0] if d >= 2 else None
+    dims = tuple(_milnor_dim(f, d, hs, k) for k in range(max(t, 0) + 1))
     return MilnorProfile(f.nvars, d, t, dims)
 
 
@@ -350,7 +398,8 @@ def _smoothness_of_class(f: Polynomial) -> SmoothnessCertificate:
     derivs = partials(f)
     field_used = f"fp:{DEFAULT_PRIME if field.is_rational else field.modulus}"
 
-    if _milnor_sweep(f)[t1] == 0:
+    hs, v = _milnor_sweep(f)
+    if hs[t1] == 0:
         return SmoothnessCertificate(
             "smooth", t1, field_used, field.is_rational,
             note="modular fullness promoted to a rational certificate" if field.is_rational
@@ -361,20 +410,46 @@ def _smoothness_of_class(f: Polynomial) -> SmoothnessCertificate:
             "inconclusive", t1, field_used, False,
             note="modular rank deficiency; no rational lift available",
         )
-    # exact fallback: rational rank decides
-    _, _, rk = rref(Matrix(field, _integer_rows(derivs, t1), target))
+    # a node read off the sweep gives the rank target - 1 exactly (module
+    # docstring); without one the rational rank decides
+    node = _node_off_sweep(f, v, t1) if v is not None else None
+    rk = target - 1 if node else rref(Matrix(field, _integer_rows(derivs, t1), target))[2]
     if rk == target:
         return SmoothnessCertificate("smooth", t1, "rational", False)
-    witness = None
-    if nvars <= 5:
-        witness = next(_common_zeros_mod(derivs + [f], nvars, DEFAULT_SEARCH_PRIME), None)
+    s, witness = DEFAULT_SEARCH_PRIME, None
+    if nvars <= 5 and node:  # the node mod s, first nonzero coordinate 1
+        lead = pow(next(c for c in node if c % s), -1, s)
+        witness = tuple(c * lead % s for c in node)
+    elif nvars <= 5:
+        witness = next(_common_zeros_mod(derivs + [f], nvars, s), None)
     return SmoothnessCertificate(
         "singular", t1, "rational", False, witness,
         note=(
             f"Jacobian rank {rk} < {target} at degree {t1}"
-            + (f"; singular point found over F_{DEFAULT_SEARCH_PRIME}" if witness else "")
+            + (f"; singular point found over F_{s}" if witness else "")
         ),
     )
+
+
+def _node_off_sweep(f: Polynomial, v: tuple, t1: int):
+    """The singular point P of a rational F that v, the sweep's degree-t1
+    normal-form functional, names when it is ev_P mod p up to scale: read at
+    x_j^t1 and x_j^(t1-1)*x_i, lifted by rational reconstruction, scaled to
+    a primitive integer tuple, and returned only if F and its partials
+    vanish at it exactly; None otherwise."""
+    n, p = f.nvars, DEFAULT_PRIME
+    idx = monomial_index(n, t1)
+
+    def at(j, i):  # v(x_j^(t1-1) * x_i)
+        return v[idx[tuple((t1 - 1) * (a == j) + (a == i) for a in range(n))]]
+
+    j = next((j for j in range(n) if at(j, j)), None)
+    ratios = [at(j, i) * pow(at(j, j), -1, p) % p for i in range(n)] if j is not None else None
+    lifted = ratios and _reconstruct(ratios, p)
+    if not lifted:  # v(x_j^t1) = 0 for every j, or a ratio past reconstruction
+        return None
+    point = tuple(_primitive(dict(enumerate(lifted[0]))).values())
+    return None if any(g.evaluate(point) for g in [f, *partials(f)]) else point
 
 
 def require_smooth(f: Polynomial) -> SmoothnessCertificate:
@@ -423,7 +498,10 @@ def _quotient_dims_mod(gens, p: int):
     """Yield (k, h_k) for k = 0, 1, 2, ..., h_k = dim (S/I)_k mod p for the
     ideal I of `gens` (zero generators skipped, rational ones scaled to
     primitive integers), from the normal forms of degree k-1; see the module
-    docstring.  Once h_k = 0 every later h is 0."""
+    docstring.  Once h_k = 0 every later h is 0.  `send(True)` in place of
+    the next `next` returns the normal-form table of the last degree yielded
+    (h > 0), row m the coordinates of NF(m) over N_k mod p, and ends the
+    sweep; the table of the last degree is built only then."""
     nvars = gens[0].nvars
     dtype = _elimination_dtype(p)[0]
     by_degree: dict = {}
@@ -474,7 +552,7 @@ def _quotient_dims_mod(gens, p: int):
             relations = np.concatenate([relations, on_border])
         a, pivots, _ = _eliminate_mod(relations, len(border), p)
         h = len(border) - len(pivots)
-        yield k, h
+        keep = yield k, h
         if h == 0:
             yield from ((j, 0) for j in itertools.count(k + 1))
             return
@@ -488,6 +566,9 @@ def _quotient_dims_mod(gens, p: int):
         nf[std, np.arange(h)] = 1
         nf[border[pivots]] = _mod(-rref_free, p)
         nf[off] = _mod(refs[:, free] - _matmul_mod(refs[:, pivots], rref_free, p, dtype), p)
+        if keep:
+            yield nf
+            return
 
 
 def projective_empty(generators, k_max: int = DEFAULT_KMAX) -> EmptinessResult:

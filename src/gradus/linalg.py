@@ -71,6 +71,11 @@ _LIFT_PRIME = 67108859
 # bound of every memo cache in the library
 CACHE_SIZE = 256
 
+# the most work one computation may be estimated to take before it starts,
+# in points visited by a scan of projective space over F_p (a few seconds
+# at about 3-15 us a point); a larger estimate raises BudgetExhaustedError
+WORK_BUDGET = 10**6
+
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid for all 64-bit integers."""

@@ -9,8 +9,11 @@ quotient dimensions from whole Macaulay matrices, where the library's
 fullness sweeps go degree by degree from normal forms, and the perp and
 the socle functional through `kernel`, the perp checked by its involution,
 where the library reads both off rref null vectors and checks one pairing
-product, and Milnor dimensions from the rref of the generator rows, where
-the library reads them off its modular sweep.
+product, Milnor dimensions from the rref of the generator rows, where
+the library reads them off its modular sweep, and the certificate of a
+rational hypersurface that is deficient mod p from the rational rref of
+J_(T+1) and a scan of F_7 points, where the library first reads the node
+off the sweep's normal forms.
 
 These deliberately avoid the library's elimination code paths (modular
 images, quotient shortcuts) so agreement is meaningful.
@@ -24,15 +27,17 @@ import numpy as np
 
 from gradus import (
     Matrix,
+    SmoothnessCertificate,
     colon_graded,
     jacobian_graded,
     kernel,
     perp_graded,
+    rref,
     socle_functional,
     span,
 )
 from gradus.errors import CharacteristicError, DegeneratePairError
-from gradus.jacobian import _integer_rows
+from gradus.jacobian import _common_zeros_mod, _integer_rows
 from gradus.poly import (
     Polynomial,
     graded_dim,
@@ -363,6 +368,24 @@ def jacobian_rows(f: Polynomial, k: int) -> list:
 def milnor_dims_by_rref(f: Polynomial, k: int) -> int:
     """dim (S/J_F)_k: graded_dim less the rank of the rows x^m * dF/dx_i."""
     return graded_dim(f.nvars, k) - span(f.field, f.nvars, k, f.family, jacobian_rows(f, k)).dim
+
+
+def smoothness_by_rref(f: Polynomial) -> SmoothnessCertificate:
+    """The exact certificate of a rational F of degree >= 2 whose J_(T+1)
+    is deficient mod p: the rank of the rows x^m * dF/dx_i by rational
+    rref decides, and the witness (nvars <= 5) is the first common zero of
+    F and its partials over F_7 in scan order."""
+    t1 = f.nvars * (f.degree() - 2) + 1
+    target = graded_dim(f.nvars, t1)
+    _, _, rk = rref(Matrix(f.field, jacobian_rows(f, t1), target))
+    if rk == target:
+        return SmoothnessCertificate("smooth", t1, "rational", False)
+    derivs = [f.partial(i) for i in range(f.nvars)]
+    witness = next(_common_zeros_mod(derivs + [f], f.nvars, 7), None) if f.nvars <= 5 else None
+    note = f"Jacobian rank {rk} < {target} at degree {t1}"
+    if witness:
+        note += "; singular point found over F_7"
+    return SmoothnessCertificate("singular", t1, "rational", False, witness, note)
 
 
 def contract_by_index_loop(lam, h: Polynomial) -> list:

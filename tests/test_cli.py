@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 from gradus import FieldConfig, parse_poly
 from gradus.cli import main
@@ -119,6 +124,22 @@ def test_singular_search_counts(capsys):
     # vanishes mod 7: x0^3 is singular on the whole line x0 = 0
     rep = run_json(capsys, "singular-search", "--poly", "1/7*x0^3+x1^3+x2^3", "--p", "7")
     assert rep["report"]["results"]["count"] == 8
+
+
+def test_singular_search_past_the_work_budget():
+    # 4-space over F_101 has 105101005 points: the scan is refused before it
+    # starts, in its own process, with the verdict budget_exhausted
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["singular-search", "--poly", FERMAT, "--p", "101", "--output", "json"]
+    t0 = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "gradus.cli", *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert time.perf_counter() - t0 < 10
+    assert done.returncode == 0, done.stderr
+    results = json.loads(done.stdout)["report"]["results"]
+    assert results["verdict"] == "budget_exhausted" and "105101005 points" in results["reason"]
 
 
 def test_node_check(capsys):

@@ -18,7 +18,9 @@ from gradus import (
     singular_points,
     special_q,
 )
-from gradus.errors import ParseError, PreconditionError, RangeError
+from gradus.errors import BudgetExhaustedError, ParseError, PreconditionError, RangeError
+from gradus.jacobian import projective_points
+from gradus.linalg import WORK_BUDGET
 from gradus.poly import Polynomial, monomials
 
 QQ = FieldConfig.rationals()
@@ -220,3 +222,13 @@ def test_parse_points_file():
         parse_points("1, two, 3", QQ)
     with pytest.raises(ParseError):
         parse_points("# nothing\n", QQ)
+
+
+def test_point_scans_are_bounded_before_the_first_point(fermat):
+    # 4-space has 954305 points over F_31 and 1926221 over F_37
+    assert (31**5 - 1) // 30 <= WORK_BUDGET < (37**5 - 1) // 36
+    assert next(projective_points(5, 31)) == (1, 0, 0, 0, 0)
+    with pytest.raises(BudgetExhaustedError, match="1926221 points"):
+        next(projective_points(5, 37))
+    with pytest.raises(BudgetExhaustedError):
+        brute_singular_search(fermat, 101)

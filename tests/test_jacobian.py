@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -38,7 +39,12 @@ from gradus.jacobian import (
 )
 from gradus.linalg import _primitive
 
-from .oracles import macaulay_quotient_dim, milnor_dims_by_rref, product_rows
+from .oracles import (
+    macaulay_quotient_dim,
+    milnor_dims_by_rref,
+    product_rows,
+    smoothness_by_rref,
+)
 from .test_linalg import ELIMINATION_PRIMES
 
 QQ = FieldConfig.rationals()
@@ -421,7 +427,7 @@ def test_milnor_dims_match_rref_route_on_larger_forms(special_cubic):
     # x1^3 + x2^3 + x3^3 + x4^3, p = DEFAULT_PRIME, is smooth, but modulo p
     # it is singular at e0, so the sweep's bound is not exact from degree 3 on
     lifted = parse_poly(f"{DEFAULT_PRIME}*x0^3 + x0*x4^2 + x1^3 + x2^3 + x3^3 + x4^3", QQ)
-    assert _milnor_sweep(lifted.normalized()) == (1, 5, 10, 11, 9, 8, 8)
+    assert _milnor_sweep(lifted.normalized()) == ((1, 5, 10, 11, 9, 8, 8), None)
     cert = is_smooth_hypersurface(lifted)
     assert cert.is_smooth and cert.field_used == "rational"
     quartic = random_poly(FieldConfig.prime_field(10007), SeedStream(5), 4, 4, 5)
@@ -469,10 +475,84 @@ def test_milnor_profile_reads_the_sweep(monkeypatch, smooth_cubics, nodal_cubic,
         return graded(g, k)
 
     monkeypatch.setattr(jacobian, "jacobian_graded", record)
-    hs = _milnor_sweep(special_cubic.normalized())
+    hs, _ = _milnor_sweep(special_cubic.normalized())
     ref = smooth_reference_dims(5, 3) + [0]
     assert [k for k in range(6) if hs[k] != ref[k]] == [5]
     assert milnor_profile(special_cubic).dims == (1, 5, 10, 10, 5, 5)
     assert built == [5]
     assert [milnor_dim(special_cubic, k) for k in (6, 7)] == [5, 5]
     assert built == [5, 6, 7]
+
+
+# ---------------------------------------------------------------------------
+# singular points off the sweep's normal forms, against the rref route
+
+
+@st.composite
+def one_node_forms(draw):
+    """A cubic in 3-5 variables over Q built like a singular survey draw:
+    no monomial of x0-degree >= 2 (a node at e0), coefficients in
+    [-10, 10], then sheared off e0 and off e1, by +-1 (the survey's shears)
+    or by integers up to 200 (a node past the reconstruction bound mod
+    DEFAULT_PRIME, about 70).  One draw in four adds DEFAULT_PRIME * x0^3
+    first: smooth over Q for most draws, while the sweep mod DEFAULT_PRIME
+    still sees the node."""
+    nvars = draw(st.sampled_from((3, 4, 5)))
+    stream = SeedStream(draw(st.integers(0, 2**32)))
+    f = Polynomial(QQ, nvars, "x", {
+        m: random_scalar(QQ, stream, 10) for m in monomials(nvars, 3) if m[0] < 2
+    })
+    # the seed draws the kind, so that every kind keeps its share
+    if stream.randint(0, 3) == 0:
+        f = f + Polynomial(QQ, nvars, "x", {(3,) + (0,) * (nvars - 1): QQ.coerce(DEFAULT_PRIME)})
+    big = stream.randint(0, 1)
+    for src in (0, 1):
+        f = _sheared(f, src, [
+            stream.randint(-200, 200) if big else 2 * stream.randint(0, 1) - 1 for _ in range(nvars)
+        ])
+    assume(not f.is_zero())
+    return f
+
+
+def _vanishes_mod(g, point, p) -> bool:
+    """g scaled to primitive integers is 0 mod p at the integer point."""
+    return sum(
+        c * math.prod(x**e for x, e in zip(point, m)) for m, c in _primitive(g.terms).items()
+    ) % p == 0
+
+
+@settings(max_examples=15, deadline=None)
+@given(one_node_forms())
+def test_one_node_certificate_matches_rref_route(f):
+    cert, want = is_smooth_hypersurface(f), smoothness_by_rref(f)
+    fields = ("verdict", "degree", "field_used", "promoted", "note")
+    assert [getattr(cert, k) for k in fields] == [getattr(want, k) for k in fields]
+    if cert.witness_point is not None:
+        assert all(_vanishes_mod(g, cert.witness_point, 7) for g in [f, *jacobian.partials(f)])
+
+
+def test_nodal_certificate_reads_the_node_off_the_sweep(monkeypatch, nodal_cubic):
+    # caches cleared, a survey-style nodal cubic makes no rational rref and
+    # no F_7 scan: its node comes off the degree-6 normal forms, and the
+    # witness is that node mod 7; a node past the reconstruction bound, and
+    # a form smooth over Q whose sweep mod DEFAULT_PRIME sees the node at
+    # e0 (h_6 = 1), take the exact route
+    calls = []
+    rref, scan = jacobian.rref, jacobian._common_zeros_mod
+    monkeypatch.setattr(jacobian, "rref", lambda m: calls.append("rref") or rref(m))
+    monkeypatch.setattr(jacobian, "_common_zeros_mod", lambda *a: calls.append("scan") or scan(*a))
+    note = "Jacobian rank 209 < 210 at degree 6; singular point found over F_7"
+    _clear_milnor_caches()
+    near = _sheared(nodal_cubic, 0, (0, 1, -1, 1, 1))  # node at (1, -1, 1, -1, -1)
+    assert is_smooth_hypersurface(near) == SmoothnessCertificate(
+        "singular", 6, "rational", False, (1, 6, 1, 6, 6), note
+    )
+    assert calls == []
+    far = _sheared(nodal_cubic, 0, (0, 100, 0, 0, 0))  # node at (1, -100, 0, 0, 0)
+    cert = is_smooth_hypersurface(far)
+    assert (cert.verdict, cert.note) == ("singular", note)
+    assert calls == ["rref", "scan"]
+    lifted = nodal_cubic + parse_poly(f"{DEFAULT_PRIME}*x0^3", QQ, nvars=5)
+    assert _milnor_sweep(lifted.normalized())[0][6] == 1
+    assert is_smooth_hypersurface(lifted) == SmoothnessCertificate("smooth", 6, "rational", False)
+    assert calls == ["rref", "scan", "rref"]
