@@ -18,14 +18,27 @@ coordinates (the non-pivot columns of the Jacobian rref basis), so all
 outputs are exactly comparable.
 
 Annihilators are read off rref bases at hand: lambda is the one null
-vector (`linalg._null_vectors`) of J_T, E-perp is W^-1 ker E, W = diag(c!),
+vector of J_T, E-perp is W^-1 ker E (`linalg._null_vectors`), W = diag(c!),
 and every "pairs to zero" check is one exact product B W G^T, `_pairings`.
+
+Over Q lambda is read off the p-adic lift of J_T's primitive integer rows
+(`linalg._rref_integral`): the rref is e_{p_i} + N_i/L on the complement,
+one column c for a smooth F, so L e_c - sum_i N_i e_{p_i} is the null
+vector, a primitive integer vector (over F_p the same vector comes off one
+modular elimination of J_T, L = 1); `SocleFunctional.vector` is it scaled
+to lead with 1, and `SocleFunctional.integral` gives it back as (N, L)
+over the least common denominator.  A contraction is then an integer
+product: with lambda = N/L and h = H/D over their least common
+denominators, lambda(h*m) = (sum_b H_b N[b*m]) / (L*D), one exact division
+per entry, so it is exact and linear in h.  The integral catalecticant is
+the gather of N itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from fractions import Fraction
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -38,14 +51,18 @@ from .errors import (
     ZeroPolynomialError,
     invariant,
 )
-from .jacobian import _multiplication_matrix, _require_same_ring, jacobian_graded, require_smooth
+from .jacobian import _integer_rows, _multiplication_matrix, _require_same_ring, jacobian_graded
+from .jacobian import partials, require_smooth
 from .linalg import (
     CACHE_SIZE,
     FieldConfig,
     GradedSubspace,
     Matrix,
-    _dot,
+    _common_denominator,
+    _eliminate_mod,
+    _free_columns,
     _null_vectors,
+    _rref_integral,
     kernel,
     primitive_int_rows,
     span,
@@ -69,6 +86,13 @@ class SocleFunctional:
     nvars: int
     degree: int
     vector: tuple
+
+    @cached_property
+    def integral(self) -> tuple:
+        """(N, L), vector = N/L: over Q integers over the least common
+        denominator (primitive for a normalized vector), over F_p the
+        residues over 1."""
+        return _common_denominator(self.vector)
 
 
 @dataclass(frozen=True)
@@ -139,36 +163,42 @@ def socle_functional(f: Polynomial) -> SocleFunctional:
 def _socle_functional(f: Polynomial) -> SocleFunctional:
     d = f.homogeneous_degree()
     t = f.nvars * (d - 2)
-    jt = jacobian_graded(f, t)
-    null = _null_vectors(f.field, jt.basis.rows, jt.pivots, jt.ambient_dim)
-    if len(null) != 1:
-        raise NotSmoothError(
-            f"socle is {len(null)}-dimensional at degree {t}; expected 1"
-        )
-    line = span(f.field, f.nvars, t, f.family, null)
-    return SocleFunctional(f.field, f.nvars, t, line.basis.rows[0])
+    field, n = f.field, graded_dim(f.nvars, t)
+    rows = _integer_rows(partials(f), t, sparse=field.is_rational)
+    if field.is_rational:  # the rref of J_T as integers N over one L
+        pivots, comp, nums, den = _rref_integral(rows, n)
+    else:  # the rref of J_T mod p: N its complement block, L = 1
+        a, pivots, _ = _eliminate_mod(rows, n, field.modulus)
+        comp, den = _free_columns(pivots, n), 1
+        nums = a[: len(pivots)][:, comp].ravel().tolist()
+    if len(comp) != 1:
+        raise NotSmoothError(f"socle is {len(comp)}-dimensional at degree {t}; expected 1")
+    # the null vector L*e_c - sum_i N_i*e_{p_i}, scaled to lead with 1
+    vec = {comp[0]: den, **{pc: -x for pc, x in zip(pivots, nums)}}
+    inv = field.inv(vec[min(c for c, x in vec.items() if x)])
+    return SocleFunctional(field, f.nvars, t, tuple(field.mul(vec.get(c, 0), inv) for c in range(n)))
 
 
 def _catalecticant(lam: SocleFunctional, e: int, integral: bool = False) -> np.ndarray:
     """lambda(m_i * b_j) for m_i in S_{T-e} (rows) and b_j in S_e (columns),
     one gather of lambda through `product_index`; needs 0 <= e <= T.
-    `integral` scales lambda to primitive integers first (a nonzero multiple)."""
-    vec = lam.vector
-    if integral:
-        vec = primitive_int_rows(Matrix(lam.field, [vec], len(vec)))[0]
+    `integral` gathers lambda's integers N instead (L times lambda)."""
+    vec = lam.integral[0] if integral else lam.vector
     return np.array(vec, dtype=object)[product_index(lam.nvars, e, lam.degree)]
 
 
 def _contract(lam: SocleFunctional, h: Polynomial) -> list:
     """The functional m -> lambda(h*m) on S_{T-deg h}, in its monomial basis;
-    empty when deg h > T.  h is nonzero and homogeneous."""
+    empty when deg h > T.  h is nonzero and homogeneous.  With lambda = N/L
+    and h = H/D over their least common denominators, each entry is the
+    integer product of H with the catalecticant of N, divided once by L*D."""
     e = h.homogeneous_degree()
     if e > lam.degree:
         return []
-    idx = monomial_index(lam.nvars, e)
-    cat = _catalecticant(lam, e)[:, [idx[m] for m in h.terms]]
-    coeffs = list(h.terms.values())
-    return [_dot(lam.field, coeffs, row) for row in cat.tolist()]
+    idx, (hnums, hden) = monomial_index(lam.nvars, e), _common_denominator(h.terms.values())
+    cat = _catalecticant(lam, e, integral=True)[:, [idx[m] for m in h.terms]]
+    den = lam.integral[1] * hden
+    return [lam.field.coerce(Fraction(x, den)) for x in (cat @ np.array(hnums, dtype=object))]
 
 
 def macaulay_pairing_matrix(f: Polynomial, j: int) -> Matrix:

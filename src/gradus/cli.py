@@ -324,8 +324,8 @@ def main(argv=None) -> int:
     try:
         field = _field_from(args)
         results = COMMANDS[args.command][1](args, field, inputs, certs)
-    except BudgetExhaustedError as err:
-        inputs, results, certs = {}, {"verdict": "budget_exhausted", "reason": str(err)}, {}
+    except BudgetExhaustedError as err:  # the inputs read so far stay digested
+        results, certs = {"verdict": "budget_exhausted", "reason": str(err)}, {}
     except ParseError as err:
         print(f"gradus: input error: {err}", file=sys.stderr)
         return 1

@@ -55,7 +55,9 @@ class RangeError(PreconditionError):
 
 class BudgetExhaustedError(GradusError):
     """A randomized search ran out of trials, or a computation's estimated
-    work is above `linalg.WORK_BUDGET`; reported, not a crash."""
+    work is above `linalg.WORK_BUDGET` (points of a scan) or
+    `jacobian.MACAULAY_CELLS` (cells of a block of Macaulay rows);
+    reported, not a crash."""
 
 
 class InternalInvariantError(GradusError):

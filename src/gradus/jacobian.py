@@ -68,6 +68,18 @@ that spans the annihilator of J_{T+1} mod p.
   when a ratio lies beyond reconstruction mod p (a numerator or denominator
   above sqrt(p/2), about 70); the rational rref and the F_7 scan then
   decide as before.
+- A node read off the sweep also makes dim_Q (S/J_F)_{T+1} = 1 exact, so
+  `milnor_dim(f, T+1)` returns it with no rref.
+
+`ci_smooth` forms the 2x2 minors of the Jacobian matrix of (F, Q) from the
+primitive integer partials: the partials of F' and Q', the primitive
+integer multiples of F and Q (their residues over F_p), multiplied as
+integer vectors through `product_index`.  A minor of (F', Q') is a nonzero
+rational multiple of the minor of (F, Q), so both scale to the same
+primitive integer row, and the sweep reads the same rows mod p.
+
+Each generator's block of Macaulay rows is bounded before it is built:
+rows x columns above MACAULAY_CELLS raises BudgetExhaustedError.
 """
 
 from __future__ import annotations
@@ -103,10 +115,14 @@ from .linalg import (
     rref,
     span,
 )
-from .poly import Polynomial, graded_dim, monomial_index, product_index
+from .poly import Polynomial, graded_dim, monomial_index, monomials, product_index
 
 DEFAULT_KMAX = 12
 DEFAULT_SEARCH_PRIME = 7
+# the most cells (rows x columns) one generator's block of Macaulay rows may
+# hold: two cells weigh as one point of linalg.WORK_BUDGET.  The perp of a
+# dense cubic at k = 12, 1.8e6 cells a partial, takes about 4 s end to end
+MACAULAY_CELLS = 2 * WORK_BUDGET
 
 
 @dataclass(frozen=True)
@@ -182,20 +198,26 @@ class EmptinessResult:
 # generator rows
 
 
-def _shifted_rows(g: Polynomial, k: int, terms: dict | None = None) -> list:
+def _shifted_rows(g: Polynomial, k: int, terms: dict | None = None, sparse: bool = False) -> list:
     """Coefficient vectors of m*g for the monomials m of degree k - deg(g), in
     order: g's coefficients, or `terms` (integer ones on the same
-    monomials), scattered through `product_index`."""
+    monomials), scattered through `product_index`; with `sparse`, dicts
+    column -> value.  BudgetExhaustedError before the first row when the
+    rows hold more than MACAULAY_CELLS cells."""
     e = g.homogeneous_degree()
     if e is None or e > k:
         return []
-    if terms is None:
-        terms = g.terms
+    terms, n = g.terms if terms is None else terms, graded_dim(g.nvars, k)
+    if (cells := graded_dim(g.nvars, k - e) * n) > MACAULAY_CELLS:
+        raise BudgetExhaustedError(f"the degree-{k} Macaulay rows of a degree-{e} form have "
+                                   f"{cells} cells, above the work budget of {MACAULAY_CELLS}")
     idx = monomial_index(g.nvars, e)
     vals = list(terms.values())
-    n = graded_dim(g.nvars, k)
+    table = product_index(g.nvars, e, k)[:, [idx[m] for m in terms]].tolist()
+    if sparse:
+        return [dict(zip(cols, vals)) for cols in table]
     rows = []
-    for cols in product_index(g.nvars, e, k)[:, [idx[m] for m in terms]].tolist():
+    for cols in table:
         row = [0] * n
         for c, v in zip(cols, vals):
             row[c] = v
@@ -215,13 +237,14 @@ def _multiplication_matrix(g: Polynomial, target: GradedSubspace, src=None) -> M
     return Matrix(g.field, cols, len(comp)).transpose()
 
 
-def _integer_rows(gens, k: int) -> list:
+def _integer_rows(gens, k: int, sparse: bool = False) -> list:
     """Integer rows spanning the degree-k piece of the ideal of `gens`.
 
     Zero generators are skipped; rational generators are scaled to primitive
-    integers (same ideal), prime-field ones keep their residues.
+    integers (same ideal), so each row is primitive; prime-field ones keep
+    their residues.
     """
-    return [row for g in gens for row in _shifted_rows(g, k, _integer_terms(g))]
+    return [row for g in gens for row in _shifted_rows(g, k, _integer_terms(g), sparse)]
 
 
 def _integer_terms(g: Polynomial) -> dict:
@@ -261,9 +284,11 @@ def _require_homogeneous(p: Polynomial, what: str) -> int:
 # ---------------------------------------------------------------------------
 # Jacobian ideal pieces and Milnor dimensions
 
-def partials(f: Polynomial) -> list:
-    """The first partials of F, d/dx_0 F, ..., d/dx_{nvars-1} F."""
-    return [f.partial(i) for i in range(f.nvars)]
+@lru_cache(maxsize=CACHE_SIZE)
+def partials(f: Polynomial) -> tuple:
+    """The first partials of F, d/dx_0 F, ..., d/dx_{nvars-1} F, built once
+    per form."""
+    return tuple(f.partial(i) for i in range(f.nvars))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -275,28 +300,32 @@ def jacobian_graded(f: Polynomial, k: int) -> GradedSubspace:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _milnor_sweep(f: Polynomial) -> tuple:
-    """(hs, v) for a normalized F of degree >= 1: hs = (h_0, ..., h_{T+1})
+    """(hs, node) for a normalized F of degree >= 1: hs = (h_0, ..., h_{T+1})
     mod p of its partials, and over the rationals with h_{T+1} = 1 the
-    degree-(T+1) normal-form functional v(m) = NF(m) mod p, one residue per
-    monomial of `monomials(nvars, T+1)`; v is None otherwise."""
+    singular point that `_node_off_sweep` reads off the degree-(T+1) normal
+    forms; node is None otherwise."""
     p = DEFAULT_PRIME if f.field.is_rational else f.field.modulus
     sweep = _quotient_dims_mod(partials(f), p)
-    hs = tuple(h for _, h in itertools.islice(sweep, max(f.nvars * (f.degree() - 2) + 2, 1)))
+    t1 = max(f.nvars * (f.degree() - 2) + 1, 0)
+    hs = tuple(h for _, h in itertools.islice(sweep, t1 + 1))
     keep = f.field.is_rational and hs[-1] == 1
-    return hs, (tuple(sweep.send(True)[:, 0].tolist()) if keep else None)
+    return hs, (_node_off_sweep(f, tuple(sweep.send(True)[:, 0].tolist()), t1) if keep else None)
 
 
 def milnor_dim(f: Polynomial, k: int) -> int:
     """dim (S/J_F)_k, off the sweep of F's class where exact, else by rref."""
     d = _require_homogeneous(f, "F")
-    return _milnor_dim(f, d, _milnor_sweep(f.normalized())[0] if d >= 2 and k >= 0 else None, k)
+    return _milnor_dim(f, d, _milnor_sweep(f.normalized()) if d >= 2 and k >= 0 else None, k)
 
 
-def _milnor_dim(f: Polynomial, d: int, hs, k: int) -> int:
-    """`milnor_dim` of F of degree d given hs, the h_k of its class's sweep
+def _milnor_dim(f: Polynomial, d: int, sweep, k: int) -> int:
+    """`milnor_dim` of F of degree d given its class's sweep (hs, node)
     (None: the rref route)."""
-    if hs is not None:  # past T+1 the sweep's last h decides only when it is 0
-        j = min(k, len(hs) - 1)
+    if sweep is not None:
+        hs, node = sweep
+        if node and k == len(hs) - 1:  # a node off the sweep: dim_Q = 1 exactly
+            return 1
+        j = min(k, len(hs) - 1)  # past T+1 the sweep's last h decides only when it is 0
         ref = smooth_reference_dims(f.nvars, d) + [0] if f.field.is_rational else hs
         if hs[j] == ref[j] and (j == k or hs[j] == 0):
             return hs[j]
@@ -309,8 +338,8 @@ def milnor_profile(f: Polynomial) -> MilnorProfile:
     normalized and its sweep looked up once for all degrees."""
     d = _require_homogeneous(f, "F")
     t = f.nvars * (d - 2)
-    hs = _milnor_sweep(f.normalized())[0] if d >= 2 else None
-    dims = tuple(_milnor_dim(f, d, hs, k) for k in range(max(t, 0) + 1))
+    sweep = _milnor_sweep(f.normalized()) if d >= 2 else None
+    dims = tuple(_milnor_dim(f, d, sweep, k) for k in range(max(t, 0) + 1))
     return MilnorProfile(f.nvars, d, t, dims)
 
 
@@ -395,10 +424,9 @@ def _smoothness_of_class(f: Polynomial) -> SmoothnessCertificate:
     field = f.field
     if not field.is_rational and field.modulus <= d:
         raise CharacteristicError(f"smoothness check at degree {d} needs p > {d}")
-    derivs = partials(f)
     field_used = f"fp:{DEFAULT_PRIME if field.is_rational else field.modulus}"
 
-    hs, v = _milnor_sweep(f)
+    hs, node = _milnor_sweep(f)
     if hs[t1] == 0:
         return SmoothnessCertificate(
             "smooth", t1, field_used, field.is_rational,
@@ -412,8 +440,7 @@ def _smoothness_of_class(f: Polynomial) -> SmoothnessCertificate:
         )
     # a node read off the sweep gives the rank target - 1 exactly (module
     # docstring); without one the rational rank decides
-    node = _node_off_sweep(f, v, t1) if v is not None else None
-    rk = target - 1 if node else rref(Matrix(field, _integer_rows(derivs, t1), target))[2]
+    rk = target - 1 if node else rref(Matrix(field, _integer_rows(partials(f), t1), target))[2]
     if rk == target:
         return SmoothnessCertificate("smooth", t1, "rational", False)
     s, witness = DEFAULT_SEARCH_PRIME, None
@@ -421,7 +448,7 @@ def _smoothness_of_class(f: Polynomial) -> SmoothnessCertificate:
         lead = pow(next(c for c in node if c % s), -1, s)
         witness = tuple(c * lead % s for c in node)
     elif nvars <= 5:
-        witness = next(_common_zeros_mod(derivs + [f], nvars, s), None)
+        witness = next(_common_zeros_mod([*partials(f), f], nvars, s), None)
     return SmoothnessCertificate(
         "singular", t1, "rational", False, witness,
         note=(
@@ -597,6 +624,15 @@ def projective_empty(generators, k_max: int = DEFAULT_KMAX) -> EmptinessResult:
 # smoothness of Y = {F = Q = 0}
 
 
+def _gradient(g: Polynomial) -> np.ndarray:
+    """Row i: d/dx_i of g's primitive integer multiple (of its residues over
+    F_p) on monomials(nvars, deg g - 1), read through `product_index`."""
+    e, terms = g.degree(), _integer_terms(g)
+    vec = np.array([terms.get(m, 0) for m in monomials(g.nvars, e)], dtype=object)
+    # the coefficient of m in d/dx_i g is (m_i + 1) times that of m*x_i
+    return (vec[product_index(g.nvars, 1, e)] * (np.array(monomials(g.nvars, e - 1)) + 1)).T
+
+
 def ci_smooth(
     f: Polynomial,
     q: Polynomial,
@@ -617,11 +653,16 @@ def ci_smooth(
     if (f.nvars, df, dq) != (5, 3, 2):
         raise PreconditionError("expected the cubic/quadric configuration in 5 variables")
     gens = [f, q]
-    fd, qd = partials(f), partials(q)
-    for i, j in itertools.combinations(range(f.nvars), 2):
-        minor = fd[i] * qd[j] - fd[j] * qd[i]
-        if not minor.is_zero():
-            gens.append(minor)
+    # the minors of the primitive integer F and Q (residues over F_p) are
+    # multiples of those of F and Q with the same primitive integer rows
+    fd, qd = _gradient(f), _gradient(q)
+    i, j = np.triu_indices(f.nvars, 1)  # the pairs i < j, in order
+    minors = np.zeros((len(i), graded_dim(f.nvars, 3)), dtype=object)
+    np.add.at(minors, (slice(None), product_index(f.nvars, 1, 3)),
+              fd[i, :, None] * qd[j, None, :] - fd[j, :, None] * qd[i, None, :])
+    for row in (minors % f.field.modulus if f.field.modulus else minors).tolist():
+        if any(row):
+            gens.append(Polynomial(f.field, f.nvars, f.family, dict(zip(monomials(f.nvars, 3), row))))
     sweep = projective_empty(gens, k_max)
     if sweep.certified:
         return SmoothnessCertificate(

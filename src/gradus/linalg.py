@@ -339,20 +339,19 @@ def _dot(field: FieldConfig, u, v):
 # -- primitive integer rows -------------------------------------------------
 
 
+def _common_denominator(values) -> tuple:
+    """(N, L): the int or Fraction values as integers N over their least
+    common denominator L, so that N/L = values and N has no common factor
+    with L (an int's denominator is 1)."""
+    den = math.lcm(*(x.denominator for x in values))
+    return tuple(x.numerator * (den // x.denominator) for x in values), den
+
+
 def _primitive(entries: dict) -> dict:
     """Primitive integer multiple of a dict of nonzero int or Fraction
     values with any keys; the value at the smallest key is positive."""
-    den = 1
-    for x in entries.values():
-        if isinstance(x, Fraction):
-            den = den * x.denominator // math.gcd(den, x.denominator)
-    ints = {
-        j: x.numerator * (den // x.denominator) if isinstance(x, Fraction) else int(x) * den
-        for j, x in entries.items()
-    }
-    g = 0
-    for v in ints.values():
-        g = math.gcd(g, v)
+    ints = dict(zip(entries, _common_denominator(entries.values())[0]))
+    g = math.gcd(*ints.values())
     if ints and ints[min(ints)] < 0:
         g = -g
     if g != 1:
@@ -477,6 +476,12 @@ def _lift_primes():
     yield from filter(is_prime, range(_LIFT_PRIME - 2, 2, -2))
 
 
+def _free_columns(pivots, ncols: int) -> list:
+    """The columns 0..ncols-1 that are not pivots, ascending."""
+    pset = set(pivots)
+    return [c for c in range(ncols) if c not in pset]
+
+
 def _is_reduced_up_to_scale(rows: list) -> bool:
     """Distinct leading columns, each row zero on the others' leading columns."""
     leads = {min(r) for r in rows}
@@ -590,7 +595,8 @@ def _fraction_row(entries, den: int, ncols: int) -> list:
     """Dense row of Fraction(v, den) at the given (column, v) entries."""
     dense = [Fraction(0)] * ncols
     for c, v in entries:
-        dense[c] = Fraction(v, den)
+        if v:
+            dense[c] = Fraction(v, den)
     return dense
 
 
@@ -601,8 +607,7 @@ def _lift(prim: list, int_rows: list, a_max: int, p: int, h2: int):
     ncols = len(int_rows[0])
     a, pivots, order = _eliminate_mod(int_rows, ncols, p)
     rk = len(pivots)
-    pset = set(pivots)
-    comp = [c for c in range(ncols) if c not in pset]
+    comp = _free_columns(pivots, ncols)
     images = _padic_images(int_rows, a_max, p, pivots, comp, order[:rk], a[:rk][:, comp])
     for residues, m in images:
         cand = _reconstruct(residues, m)
@@ -617,14 +622,19 @@ def _lift(prim: list, int_rows: list, a_max: int, p: int, h2: int):
             return None
 
 
-def _rref_padic(rows, ncols: int):
-    """Rational rref from one modular image lifted p-adically; see `rref`."""
-    prim = [r for r in (_primitive({j: x for j, x in enumerate(row) if x}) for row in rows) if r]
+def _rref_integral(prim: list, ncols: int):
+    """(pivots, complement columns, N, L) of the rational rref of nonzero
+    primitive integer rows, each a dict column -> value: rref row i is
+    e_{p_i} + N_i/L on the complement, N_i = N[i*k : (i+1)*k] for k
+    complement columns.  Rows reduced up to scale are scaled by their
+    leading entries; others are lifted p-adically; see `rref`."""
     if _is_reduced_up_to_scale(prim):
-        prim.sort(key=min)
+        prim = sorted(prim, key=min)
         pivots = [min(r) for r in prim]
-        out = [_fraction_row(r.items(), r[pc], ncols) for r, pc in zip(prim, pivots)]
-        return out, pivots
+        den = math.lcm(*(r[pc] for r, pc in zip(prim, pivots)))
+        comp = _free_columns(pivots, ncols)
+        nums = [r.get(c, 0) * (den // r[pc]) for r, pc in zip(prim, pivots) for c in comp]
+        return pivots, comp, nums, den
     int_rows = []
     h2 = 1  # squared Hadamard bound: product of the squared row norms
     a_max = 0
@@ -639,13 +649,18 @@ def _rref_padic(rows, ncols: int):
     for p in _lift_primes():
         found = _lift(prim, int_rows, a_max, p, h2)
         if found is not None:
-            break
+            return found
         skipped *= p
         invariant(
             skipped**2 <= h2,
             "p-adic rref met more unlucky primes than the Hadamard bound allows",
         )
-    pivots, comp, nums, den = found
+
+
+def _rref_padic(rows, ncols: int):
+    """Rational rref of rows of Fractions or ints; see `rref`."""
+    prim = [r for r in (_primitive({j: x for j, x in enumerate(row) if x}) for row in rows) if r]
+    pivots, comp, nums, den = _rref_integral(prim, ncols)
     k = len(comp)
     out = [
         _fraction_row([(pc, den), *zip(comp, nums[i * k : (i + 1) * k])], den, ncols)
@@ -723,7 +738,7 @@ def _null_vectors(field: FieldConfig, rows, pivots, ncols: int) -> list:
     e_c - sum_i E[i][c] * e_{p_i}, one vector per free column c, ascending.
     Each is zero on the other free columns, so they are independent."""
     vecs = []
-    for fc in sorted(set(range(ncols)) - set(pivots)):
+    for fc in _free_columns(pivots, ncols):
         v = [field.zero] * ncols
         v[fc] = field.one
         for row, pc in zip(rows, pivots):
@@ -772,8 +787,7 @@ class GradedSubspace:
     @cached_property
     def complement_columns(self) -> tuple:
         """Columns not led by a basis row, ascending."""
-        pset = set(self.pivots)
-        return tuple(c for c in range(self.ambient_dim) if c not in pset)
+        return tuple(_free_columns(self.pivots, self.ambient_dim))
 
     @cached_property
     def _complement_entries(self) -> tuple:

@@ -219,26 +219,25 @@ def construct_pair(
     y_cert = ci_smooth(f, q, kmax, falsify=False)
     perturbations = 0
     if not y_cert.is_smooth:
-        derivs = partials(f)
-        found = False
         for i in range(max_perturbations):
             stream = SeedStream(child_seed(seed, i))
             pert = Polynomial.zero(field, f.nvars, f.family)
-            for p in derivs:
+            for p in partials(f):
                 pert = pert + p.scale(random_scalar(field, stream, bound))
             cand = q_base + pert
             cand_cert = ci_smooth(f, cand, kmax, falsify=False)
             if cand_cert.is_smooth:
-                q, y_cert, perturbations, found = cand, cand_cert, i + 1, True
+                q, y_cert, perturbations = cand, cand_cert, i + 1
                 break
-        if not found:
+        else:
             raise BudgetExhaustedError(
                 f"no smooth intersection within {max_perturbations} perturbations"
             )
     # equal contractions: q - q_base lies in J_F, so the colons agree in every degree
-    lam = socle_functional(f)
-    same = _contract(lam, q) == _contract(lam, q_base)
-    invariant(same, "colon changed under a Jacobian perturbation")
+    if q != q_base:
+        lam = socle_functional(f)
+        same = _contract(lam, q) == _contract(lam, q_base)
+        invariant(same, "colon changed under a Jacobian perturbation")
     cubic = extract_c(f, q)
     g_norm = g.normalized()
     invariant(cubic.poly == g_norm, "extracted cubic differs from the witness")

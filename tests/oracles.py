@@ -13,7 +13,10 @@ product, Milnor dimensions from the rref of the generator rows, where
 the library reads them off its modular sweep, and the certificate of a
 rational hypersurface that is deficient mod p from the rational rref of
 J_(T+1) and a scan of F_7 points, where the library first reads the node
-off the sweep's normal forms.
+off the sweep's normal forms, and the certificate of a (cubic, quadric)
+complete intersection from 2x2 minors multiplied out as Fraction
+polynomials, where the library forms them from the primitive integer
+partials.
 
 These deliberately avoid the library's elimination code paths (modular
 images, quotient shortcuts) so agreement is meaningful.
@@ -37,7 +40,13 @@ from gradus import (
     span,
 )
 from gradus.errors import CharacteristicError, DegeneratePairError
-from gradus.jacobian import _common_zeros_mod, _integer_rows
+from gradus.jacobian import (
+    DEFAULT_KMAX,
+    _balanced_lift,
+    _common_zeros_mod,
+    _integer_rows,
+    projective_empty,
+)
 from gradus.poly import (
     Polynomial,
     graded_dim,
@@ -404,3 +413,44 @@ def contract_by_index_loop(lam, h: Polynomial) -> list:
             total = field.add(total, field.mul(c, lam.vector[idx_t[prod]]))
         out.append(total)
     return out
+
+
+def ci_smooth_by_fraction_minors(f: Polynomial, q: Polynomial, k_max=DEFAULT_KMAX, falsify=True):
+    """The certificate of {F = Q = 0} for a cubic F and a quadric Q in 5
+    variables, with the minors dF_i*dQ_j - dF_j*dQ_i multiplied out as
+    polynomials over the input field: the sweep of (F, Q, minors), then the
+    F_7 scan for an exact common zero with coordinates in [-3, 3]."""
+    gens = [f, q]
+    for i in range(f.nvars):
+        for j in range(i + 1, f.nvars):
+            minor = f.partial(i) * q.partial(j) - f.partial(j) * q.partial(i)
+            if not minor.is_zero():
+                gens.append(minor)
+    sweep = projective_empty(gens, k_max)
+    if sweep.certified:
+        return SmoothnessCertificate(
+            "smooth", sweep.degree, sweep.field_used, f.field.is_rational,
+            note=f"ideal of (F, Q, minors) full at degree {sweep.degree}",
+        )
+    reason = "; falsification skipped"
+    if falsify:
+        near = None
+        for point in _common_zeros_mod(gens, f.nvars, 7):
+            lift = _balanced_lift(point, 7)
+            if f.field.is_rational:
+                near = near or point
+                if any(g.evaluate(lift) for g in gens):
+                    continue
+            else:
+                lift = tuple(f.field.coerce(c) for c in lift)
+            return SmoothnessCertificate(
+                "singular", None, f.field.descriptor(), False, lift,
+                note="common zero of (F, Q, minors), checked exactly in the input field",
+            )
+        reason = ", no small-field witness"
+        if near is not None:
+            reason = f"; the common zero {near} over F_7 does not lift to an exact zero"
+    return SmoothnessCertificate(
+        "inconclusive", sweep.kmax, sweep.field_used, False,
+        note=f"no fullness up to degree {sweep.kmax}{reason}",
+    )

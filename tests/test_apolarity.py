@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -299,6 +300,46 @@ def test_contraction_routes_match_old_routes(case, seed, extra_degree):
         q2 = random_poly(f.field, SeedStream(seed), f.nvars, e, 5)
         if not q2.is_zero():
             assert_extract_c_matches_oracle(f, q2)
+
+
+@st.composite
+def smooth_rational_cubics(draw):
+    """(F, G, h): a smooth cubic in 3-5 variables over Q, with fractional
+    coefficients half the time, a nonzero G in the perp of J_(F,3), and a
+    nonzero form h of degree 1-3 with coefficients p/q."""
+    nvars = draw(st.sampled_from((3, 4, 5)))
+    stream = SeedStream(draw(st.integers(0, 2**32)))
+    f = random_poly(QQ, stream, nvars, 3, 10)
+    if draw(st.booleans()):
+        f = f + random_poly(QQ, stream, nvars, 3, 4).scale(Fraction(1, draw(st.integers(2, 9))))
+    assume(not f.is_zero() and is_smooth_hypersurface(f).is_smooth)
+    perp = perp_graded(jacobian_graded(f, 3))
+    g = [QQ.zero] * perp.ambient_dim
+    for row in perp.basis.rows:
+        c = QQ.coerce(draw(st.integers(-3, 3)))
+        g = [x + c * y for x, y in zip(g, row)]
+    assume(any(g))
+    entry = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
+    e = draw(st.integers(1, 3))
+    h = Polynomial.from_vector(QQ, nvars, "x", e, draw(st.lists(entry, min_size=graded_dim(nvars, e),
+                                                                max_size=graded_dim(nvars, e))))
+    assume(not h.is_zero())
+    return f, Polynomial.from_vector(QQ, nvars, "y", 3, g), h
+
+
+@settings(max_examples=15, deadline=None)
+@given(smooth_rational_cubics())
+def test_integer_socle_routes_match_fraction_routes(case):
+    # lambda from the lift is the normalized kernel row, its integers N/L
+    # are primitive, and the integer contraction and annihilator quadric
+    # equal the Fraction loops
+    f, g, h = case
+    lam = socle_functional(f)
+    assert lam.vector == socle_by_kernel(f)
+    nums, den = lam.integral
+    assert [Fraction(x, den) for x in nums] == list(lam.vector) and math.gcd(*nums) == 1
+    assert _contract(lam, h) == contract_by_index_loop(lam, h)
+    assert annihilator_quadric(f, g) == hyperplane_annihilator_quadric(f, g)
 
 
 def test_contraction_routes_match_old_routes_on_u_pairs(u_pairs):

@@ -126,20 +126,47 @@ def test_singular_search_counts(capsys):
     assert rep["report"]["results"]["count"] == 8
 
 
-def test_singular_search_past_the_work_budget():
-    # 4-space over F_101 has 105101005 points: the scan is refused before it
-    # starts, in its own process, with the verdict budget_exhausted
+def _budget_results(*argv):
+    """Run gradus in its own process, which must exit 0 within 10 s with the
+    verdict budget_exhausted; its report's results."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    argv = ["singular-search", "--poly", FERMAT, "--p", "101", "--output", "json"]
     t0 = time.perf_counter()
     done = subprocess.run(
-        [sys.executable, "-m", "gradus.cli", *argv], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-m", "gradus.cli", *argv, "--output", "json"],
+        env=env, capture_output=True, text=True, timeout=60,
     )
     assert time.perf_counter() - t0 < 10
     assert done.returncode == 0, done.stderr
     results = json.loads(done.stdout)["report"]["results"]
-    assert results["verdict"] == "budget_exhausted" and "105101005 points" in results["reason"]
+    assert results["verdict"] == "budget_exhausted"
+    return results
+
+
+def test_singular_search_past_the_work_budget():
+    # 4-space over F_101 has 105101005 points: the scan is refused before it
+    # starts, in its own process, with the verdict budget_exhausted
+    results = _budget_results("singular-search", "--poly", FERMAT, "--p", "101")
+    assert "105101005 points" in results["reason"]
+
+
+def test_macaulay_blocks_past_the_work_budget():
+    # the perp at k = 40 and the colon at k = 30 need Macaulay blocks of
+    # 1.5e10 and 2.7e9 cells (a MemoryError traceback before the budget)
+    results = _budget_results("perp", "--poly", FERMAT, "--k", "40")
+    assert "degree-40 Macaulay rows" in results["reason"]
+    results = _budget_results("colon", "-f", FERMAT, "-q", "x0*x1+x2*x3+x4^2", "--k", "30")
+    assert "degree-32 Macaulay rows" in results["reason"]
+
+
+def test_budget_exhausted_reports_keep_their_input_digests(capsys):
+    reports = [
+        run_json(capsys, "singular-search", "--poly", poly, "--p", "101")["report"]
+        for poly in (FERMAT, SPECIAL)
+    ]
+    assert [r["results"]["verdict"] for r in reports] == ["budget_exhausted"] * 2
+    assert reports[0]["inputs"] != reports[1]["inputs"]
+    assert list(reports[0]["inputs"]) == ["poly"]
 
 
 def test_node_check(capsys):

@@ -29,8 +29,9 @@ from gradus import (
     special_q,
 )
 from gradus import jacobian, linalg
-from gradus.errors import PreconditionError, ZeroPolynomialError
+from gradus.errors import BudgetExhaustedError, PreconditionError, ZeroPolynomialError
 from gradus.jacobian import (
+    MACAULAY_CELLS,
     _integer_rows,
     _milnor_sweep,
     _quotient_dims_mod,
@@ -40,6 +41,7 @@ from gradus.jacobian import (
 from gradus.linalg import _primitive
 
 from .oracles import (
+    ci_smooth_by_fraction_minors,
     macaulay_quotient_dim,
     milnor_dims_by_rref,
     product_rows,
@@ -353,6 +355,59 @@ def test_ci_smooth_degree_is_the_first_full_macaulay_degree(u_pairs):
     assert dims[k - 1] > 0 and dims[k] == 0
 
 
+@st.composite
+def cubic_quadric_pairs(draw):
+    """(F, Q, kmax, falsify): a dense cubic in 5 variables over Q (with
+    fractional coefficients half the time) or F_p, and a quadric: a random
+    one, one perturbed by the Jacobian ideal, a product of two linear forms
+    (Y singular along a curve), or one free of x0 while F has no term of
+    x0-degree >= 2 (Y singular at e0)."""
+    p = draw(st.sampled_from((None, 101, 10007)))
+    field = QQ if p is None else FieldConfig.prime_field(p)
+    stream = SeedStream(draw(st.integers(0, 2**32)))
+
+    def form(degree):
+        g = random_poly(field, stream, 5, degree, 10)
+        if p is None and draw(st.booleans()):
+            g = g + random_poly(field, stream, 5, degree, 3).scale(Fraction(1, 3))
+        return g
+
+    f = form(3)
+    kind = draw(st.sampled_from(("random", "perturbed", "product", "cone")))
+    q = form(1) * form(1) if kind == "product" else form(2)
+    if kind == "cone":
+        f = Polynomial(field, 5, "x", {m: c for m, c in f.terms.items() if m[0] < 2})
+        q = Polynomial(field, 5, "x", {m: c for m, c in q.terms.items() if m[0] == 0})
+    if kind == "perturbed":
+        for i in range(5):
+            q = q + f.partial(i).scale(random_scalar(field, stream, 10))
+    assume(not f.is_zero() and not q.is_zero())
+    return f, q, draw(st.integers(5, 8)), draw(st.booleans())
+
+
+@settings(max_examples=20, deadline=None)
+@given(cubic_quadric_pairs())
+def test_ci_smooth_matches_fraction_minor_route(case):
+    # the minors from the primitive integer partials give the same
+    # certificate, field by field, as the Fraction products they replace
+    f, q, kmax, falsify = case
+    assert ci_smooth(f, q, kmax, falsify) == ci_smooth_by_fraction_minors(f, q, kmax, falsify)
+
+
+def test_macaulay_rows_are_bounded_before_the_first_row(fermat, monkeypatch):
+    # the perp at k = 40 needs 111930 x 135751 cells a partial: refused
+    # before product_index builds its table; the largest block that tier-1
+    # tests and golden cases build, a quadric's to degree 9, stays inside
+    built = []
+    table = jacobian.product_index
+    monkeypatch.setattr(jacobian, "product_index", lambda *a: built.append(a) or table(*a))
+    with pytest.raises(BudgetExhaustedError, match="above the work budget"):
+        jacobian_graded(fermat, 40)
+    assert built == []
+    assert graded_dim(5, 7) * graded_dim(5, 9) < MACAULAY_CELLS
+    assert len(_shifted_rows(random_poly(QQ, SeedStream(1), 5, 2, 3), 9, sparse=True)) == 330
+
+
 # ---------------------------------------------------------------------------
 # Milnor dimensions from the sweep, against the rref route (tests/oracles.py)
 
@@ -556,3 +611,23 @@ def test_nodal_certificate_reads_the_node_off_the_sweep(monkeypatch, nodal_cubic
     assert _milnor_sweep(lifted.normalized())[0][6] == 1
     assert is_smooth_hypersurface(lifted) == SmoothnessCertificate("smooth", 6, "rational", False)
     assert calls == ["rref", "scan", "rref"]
+
+
+def test_milnor_dim_at_a_node_read_off_the_sweep(monkeypatch, nodal_cubic):
+    # dim (S/J_F)_(T+1) of a one-node form is 1 exactly once the sweep has
+    # read the node: no rational rref, cold or after the certificate; a
+    # node past reconstruction takes the rref route
+    calls = []
+    rref = linalg.rref
+    for mod in (linalg, jacobian):
+        monkeypatch.setattr(mod, "rref", lambda m: calls.append(m.nrows) or rref(m))
+    near = _sheared(nodal_cubic, 0, (0, 1, -1, 1, 1))
+    for f in (nodal_cubic, near):
+        _clear_milnor_caches()
+        assert milnor_dim(f, 6) == 1
+        assert is_smooth_hypersurface(f).verdict == "singular" and milnor_dim(f, 6) == 1
+    assert calls == []
+    assert [milnor_dims_by_rref(f, 6) for f in (nodal_cubic, near)] == [1, 1]
+    calls.clear()
+    far = _sheared(nodal_cubic, 0, (0, 100, 0, 0, 0))
+    assert milnor_dim(far, 6) == 1 and calls == [350]

@@ -5,6 +5,7 @@ import pytest
 
 from gradus import (
     FieldConfig,
+    construct_pair,
     Polynomial,
     SeedStream,
     colon_graded,
@@ -20,6 +21,7 @@ from gradus import (
     theorem14_check,
     verify_corollary,
 )
+from gradus import apolarity, jacobian, linalg, pipeline, poly
 from gradus.errors import PreconditionError
 from gradus.report import to_jsonable
 
@@ -169,3 +171,43 @@ def test_reproduce_example_all_pass():
     assert rep["all_passed"], failed
     names = {c["name"] for c in rep["checks"]}
     assert {"milnor_dim_3_is_10", "jacobian_degree4_equals_w", "all_points_are_nodes"} <= names
+
+
+def test_rational_pair_job_does_its_work_once(monkeypatch):
+    # one Q pair job on a dense cubic with every cache cleared: F's partials
+    # are built once per variable, ci_smooth multiplies no Polynomials, and
+    # lambda comes off the lift of J_5 with no span and no rref
+    f = random_poly(QQ, SeedStream(20261018), 5, 3, 10)
+    assert len(f.terms) == 35
+    for mod in (apolarity, jacobian, linalg, pipeline, poly):
+        for obj in vars(mod).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+    socle = apolarity._socle_functional
+    calls = []  # (name, the spied calls it runs inside, its arguments)
+    inside = []
+
+    def spy(mod, name):
+        fn = getattr(mod, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append((name, tuple(inside), args))
+            inside.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(mod, name, wrapped)
+
+    for mod, name in ((Polynomial, "partial"), (Polynomial, "__mul__"), (pipeline, "ci_smooth"),
+                      (apolarity, "_socle_functional"), (linalg, "rref"), (linalg, "span"),
+                      (jacobian, "rref"), (jacobian, "span"), (apolarity, "span")):
+        spy(mod, name)
+    um = membership_u(f, trials=5, seed=7)
+    cert = construct_pair(f, um.witness, seed=7)
+    assert um.in_u and cert.y_smooth.is_smooth and cert.c_smooth.is_smooth
+    assert sorted(args[1] for name, _, args in calls if name == "partial" and args[0] is f) == [0, 1, 2, 3, 4]
+    assert not [name for name, within, _ in calls if name == "__mul__" and "ci_smooth" in within]
+    assert "ci_smooth" in [name for name, _, _ in calls] and socle.cache_info().misses == 1
+    assert not [name for name, within, _ in calls if "_socle_functional" in within and name != "partial"]
