@@ -17,21 +17,28 @@ routes.  Quotient pieces are represented in the canonical complement-monomial
 coordinates (the non-pivot columns of the Jacobian rref basis), so all
 outputs are exactly comparable.
 
-Annihilators are read off rref bases at hand: lambda is the one null
-vector of J_T, E-perp is W^-1 ker E (`linalg._null_vectors`), W = diag(c!),
-and every "pairs to zero" check is one exact product B W G^T, `_pairings`.
+Annihilators are read off bases at hand: over Q lambda is the one null
+vector of the rref of J_T, E-perp is W^-1 ker E (`linalg._null_vectors`),
+W = diag(c!), and every "pairs to zero" check is one exact product
+B W G^T, `_pairings`.
 
 Over Q lambda is read off the p-adic lift of J_T's primitive integer rows
 (`linalg._rref_integral`): the rref is e_{p_i} + N_i/L on the complement,
 one column c for a smooth F, so L e_c - sum_i N_i e_{p_i} is the null
-vector, a primitive integer vector (over F_p the same vector comes off one
-modular elimination of J_T, L = 1); `SocleFunctional.vector` is it scaled
-to lead with 1, and `SocleFunctional.integral` gives it back as (N, L)
-over the least common denominator.  A contraction is then an integer
-product: with lambda = N/L and h = H/D over their least common
-denominators, lambda(h*m) = (sum_b H_b N[b*m]) / (L*D), one exact division
-per entry, so it is exact and linear in h.  The integral catalecticant is
-the gather of N itself.
+vector, a primitive integer vector.  Over F_p no J_T is built: the Milnor
+sweep of F's class keeps its degree-T normal form
+(`jacobian._milnor_sweep`).  With h_T = 1, as for every F smooth over F_p
+(p > d: the partials form a regular sequence), v(m) = the coefficient of
+NF(m) on the one standard monomial is nonzero and vanishes on J_T mod p,
+whose annihilator is a line, so v is lambda up to scale; h_T != 1 raises
+NotSmoothError naming h_T, the dimension of that annihilator.
+`SocleFunctional.vector` is either vector scaled to lead with 1, and
+`SocleFunctional.integral` gives it back as (N, L) over the least common
+denominator (L = 1 over F_p).  A contraction is then an integer product:
+with lambda = N/L and h = H/D over their least common denominators,
+lambda(h*m) = (sum_b H_b N[b*m]) / (L*D), one exact division per entry, so
+it is exact and linear in h.  The integral catalecticant is the gather of N
+itself.
 """
 
 from __future__ import annotations
@@ -51,16 +58,14 @@ from .errors import (
     ZeroPolynomialError,
     invariant,
 )
-from .jacobian import _integer_rows, _multiplication_matrix, _require_same_ring, jacobian_graded
-from .jacobian import partials, require_smooth
+from .jacobian import _integer_rows, _milnor_sweep, _multiplication_matrix, _require_same_ring
+from .jacobian import jacobian_graded, partials, require_smooth
 from .linalg import (
     CACHE_SIZE,
     FieldConfig,
     GradedSubspace,
     Matrix,
     _common_denominator,
-    _eliminate_mod,
-    _free_columns,
     _null_vectors,
     _rref_integral,
     kernel,
@@ -161,20 +166,19 @@ def socle_functional(f: Polynomial) -> SocleFunctional:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _socle_functional(f: Polynomial) -> SocleFunctional:
-    d = f.homogeneous_degree()
-    t = f.nvars * (d - 2)
+    t = f.nvars * (f.homogeneous_degree() - 2)
     field, n = f.field, graded_dim(f.nvars, t)
-    rows = _integer_rows(partials(f), t, sparse=field.is_rational)
     if field.is_rational:  # the rref of J_T as integers N over one L
-        pivots, comp, nums, den = _rref_integral(rows, n)
-    else:  # the rref of J_T mod p: N its complement block, L = 1
-        a, pivots, _ = _eliminate_mod(rows, n, field.modulus)
-        comp, den = _free_columns(pivots, n), 1
-        nums = a[: len(pivots)][:, comp].ravel().tolist()
-    if len(comp) != 1:
-        raise NotSmoothError(f"socle is {len(comp)}-dimensional at degree {t}; expected 1")
-    # the null vector L*e_c - sum_i N_i*e_{p_i}, scaled to lead with 1
-    vec = {comp[0]: den, **{pc: -x for pc, x in zip(pivots, nums)}}
+        pivots, comp, nums, den = _rref_integral(_integer_rows(partials(f), t, sparse=True), n)
+        dim = len(comp)
+    else:  # v, the sweep's degree-T normal form, and h_T
+        hs, _, socle = _milnor_sweep(f.normalized())
+        dim = hs[t]
+    if dim != 1:
+        raise NotSmoothError(f"socle is {dim}-dimensional at degree {t}; expected 1")
+    # the null vector L*e_c - sum_i N_i*e_{p_i}, or v, scaled to lead with 1
+    vec = ({comp[0]: den, **{pc: -x for pc, x in zip(pivots, nums)}} if field.is_rational
+           else dict(enumerate(socle.tolist())))
     inv = field.inv(vec[min(c for c, x in vec.items() if x)])
     return SocleFunctional(field, f.nvars, t, tuple(field.mul(vec.get(c, 0), inv) for c in range(n)))
 

@@ -7,7 +7,8 @@ was computed (even a negative or inconclusive one), 1 = usage error,
 
 `COMMANDS` maps each subcommand to the flags its handler reads and to the
 handler; the parser, the dispatch, `SUBCOMMANDS` and the report's parameters
-all read that table.
+all read that table.  The parameters leave out what `UNREAD_WITH` names: the
+flags of a draw that an explicit witness (`--ell`, `--g`) replaces.
 """
 
 from __future__ import annotations
@@ -307,9 +308,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+UNREAD_WITH = {"ell": {"trials", "coeff_bound"}, "g": {"trials"}}
+
+
 def _parameters(args) -> dict:
     # inputs are digested separately, field and seed sit in the envelope
     skip = {"command", "output", "field", "seed", *TEXT_FLAGS}
+    skip.update(*(v for k, v in UNREAD_WITH.items() if getattr(args, k, None) is not None))
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
 
 

@@ -27,13 +27,19 @@ graded_dim - (rank mod p of the degree-k Macaulay matrix), as a full
 elimination would give.  The promotion argument is untouched: h_k = 0 mod p
 means the Macaulay matrix has full rank mod p, hence over the rationals.
 
-Milnor dimensions and hypersurface smoothness read one sweep per projective
-class: h_0, ..., h_{T+1} of the partials of F mod p (DEFAULT_PRIME over the
-rationals), cached on `f.normalized()` (`_milnor_sweep`).  Over F_p the
-sweep runs in the field itself, so every h_k is dim (S/J_F)_k.  Over the
-rationals h_k is exact wherever it equals the smooth reference,
-`smooth_reference_dims(n, d)[k]` (0 past T), because that reference is a
-lower bound and h_k an upper one:
+Milnor dimensions, hypersurface smoothness and the socle functional over
+F_p read one sweep per projective class: h_0, ..., h_{T+1} of the partials
+of F mod p (DEFAULT_PRIME over the rationals), cached on `f.normalized()`
+(`_milnor_sweep`).  Where h_k = 1, the degree-k normal form is a column
+v(m) = the coefficient of NF(m) on the one standard monomial.  Over F_p
+the sweep keeps v at degree T (up to scale the socle functional: see
+`apolarity`), and over the rationals the singular point read off v at
+degree T+1 (below).  `_quotient_dims_mod` hands out the table of a degree
+only when asked and then goes on, so neither costs a second sweep or
+elimination.  Over F_p the sweep runs in the field itself, so every h_k is
+dim (S/J_F)_k.  Over the rationals h_k is exact wherever it equals the
+smooth reference, `smooth_reference_dims(n, d)[k]` (0 past T), because
+that reference is a lower bound and h_k an upper one:
 - dim_Q (S/J_F)_k <= h_k: the rank of an integer matrix mod p is at most
   its rank over the rationals;
 - dim_Q (S/J_F)_k >= ref_k: the degree-k Macaulay matrix of the partials
@@ -47,7 +53,7 @@ Any other degree takes the exact route, graded_dim - dim J_k by rref.
 A rational F whose sweep ends in h_{T+1} = 1 is read for its singular
 point before any rational elimination, as zeros are read off the dual of
 the quotient (Auzinger-Stetter, ISNM 86, 1988; Mourrain, J. Pure Appl.
-Algebra 117-118, 1997).  The sweep keeps the degree-(T+1) normal form,
+Algebra 117-118, 1997).  The sweep reads the degree-(T+1) normal form,
 v(m) = the coefficient of NF(m) on the one standard monomial, a functional
 that spans the annihilator of J_{T+1} mod p.
 - Why the read-off almost always succeeds: a singular point P of F over
@@ -300,16 +306,19 @@ def jacobian_graded(f: Polynomial, k: int) -> GradedSubspace:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _milnor_sweep(f: Polynomial) -> tuple:
-    """(hs, node) for a normalized F of degree >= 1: hs = (h_0, ..., h_{T+1})
-    mod p of its partials, and over the rationals with h_{T+1} = 1 the
-    singular point that `_node_off_sweep` reads off the degree-(T+1) normal
-    forms; node is None otherwise."""
+    """(hs, node, socle) for a normalized F of degree >= 1: hs = (h_0, ...,
+    h_{T+1}) mod p of its partials; node, over the rationals with
+    h_{T+1} = 1, the singular point that `_node_off_sweep` reads off the
+    degree-(T+1) normal forms; socle, over F_p with h_T = 1, the degree-T
+    normal form v(m) = NF(m) on the one standard monomial, which spans the
+    annihilator of J_T.  Each is None otherwise."""
     p = DEFAULT_PRIME if f.field.is_rational else f.field.modulus
     sweep = _quotient_dims_mod(partials(f), p)
-    t1 = max(f.nvars * (f.degree() - 2) + 1, 0)
-    hs = tuple(h for _, h in itertools.islice(sweep, t1 + 1))
-    keep = f.field.is_rational and hs[-1] == 1
-    return hs, (_node_off_sweep(f, tuple(sweep.send(True)[:, 0].tolist()), t1) if keep else None)
+    hs = tuple(h for _, h in itertools.islice(sweep, max(f.nvars * (f.degree() - 2) + 1, 0)))
+    socle = sweep.send(True)[:, 0].copy() if hs[-1:] == (1,) and not f.field.is_rational else None
+    hs += (next(sweep)[1],)
+    v = sweep.send(True)[:, 0].tolist() if f.field.is_rational and hs[-1] == 1 else None
+    return hs, v and _node_off_sweep(f, v, len(hs) - 1), socle
 
 
 def milnor_dim(f: Polynomial, k: int) -> int:
@@ -319,10 +328,10 @@ def milnor_dim(f: Polynomial, k: int) -> int:
 
 
 def _milnor_dim(f: Polynomial, d: int, sweep, k: int) -> int:
-    """`milnor_dim` of F of degree d given its class's sweep (hs, node)
+    """`milnor_dim` of F of degree d given its class's `_milnor_sweep`
     (None: the rref route)."""
     if sweep is not None:
-        hs, node = sweep
+        hs, node, _ = sweep
         if node and k == len(hs) - 1:  # a node off the sweep: dim_Q = 1 exactly
             return 1
         j = min(k, len(hs) - 1)  # past T+1 the sweep's last h decides only when it is 0
@@ -426,7 +435,7 @@ def _smoothness_of_class(f: Polynomial) -> SmoothnessCertificate:
         raise CharacteristicError(f"smoothness check at degree {d} needs p > {d}")
     field_used = f"fp:{DEFAULT_PRIME if field.is_rational else field.modulus}"
 
-    hs, node = _milnor_sweep(f)
+    hs, node, _ = _milnor_sweep(f)
     if hs[t1] == 0:
         return SmoothnessCertificate(
             "smooth", t1, field_used, field.is_rational,
@@ -458,7 +467,7 @@ def _smoothness_of_class(f: Polynomial) -> SmoothnessCertificate:
     )
 
 
-def _node_off_sweep(f: Polynomial, v: tuple, t1: int):
+def _node_off_sweep(f: Polynomial, v: list, t1: int):
     """The singular point P of a rational F that v, the sweep's degree-t1
     normal-form functional, names when it is ev_P mod p up to scale: read at
     x_j^t1 and x_j^(t1-1)*x_i, lifted by rational reconstruction, scaled to
@@ -471,11 +480,11 @@ def _node_off_sweep(f: Polynomial, v: tuple, t1: int):
         return v[idx[tuple((t1 - 1) * (a == j) + (a == i) for a in range(n))]]
 
     j = next((j for j in range(n) if at(j, j)), None)
-    ratios = [at(j, i) * pow(at(j, j), -1, p) % p for i in range(n)] if j is not None else None
-    lifted = ratios and _reconstruct(ratios, p)
-    if not lifted:  # v(x_j^t1) = 0 for every j, or a ratio past reconstruction
+    ratios = [at(j, i) * pow(at(j, j), -1, p) % p for i in range(n)] if j is not None else []
+    nums, _ = _reconstruct(ratios, p)
+    if not ratios or len(nums) < n:  # v(x_j^t1) = 0 for every j, or a ratio past reconstruction
         return None
-    point = tuple(_primitive(dict(enumerate(lifted[0]))).values())
+    point = tuple(_primitive(dict(enumerate(nums))).values())
     return None if any(g.evaluate(point) for g in [f, *partials(f)]) else point
 
 
@@ -526,9 +535,10 @@ def _quotient_dims_mod(gens, p: int):
     ideal I of `gens` (zero generators skipped, rational ones scaled to
     primitive integers), from the normal forms of degree k-1; see the module
     docstring.  Once h_k = 0 every later h is 0.  `send(True)` in place of
-    the next `next` returns the normal-form table of the last degree yielded
-    (h > 0), row m the coordinates of NF(m) over N_k mod p, and ends the
-    sweep; the table of the last degree is built only then."""
+    the next `next` returns the normal-form table of the degree just yielded
+    (h > 0), row m the coordinates of NF(m) over N_k mod p, and the sweep
+    goes on at the `next` after it; the table of the last degree a caller
+    reads is built only if it is sent for."""
     nvars = gens[0].nvars
     dtype = _elimination_dtype(p)[0]
     by_degree: dict = {}
@@ -595,7 +605,6 @@ def _quotient_dims_mod(gens, p: int):
         nf[off] = _mod(refs[:, free] - _matmul_mod(refs[:, pivots], rref_free, p, dtype), p)
         if keep:
             yield nf
-            return
 
 
 def projective_empty(generators, k_max: int = DEFAULT_KMAX) -> EmptinessResult:

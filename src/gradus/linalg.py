@@ -504,20 +504,20 @@ def _rational_reconstruction(x: int, m: int, bound: int):
 
 
 def _reconstruct(residues: list, m: int):
-    """Numerators N and one common denominator L with N/L = residues mod m,
-    or None.  L runs over the entries: each entry is reconstructed as L*x,
-    so once L is the answer's denominator the rest lift as integers."""
+    """Numerators N and one common denominator L with N/L = the longest
+    prefix of the residues that reconstructs mod m: all of them when
+    len(N) == len(residues).  L runs over the entries: each entry is
+    reconstructed as L*x, so once L is the answer's denominator the rest
+    lift as integers."""
     bound = math.isqrt((m - 1) // 2)
     den, nums = 1, []
     for x in residues:
         nd = _rational_reconstruction(den * x, m, bound)
-        if nd is None:
-            return None
+        if nd is None or den * nd[1] > bound:
+            break
         n, d = nd
         if d != 1:
             den *= d
-            if den > bound:
-                return None
             nums = [v * d for v in nums]
         nums.append(n)
     return nums, den
@@ -603,23 +603,34 @@ def _fraction_row(entries, den: int, ncols: int) -> list:
 def _lift(prim: list, int_rows: list, a_max: int, p: int, h2: int):
     """(pivots, complement, N, L) of the rref from the image mod p, or None
     once the lift is exact (p^k > 2*H^2) and still fails a check: p is then
-    unlucky.  See `rref` for the argument."""
+    unlucky.  See `rref` for the argument.
+
+    The whole candidate is reconstructed at the first digit, and after that
+    only when one probe entry, the one that stopped the last candidate,
+    reconstructs to the same value at two digits running, or once the lift
+    is exact.  At the first digit where the candidate is the rref, every
+    entry reconstructs to its true value, as the probe does at the next, so
+    the lift ends at most one digit later than with a candidate per digit,
+    with the same rref."""
     ncols = len(int_rows[0])
     a, pivots, order = _eliminate_mod(int_rows, ncols, p)
     rk = len(pivots)
     comp = _free_columns(pivots, ncols)
     images = _padic_images(int_rows, a_max, p, pivots, comp, order[:rk], a[:rk][:, comp])
+    probe = last = None  # the probe entry, and its value at the last digit
     for residues, m in images:
-        cand = _reconstruct(residues, m)
-        if (
-            cand is not None
-            and _is_echelon(pivots, comp, cand[0])
-            and _spans_rows(prim, pivots, comp, *cand)
-        ):
-            return pivots, comp, *cand
-        if m > 2 * h2:
-            invariant(cand is not None, "p-adic rref did not reconstruct past the Hadamard bound")
-            return None
+        exact, bound = m > 2 * h2, math.isqrt((m - 1) // 2)
+        value = probe is not None and _rational_reconstruction(residues[probe], m, bound)
+        if probe is None or exact or value and value == last:
+            nums, den = _reconstruct(residues, m)
+            if len(nums) < len(residues):  # probe the entry that stopped it
+                invariant(not exact, "p-adic rref did not reconstruct past the Hadamard bound")
+                probe, value = len(nums), None
+            elif _is_echelon(pivots, comp, nums) and _spans_rows(prim, pivots, comp, nums, den):
+                return pivots, comp, nums, den
+            if exact:
+                return None
+        last = value
 
 
 def _rref_integral(prim: list, ncols: int):

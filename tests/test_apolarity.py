@@ -437,6 +437,42 @@ def test_socle_functional_matches_kernel_route(smooth_cubics, special_cubic):
         _socle_functional(special_cubic)
 
 
+# the `_elimination_dtype` branches: int32 (101, 10007), int64 (46349) and
+# `object` (2^61 - 1)
+SOCLE_PRIMES = (101, 10007, 46349, (1 << 61) - 1)
+
+
+@st.composite
+def prime_field_forms(draw):
+    """Forms over F_p, p in SOCLE_PRIMES: cubics in 3-5 variables, quartics
+    in 3 and quadrics (T = 0).  Dense ones, or with no monomial of x0-degree
+    above `top`: d - 2 makes them singular at e0 (h_T = 1 for a node), 0
+    makes them cones over e0 (h_T > 1 for T > 0)."""
+    field = FieldConfig.prime_field(draw(st.sampled_from(SOCLE_PRIMES)))
+    nvars, d = draw(st.sampled_from([(3, 3), (4, 3), (5, 3), (3, 4), (3, 2), (4, 2)]))
+    mons = monomials(nvars, d)
+    coeffs = draw(st.lists(st.integers(-4, 4), min_size=len(mons), max_size=len(mons)))
+    top = draw(st.sampled_from([d, d - 2, 0]))
+    terms = {m: c % field.modulus for m, c in zip(mons, coeffs) if c and m[0] <= top}
+    assume(terms)
+    return Polynomial(field, nvars, "x", terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(prime_field_forms())
+def test_socle_off_the_sweep_matches_kernel_route(f):
+    # lambda over F_p is the sweep's degree-T normal form, scaled to lead
+    # with 1: the normalized kernel row of J_T, or NotSmoothError naming
+    # the kernel's dimension when that is not 1
+    t = f.nvars * (f.homogeneous_degree() - 2)
+    dim = kernel(jacobian_graded(f, t).basis).nrows
+    if dim == 1:
+        assert _socle_functional(f).vector == socle_by_kernel(f)
+    else:
+        with pytest.raises(NotSmoothError, match=f"socle is {dim}-dimensional at degree {t};"):
+            _socle_functional(f)
+
+
 @pytest.mark.parametrize("field", [QQ, FieldConfig.prime_field(10007)])
 @pytest.mark.parametrize(
     "corruption, message",

@@ -348,22 +348,34 @@ def test_commands_reject_flags_they_do_not_read(capsys):
         assert code == 1 and "unrecognized arguments" in err, (argv, code, err)
 
 
-def test_parameters_hold_only_the_commands_own_flags():
-    """Each pinned report's parameters are its command's own non-text dests
-    as parsed (an unset --nvars left out); field and seed sit in the
-    envelope.  Criterion 9 pins tests/golden to the CLI's output."""
+def test_parameters_hold_only_the_commands_own_flags(capsys):
+    """Each pinned report's parameters are the non-text dests, as parsed,
+    of the flags its command's path reads (an unset --nvars left out): its
+    own flags, less the draw's --trials and --coeff-bound where an explicit
+    --ell is given and the draw's --trials where an explicit --g is; field
+    and seed sit in the envelope.  Criterion 9 pins tests/golden to the
+    CLI's output."""
     from pathlib import Path
 
     from gradus.cli import COMMANDS, TEXT_FLAGS, build_parser
 
     from .test_acceptance import CLI_CASES, criterion_9_argv
 
+    unread_with = {"ell": {"trials", "coeff_bound"}, "g": {"trials"}}
     golden = Path(__file__).with_name("golden")
     parser = build_parser()
     for case in CLI_CASES:
         rep = json.loads((golden / f"{case[0]}.json").read_text(encoding="utf-8"))
         parsed = vars(parser.parse_args(criterion_9_argv(case)))
         own = {flag.lstrip("-").replace("-", "_") for flag in COMMANDS[case[0]][0]}
-        want = {k: parsed[k] for k in own - TEXT_FLAGS if parsed[k] is not None}
+        unread = {k for flag, flags in unread_with.items() if parsed.get(flag) is not None for k in flags}
+        want = {k: parsed[k] for k in own - TEXT_FLAGS - unread if parsed[k] is not None}
         assert rep["parameters"] == want, case[0]
         assert (rep["field"], rep["seed"]) == ("rational", parsed["seed"]), case[0]
+    assert json.loads((golden / "lefschetz.json").read_text(encoding="utf-8"))["parameters"] == {}
+    # construct-pair with an explicit witness (the pinned membership-u
+    # witness of that case's cubic) reads no --trials
+    f = next(case[2] for case in CLI_CASES if case[0] == "membership-u")
+    g = json.loads((golden / "membership-u.json").read_text(encoding="utf-8"))["results"]["witness"]
+    rep = run_json(capsys, "construct-pair", "-f", f, "--g", g, "--trials", "9", "--field", "fp:10007")
+    assert rep["report"]["parameters"] == {"coeff_bound": 10, "kmax": 12, "max_perturbations": 10}

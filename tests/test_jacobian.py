@@ -482,7 +482,7 @@ def test_milnor_dims_match_rref_route_on_larger_forms(special_cubic):
     # x1^3 + x2^3 + x3^3 + x4^3, p = DEFAULT_PRIME, is smooth, but modulo p
     # it is singular at e0, so the sweep's bound is not exact from degree 3 on
     lifted = parse_poly(f"{DEFAULT_PRIME}*x0^3 + x0*x4^2 + x1^3 + x2^3 + x3^3 + x4^3", QQ)
-    assert _milnor_sweep(lifted.normalized()) == ((1, 5, 10, 11, 9, 8, 8), None)
+    assert _milnor_sweep(lifted.normalized())[:2] == ((1, 5, 10, 11, 9, 8, 8), None)
     cert = is_smooth_hypersurface(lifted)
     assert cert.is_smooth and cert.field_used == "rational"
     quartic = random_poly(FieldConfig.prime_field(10007), SeedStream(5), 4, 4, 5)
@@ -530,7 +530,7 @@ def test_milnor_profile_reads_the_sweep(monkeypatch, smooth_cubics, nodal_cubic,
         return graded(g, k)
 
     monkeypatch.setattr(jacobian, "jacobian_graded", record)
-    hs, _ = _milnor_sweep(special_cubic.normalized())
+    hs, _, _ = _milnor_sweep(special_cubic.normalized())
     ref = smooth_reference_dims(5, 3) + [0]
     assert [k for k in range(6) if hs[k] != ref[k]] == [5]
     assert milnor_profile(special_cubic).dims == (1, 5, 10, 10, 5, 5)

@@ -21,6 +21,7 @@ from gradus import (
     subspace_intersect,
     subspace_sum,
 )
+from gradus import linalg
 from gradus.errors import AmbientMismatchError, PreconditionError
 from gradus.linalg import _LIFT_PRIME, _elimination_dtype, is_prime, rank_mod
 from gradus.poly import random_poly
@@ -442,6 +443,33 @@ def test_rref_qq_on_dense_jacobian_piece_matches_oracle():
     rows = jacobian_rows(f, 5)
     assert len(rows) == 175 and len(rows[0]) == 126
     assert_rref_matches_oracle(rows, 126)
+
+
+def test_lift_reconstructs_the_whole_candidate_once_a_probe_entry_settles(monkeypatch):
+    # the J_5 lift of a dense cubic takes over 20 p-adic digits; the whole
+    # candidate is reconstructed at the first digit and then only when the
+    # probe entry repeats, and the lift ends at most one digit after the
+    # first digit whose candidate is the rref
+    f = random_poly(QQ, SeedStream(child_seed(20260101, 3)), 5, 3, 10)
+    images, attempts = [], []
+    padic, reconstruct = linalg._padic_images, linalg._reconstruct
+
+    def record_images(*args):
+        for image in padic(*args):
+            images.append(image)
+            yield image
+
+    def record_attempts(residues, m):
+        attempts.append(m)
+        return reconstruct(residues, m)
+
+    monkeypatch.setattr(linalg, "_padic_images", record_images)
+    monkeypatch.setattr(linalg, "_reconstruct", record_attempts)
+    assert rref(Matrix(QQ, jacobian_rows(f, 5), 126))[2] == 125
+    assert len(images) > 20 and len(attempts) <= 3
+    accepted = reconstruct(*images[-1])
+    first = next(i for i, image in enumerate(images) if reconstruct(*image) == accepted)
+    assert len(images) - 1 <= first + 1
 
 
 def test_rref_qq_rank_of_nodal_jacobian_piece(nodal_cubic):

@@ -173,16 +173,20 @@ def test_reproduce_example_all_pass():
     assert {"milnor_dim_3_is_10", "jacobian_degree4_equals_w", "all_points_are_nodes"} <= names
 
 
+def _clear_caches():
+    for mod in (apolarity, jacobian, linalg, pipeline, poly):
+        for obj in vars(mod).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
 def test_rational_pair_job_does_its_work_once(monkeypatch):
     # one Q pair job on a dense cubic with every cache cleared: F's partials
     # are built once per variable, ci_smooth multiplies no Polynomials, and
     # lambda comes off the lift of J_5 with no span and no rref
     f = random_poly(QQ, SeedStream(20261018), 5, 3, 10)
     assert len(f.terms) == 35
-    for mod in (apolarity, jacobian, linalg, pipeline, poly):
-        for obj in vars(mod).values():
-            if hasattr(obj, "cache_clear"):
-                obj.cache_clear()
+    _clear_caches()
     socle = apolarity._socle_functional
     calls = []  # (name, the spied calls it runs inside, its arguments)
     inside = []
@@ -211,3 +215,32 @@ def test_rational_pair_job_does_its_work_once(monkeypatch):
     assert not [name for name, within, _ in calls if name == "__mul__" and "ci_smooth" in within]
     assert "ci_smooth" in [name for name, _, _ in calls] and socle.cache_info().misses == 1
     assert not [name for name, within, _ in calls if "_socle_functional" in within and name != "partial"]
+
+
+def test_prime_field_pair_job_reads_lambda_off_the_sweep(monkeypatch):
+    # one F_10007 pair job on a dense cubic with every cache cleared: lambda
+    # is the sweep's degree-T normal form, so no degree-5 Macaulay rows are
+    # built and nothing eliminates a matrix with graded_dim(5, 5) columns
+    fp = FieldConfig.prime_field(10007)
+    f = random_poly(fp, SeedStream(20261018), 5, 3, 10)
+    _clear_caches()
+    row_degrees, widths = [], []
+    shifted = jacobian._shifted_rows
+
+    def record_rows(g, k, *args, **kwargs):
+        row_degrees.append(k)
+        return shifted(g, k, *args, **kwargs)
+
+    monkeypatch.setattr(jacobian, "_shifted_rows", record_rows)
+    for mod in (apolarity, jacobian, linalg):  # each module's own binding
+        if hasattr(mod, "_eliminate_mod"):
+            def eliminate(matrix, ncols, p, eliminate=mod._eliminate_mod):
+                widths.append(ncols)
+                return eliminate(matrix, ncols, p)
+
+            monkeypatch.setattr(mod, "_eliminate_mod", eliminate)
+    um = membership_u(f, trials=5, seed=7)
+    cert = construct_pair(f, um.witness, seed=7)
+    assert um.in_u and cert.y_smooth.is_smooth and cert.c_smooth.is_smooth
+    assert row_degrees and 5 not in row_degrees
+    assert widths and 126 not in widths
