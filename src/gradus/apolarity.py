@@ -12,15 +12,24 @@ coefficient of y^c in h o G, G = sum lambda(x^a)/a! y^a the Macaulay dual
 generator, and <b, h o G> = lambda(h*b).  Q, C, the pairing matrix and the
 pipeline's colon-invariance check are all read from such contractions,
 exactly in every characteristic; p > d is needed only to divide by the
-weights c!, |c| = d.  `colon_graded` and `perp_graded` stay the general
-routes.  Quotient pieces are represented in the canonical complement-monomial
-coordinates (the non-pivot columns of the Jacobian rref basis), so all
-outputs are exactly comparable.
+weights c!, |c| = d.  So is every rank of multiplication on S/J_F that the
+pair pipeline and `slp_check` read (`_quotient_rank`): a*g lies in J
+exactly when lambda(a*g*S) = 0, so the rank of g from degree k is the rank
+of the catalecticant [lambda(g*m_a*m_b)], reduced mod a prime over Q and
+exact where it reaches min(h_k, h_{k+deg g}), with no J basis built.
+`colon_graded` and `perp_graded` stay the general routes: the `colon` and
+`perp` commands, `verify_corollary` (F need not be smooth) and
+`theorem14_check`.  Quotient pieces are represented in the canonical
+complement-monomial coordinates (the non-pivot columns of the Jacobian rref
+basis), so all outputs are exactly comparable.
 
-Annihilators are read off bases at hand: over Q lambda is the one null
-vector of the rref of J_T, E-perp is W^-1 ker E (`linalg._null_vectors`),
-W = diag(c!), and every "pairs to zero" check is one exact product
-B W G^T, `_pairings`.
+Annihilators are kernels: <b, g> = b W g with W = diag(c!), so E-perp is
+the kernel of E's rows weighted by W, one rref (`linalg.kernel`), and the
+perp of J_d is read from J_d's generator rows x^a * dF/dx_i with no J_d
+basis built (`_jacobian_perp`, cached).  Every "pairs to zero" check is one
+exact product of such rows with the weighted duals, B (G W)^T
+(`_pairing_product`); against J_d it runs on the generator rows
+(`_jacobian_pairings`).
 
 Over Q lambda is read off the p-adic lift of J_T's primitive integer rows
 (`linalg._rref_integral`): the rref is e_{p_i} + N_i/L on the complement,
@@ -58,18 +67,18 @@ from .errors import (
     ZeroPolynomialError,
     invariant,
 )
-from .jacobian import _integer_rows, _milnor_sweep, _multiplication_matrix, _require_same_ring
-from .jacobian import jacobian_graded, partials, require_smooth
+from .jacobian import _integer_rows, _matmul_mod, _milnor_sweep, _multiplication_matrix
+from .jacobian import _require_same_ring, jacobian_graded, partials, require_smooth
+from .jacobian import smooth_reference_dims
 from .linalg import (
     CACHE_SIZE,
     FieldConfig,
     GradedSubspace,
     Matrix,
     _common_denominator,
-    _null_vectors,
+    _rank_promoted,
     _rref_integral,
     kernel,
-    primitive_int_rows,
     span,
     subspace_le,
 )
@@ -109,53 +118,82 @@ class CubicC:
     q: Polynomial
 
 
-def _pairing_weights(field: FieldConfig, nvars: int, degree: int):
+@lru_cache(maxsize=CACHE_SIZE)
+def _pairing_weights(field: FieldConfig, nvars: int, degree: int) -> tuple:
+    """The weights c! = <x^c, y^c> of the degree-k monomials as integers,
+    residues over F_p, where they are invertible only when p > k."""
     if not field.is_rational and field.modulus <= degree:
         raise CharacteristicError(
             f"perp at degree {degree} needs characteristic > {degree}"
         )
-    return [pairing_weight(field, m) for m in monomials(nvars, degree)]
+    return tuple(int(pairing_weight(field, m)) for m in monomials(nvars, degree))
 
 
-def _pairings(e: GradedSubspace, duals) -> np.ndarray:
-    """<b_i, g_j> for the basis rows b_i of e and the dual coefficient
-    vectors g_j, as the product B W G^T with W = diag(c!): residues mod p,
-    and over Q on primitive integer rows, so that entry (i, j) is a nonzero
-    multiple of <b_i, g_j>, zero exactly when the pairing is."""
-    field, n = e.field, e.ambient_dim
-    weights = _pairing_weights(field, e.nvars, e.degree)
-    rows, cols = e.basis.rows, list(duals)
-    if field.is_rational:
-        rows, cols = primitive_int_rows(e.basis), primitive_int_rows(Matrix(field, cols, n))
-        weights = [int(w) for w in weights]
-    weighted = np.array(rows, dtype=object).reshape(-1, n) * np.array(weights, dtype=object)
-    out = weighted @ np.array(cols, dtype=object).reshape(-1, n).T
+def _integer_array(field: FieldConfig, vecs, n: int) -> np.ndarray:
+    """The vectors as rows of integers: over F_p the residues; over Q each
+    one's integers over its least common denominator L, a positive multiple
+    of it, and its primitive integers when it leads with 1, as rref rows do
+    (a prime dividing them all divides L, the lead's integer, but not the
+    integer of an entry whose denominator carries L's full power of it)."""
+    vecs = [_common_denominator(v)[0] for v in vecs] if field.is_rational else list(vecs)
+    return np.array(vecs, dtype=object).reshape(-1, n)
+
+
+def _weighted_rows(field: FieldConfig, nvars: int, degree: int, rows) -> np.ndarray:
+    """The rows times W = diag(c!), mod p over F_p."""
+    w = np.array(_pairing_weights(field, nvars, degree), dtype=object)
+    out = np.array(rows, dtype=object).reshape(-1, len(w)) * w
     return out if field.is_rational else out % field.modulus
 
 
-def perp_graded(e: GradedSubspace) -> GradedSubspace:
-    """Annihilator of a subspace under the polar pairing, in the dual family.
+def _pairing_product(field: FieldConfig, nvars: int, degree: int, rows, duals) -> np.ndarray:
+    """<b_i, g_j> for the rows b_i and the dual coefficient vectors g_j, as
+    one exact product B (G W)^T, each g_j taken as integers
+    (`_integer_array`) and weighted by W = diag(c!): over Q entry (i, j) is
+    a nonzero multiple of <b_i, g_j>, zero exactly when the pairing is, and
+    an integer for integer rows such as the generator rows x^a * dF/dx_i;
+    over F_p the residues."""
+    n = graded_dim(nvars, degree)
+    cols = _weighted_rows(field, nvars, degree, _integer_array(field, duals, n)).T
+    rows = np.array(rows, dtype=object).reshape(-1, n)
+    return rows @ cols if field.is_rational else _matmul_mod(rows, cols, field.modulus, object)
 
-    <a, g> = a W g for W = diag(c!), invertible since p > k, so
-    E-perp = W^-1 ker E, and ker E has the explicit basis of `_null_vectors`
-    on the rref rows of E.  The result is checked, not recomputed: it pairs
-    to zero with E (one exact product, `_pairings`), its dimension is
-    dim S_k - dim E, and it is in rref because `span` built it.  The first
-    two give out = E-perp (the pairing is perfect), so perp(out) = E, and the
-    third makes it the canonical basis.
-    """
-    field = e.field
-    inverses = [field.inv(w) for w in _pairing_weights(field, e.nvars, e.degree)]
-    null = _null_vectors(field, e.basis.rows, e.pivots, e.ambient_dim)
-    other = "y" if e.family == "x" else "x"
-    scaled = [[field.mul(x, w) for x, w in zip(v, inverses)] for v in null]
-    out = span(field, e.nvars, e.degree, other, scaled)
-    invariant(
-        e.dim + out.dim == e.ambient_dim,
-        "perp dimension law failed: dim E + dim E-perp != dim S_k",
-    )
-    invariant(not _pairings(e, out.basis.rows).any(), "perp does not pair to zero with E")
+
+def _jacobian_pairings(f: Polynomial, d: int, g) -> np.ndarray:
+    """`_pairing_product` of the generator rows x^a * dF/dx_i of J_d and
+    the dual vector g: all zero exactly when g lies in the perp of J_d."""
+    return _pairing_product(f.field, f.nvars, d, _integer_rows(partials(f), d), [g])
+
+
+def _perp(field: FieldConfig, nvars: int, degree: int, family: str, rows) -> GradedSubspace:
+    """{g : <b, g> = 0 for every row b} in the other family.
+
+    <b, g> = b W g for W = diag(c!), so the perp is the kernel of the rows
+    weighted by W, one rref (`linalg.kernel`), whose canonical basis `span`
+    takes as it is.  The result is checked, not recomputed: `kernel` checks
+    its dimension, n - rank, and it pairs to zero with the rows (one exact
+    product, `_pairing_product`); the pairing is perfect since p > k, so it
+    is the perp."""
+    weighted = _weighted_rows(field, nvars, degree, rows)
+    null = kernel(Matrix(field, weighted.tolist(), weighted.shape[1])).rows
+    out = span(field, nvars, degree, "y" if family == "x" else "x", null)
+    invariant(not _pairing_product(field, nvars, degree, rows, out.basis.rows).any(),
+              "perp does not pair to zero with E")
     return out
+
+
+def perp_graded(e: GradedSubspace) -> GradedSubspace:
+    """Annihilator of a subspace under the polar pairing, in the dual
+    family: `_perp` of its basis rows."""
+    return _perp(e.field, e.nvars, e.degree, e.family, e.basis.rows)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _jacobian_perp(f: Polynomial, d: int) -> GradedSubspace:
+    """The perp of J_d, `_perp` of the generator rows x^a * dF/dx_i: no
+    J_d basis is built.  Cached, so a caller that reads it twice for one
+    form computes it once."""
+    return _perp(f.field, f.nvars, d, f.family, _integer_rows(partials(f), d))
 
 
 def socle_functional(f: Polynomial) -> SocleFunctional:
@@ -166,7 +204,10 @@ def socle_functional(f: Polynomial) -> SocleFunctional:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _socle_functional(f: Polynomial) -> SocleFunctional:
-    t = f.nvars * (f.homogeneous_degree() - 2)
+    d = f.homogeneous_degree()
+    t = f.nvars * (d - 2)
+    if t < 0:
+        raise PreconditionError(f"F has no socle functional: T = {f.nvars}*({d}-2) = {t} < 0")
     field, n = f.field, graded_dim(f.nvars, t)
     if field.is_rational:  # the rref of J_T as integers N over one L
         pivots, comp, nums, den = _rref_integral(_integer_rows(partials(f), t, sparse=True), n)
@@ -183,12 +224,11 @@ def _socle_functional(f: Polynomial) -> SocleFunctional:
     return SocleFunctional(field, f.nvars, t, tuple(field.mul(vec.get(c, 0), inv) for c in range(n)))
 
 
-def _catalecticant(lam: SocleFunctional, e: int, integral: bool = False) -> np.ndarray:
-    """lambda(m_i * b_j) for m_i in S_{T-e} (rows) and b_j in S_e (columns),
-    one gather of lambda through `product_index`; needs 0 <= e <= T.
-    `integral` gathers lambda's integers N instead (L times lambda)."""
-    vec = lam.integral[0] if integral else lam.vector
-    return np.array(vec, dtype=object)[product_index(lam.nvars, e, lam.degree)]
+def _catalecticant(lam: SocleFunctional, e: int) -> np.ndarray:
+    """L * lambda(m_i * b_j) for m_i in S_{T-e} (rows) and b_j in S_e
+    (columns): one gather of lambda's integers N = L * lambda through
+    `product_index`; needs 0 <= e <= T."""
+    return np.array(lam.integral[0], dtype=object)[product_index(lam.nvars, e, lam.degree)]
 
 
 def _contract(lam: SocleFunctional, h: Polynomial) -> list:
@@ -200,9 +240,34 @@ def _contract(lam: SocleFunctional, h: Polynomial) -> list:
     if e > lam.degree:
         return []
     idx, (hnums, hden) = monomial_index(lam.nvars, e), _common_denominator(h.terms.values())
-    cat = _catalecticant(lam, e, integral=True)[:, [idx[m] for m in h.terms]]
+    cat = _catalecticant(lam, e)[:, [idx[m] for m in h.terms]]
     den = lam.integral[1] * hden
     return [lam.field.coerce(Fraction(x, den)) for x in (cat @ np.array(hnums, dtype=object))]
+
+
+def _quotient_rank(f: Polynomial, g: Polynomial, k: int) -> int:
+    """Rank of multiplication by g from (S/J_F)_k to (S/J_F)_{k+e}, e = deg g,
+    for a smooth F and a nonzero homogeneous g in its ring.
+
+    a*g lies in J_{k+e} exactly when lambda(a*g*b) = 0 for every b in
+    S_{T-k-e}, so the rank of S_k -> (S/J_F)_{k+e}, which J_k does not
+    change, is that of the catalecticant [lambda(g*m_a*m_b)], m_a in S_k,
+    m_b in S_{T-k-e}: one gather of `_contract(lam, g)` through
+    `product_index`, with no J basis.  Over F_p its rank mod p is exact.
+    Over Q the integer matrix is reduced mod a prime: the rank is at most
+    min(h_k, h_{k+e}), the smooth reference dimensions, and at least the
+    rank mod p, so reaching that bound there is exact; below it the exact
+    rank decides (`linalg._rank_promoted`)."""
+    lam = socle_functional(f)
+    e, t, n = g.homogeneous_degree(), lam.degree, f.nvars
+    if k + e > t:
+        return 0
+    # the catalecticant of the contraction's integers over their least
+    # common denominator
+    nums = _common_denominator(_contract(lam, g))[0]
+    cat = np.array(nums, dtype=object)[product_index(n, k, t - e)].tolist()
+    ref = smooth_reference_dims(n, f.homogeneous_degree())
+    return _rank_promoted(f.field, cat, graded_dim(n, k), min(ref[k], ref[k + e]))
 
 
 def macaulay_pairing_matrix(f: Polynomial, j: int) -> Matrix:
@@ -217,8 +282,8 @@ def macaulay_pairing_matrix(f: Polynomial, j: int) -> Matrix:
         raise PreconditionError(f"pairing degree {j} outside [0, {t}]")
     cols_j = jacobian_graded(f, j).complement_columns
     cols_tj = jacobian_graded(f, t - j).complement_columns
-    cat = _catalecticant(lam, t - j)[np.ix_(cols_j, cols_tj)]
-    return Matrix(f.field, cat.tolist(), len(cols_tj))
+    cat = np.array(lam.vector, dtype=object)[product_index(f.nvars, t - j, t)]
+    return Matrix(f.field, cat[np.ix_(cols_j, cols_tj)].tolist(), len(cols_tj))
 
 
 def annihilator_quadric(f: Polynomial, g_dual: Polynomial) -> Polynomial:
@@ -238,37 +303,36 @@ def annihilator_quadric(f: Polynomial, g_dual: Polynomial) -> Polynomial:
     field = f.field
     nvars = f.nvars
     gvec = g_dual.coeff_vector(d)
-    if _pairings(jacobian_graded(f, d), [gvec]).any():
+    if _jacobian_pairings(f, d, gvec).any():
         raise PreconditionError("G is not in the perp of the Jacobian piece")
-    # g_dual weighted by c!, so that <b, g_dual> is the dot product of b and gw
-    gw = [field.mul(c, w) for c, w in zip(gvec, _pairing_weights(field, nvars, d))]
+    # g_dual's integers (residues over F_p) weighted by c!, so that <b, g_dual>
+    # is a nonzero multiple of the dot product of b and gw
+    gw = _weighted_rows(field, nvars, d, _integer_array(field, [gvec], len(gvec)))[0]
 
     # lambda(q*H) = 0 on H = g_dual-perp  <=>  q o G = t*g_dual (G the dual
     # generator, up to scale in the integral catalecticant); J_{T-d} o G = 0,
     # so solving over the complement monomials of J_{T-d} gives the reduced q
     qdeg = lam.degree - d
     j2 = jacobian_graded(f, qdeg)
-    cat = _catalecticant(lam, d, integral=True)
-    j2_g = np.array(primitive_int_rows(j2.basis), dtype=object).reshape(-1, len(cat)) @ cat
+    cat = _catalecticant(lam, d)
+    j2_g = _integer_array(field, j2.basis.rows, len(cat)) @ cat
     invariant(not any(map(field.coerce, j2_g.flat)), "Jacobian quadrics do not annihilate H")
     comp = list(j2.complement_columns)
-    cols = cat[comp].tolist()
-    cols.append([field.neg(x) for x in gw])
-    null = kernel(Matrix(field, cols, len(gw)).transpose())
+    null = kernel(Matrix(field, [*cat[comp].tolist(), (-gw).tolist()], len(gw)).transpose())
     if null.nrows != 1:
         raise DegeneratePairError(
             f"annihilator solution space has dimension {null.nrows} mod the "
             "Jacobian piece; expected 1",
             dim=null.nrows,
         )
-    # t is fixed by q since g != 0, so the q-part leads with 1
-    q_comp, mons = null.rows[0][:-1], monomials(nvars, qdeg)
-    qprime = Polynomial(field, nvars, f.family, {mons[c]: x for c, x in zip(comp, q_comp)})
-    # recheck the defining property exactly: Q o G lies in span(g_dual)
-    qg = (np.array(q_comp, dtype=object) @ cat[comp]).tolist()
-    recheck = span(field, nvars, d, g_dual.family, [gw, qg])
-    invariant(recheck.dim == 1, "annihilator recheck failed")
-    return qprime
+    # t is fixed by q since g != 0, so the q-part leads with 1; recheck the
+    # defining property exactly, on the row's integers (q, t) over their
+    # least common denominator: sum_c q_c * cat[c] = t * gw
+    *qnums, tnum = _common_denominator(null.rows[0])[0]
+    resid = np.array(qnums, dtype=object) @ cat[comp] - tnum * gw
+    invariant(not any(map(field.coerce, resid)), "annihilator recheck failed")
+    mons = monomials(nvars, qdeg)
+    return Polynomial(field, nvars, f.family, {mons[c]: x for c, x in zip(comp, null.rows[0][:-1])})
 
 
 def colon_graded(f: Polynomial, q: Polynomial, k: int) -> GradedSubspace:

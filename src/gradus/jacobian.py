@@ -84,8 +84,9 @@ integer vectors through `product_index`.  A minor of (F', Q') is a nonzero
 rational multiple of the minor of (F, Q), so both scale to the same
 primitive integer row, and the sweep reads the same rows mod p.
 
-Each generator's block of Macaulay rows is bounded before it is built:
-rows x columns above MACAULAY_CELLS raises BudgetExhaustedError.
+A whole Macaulay matrix is bounded before its first row is built: rows x
+columns over all generators above MACAULAY_CELLS raises
+BudgetExhaustedError.
 """
 
 from __future__ import annotations
@@ -125,9 +126,10 @@ from .poly import Polynomial, graded_dim, monomial_index, monomials, product_ind
 
 DEFAULT_KMAX = 12
 DEFAULT_SEARCH_PRIME = 7
-# the most cells (rows x columns) one generator's block of Macaulay rows may
-# hold: two cells weigh as one point of linalg.WORK_BUDGET.  The perp of a
-# dense cubic at k = 12, 1.8e6 cells a partial, takes about 4 s end to end
+# the most cells (rows x columns) a whole Macaulay matrix, every generator's
+# rows, may hold: two cells weigh as one point of linalg.WORK_BUDGET.  The
+# largest the tests build, the rows of a cubic, a quadric and their ten
+# 2x2 Jacobian minors in 5 variables at degree 9, has 2640 x 715 = 1887600
 MACAULAY_CELLS = 2 * WORK_BUDGET
 
 
@@ -208,26 +210,20 @@ def _shifted_rows(g: Polynomial, k: int, terms: dict | None = None, sparse: bool
     """Coefficient vectors of m*g for the monomials m of degree k - deg(g), in
     order: g's coefficients, or `terms` (integer ones on the same
     monomials), scattered through `product_index`; with `sparse`, dicts
-    column -> value.  BudgetExhaustedError before the first row when the
-    rows hold more than MACAULAY_CELLS cells."""
+    column -> value."""
     e = g.homogeneous_degree()
     if e is None or e > k:
         return []
     terms, n = g.terms if terms is None else terms, graded_dim(g.nvars, k)
-    if (cells := graded_dim(g.nvars, k - e) * n) > MACAULAY_CELLS:
-        raise BudgetExhaustedError(f"the degree-{k} Macaulay rows of a degree-{e} form have "
-                                   f"{cells} cells, above the work budget of {MACAULAY_CELLS}")
     idx = monomial_index(g.nvars, e)
     vals = list(terms.values())
     table = product_index(g.nvars, e, k)[:, [idx[m] for m in terms]].tolist()
     if sparse:
         return [dict(zip(cols, vals)) for cols in table]
-    rows = []
-    for cols in table:
-        row = [0] * n
+    rows = [[0] * n for _ in table]
+    for row, cols in zip(rows, table):
         for c, v in zip(cols, vals):
             row[c] = v
-        rows.append(row)
     return rows
 
 
@@ -248,8 +244,15 @@ def _integer_rows(gens, k: int, sparse: bool = False) -> list:
 
     Zero generators are skipped; rational generators are scaled to primitive
     integers (same ideal), so each row is primitive; prime-field ones keep
-    their residues.
+    their residues.  BudgetExhaustedError before the first row when the
+    whole matrix, sum over g of dim S_(k - deg g) x dim S_k, holds more than
+    MACAULAY_CELLS cells.
     """
+    cells = sum(graded_dim(g.nvars, k - g.degree()) * graded_dim(g.nvars, k)
+                for g in gens if not g.is_zero() and g.degree() <= k)
+    if cells > MACAULAY_CELLS:
+        raise BudgetExhaustedError(f"the degree-{k} Macaulay rows have {cells} cells, "
+                                   f"above the work budget of {MACAULAY_CELLS}")
     return [row for g in gens for row in _shifted_rows(g, k, _integer_terms(g), sparse)]
 
 

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .apolarity import _quotient_rank
 from .errors import PreconditionError, ZeroPolynomialError, require_positive
 from .jacobian import _multiplication_matrix, _require_same_ring, jacobian_graded, require_smooth
-from .linalg import DEFAULT_BOUND, DEFAULT_TRIALS, Matrix, SeedStream, child_seed, rank
+from .jacobian import smooth_reference_dims
+from .linalg import DEFAULT_BOUND, DEFAULT_TRIALS, Matrix, SeedStream, child_seed
 from .poly import Polynomial, random_linear_form
 
 
@@ -73,7 +75,11 @@ def mult_map(f: Polynomial, g: Polynomial, j: int) -> Matrix:
 
 
 def slp_check(f: Polynomial, ell: Polynomial) -> LefschetzProfile:
-    """Rank profile of ell^(T-2k) from degree k to degree T-k for 2k < T."""
+    """Rank profile of ell^(T-2k) from degree k to degree T-k for 2k < T.
+
+    The pieces of S/J_F of a smooth F have the smooth reference dimensions,
+    and each rank is `apolarity._quotient_rank`, read off the socle
+    functional's catalecticant with no J basis built."""
     require_smooth(f)
     if ell.is_zero():
         raise ZeroPolynomialError("linear form must be nonzero")
@@ -82,18 +88,10 @@ def slp_check(f: Polynomial, ell: Polynomial) -> LefschetzProfile:
         raise PreconditionError("multiplier must be a linear form")
     d = f.homogeneous_degree()
     t = f.nvars * (d - 2)
-    per_k = {}
-    verdict = True
-    for k in range(t):
-        if 2 * k >= t:
-            break
-        power = ell.pow(t - 2 * k)
-        mat = mult_map(f, power, k)
-        r = rank(mat)
-        per_k[k] = (mat.ncols, mat.nrows, r)
-        if not (r == mat.ncols == mat.nrows):
-            verdict = False
-    return LefschetzProfile(ell, t, per_k, verdict)
+    dims = smooth_reference_dims(f.nvars, d) if t > 0 else []
+    per_k = {k: (dims[k], dims[t - k], _quotient_rank(f, ell.pow(t - 2 * k), k))
+             for k in range((t + 1) // 2)}  # 2k < T
+    return LefschetzProfile(ell, t, per_k, all(s == g == r for s, g, r in per_k.values()))
 
 
 def slp_search(

@@ -32,6 +32,14 @@ exact once p^k > 2*H^2: a prime whose exact lift fails is unlucky and the
 next prime below it takes over, and a product of unlucky primes above H is
 an internal invariant breach, as is an exact lift that does not reconstruct.
 
+`kernel` runs one rref, of the matrix with its columns reversed: its null
+vectors, read back in the original order, are already the canonical rref
+basis of the kernel (see `kernel`), and `span` takes rows that are in rref
+with canonical scalars as they are, so a kernel's span costs no second
+elimination.  `_rank_promoted` gives the rank of an integer matrix of known
+maximal rank from its rank mod a prime, exact when that reaches the bound,
+and falls back to the rational rref otherwise.
+
 `GradedSubspace.reduce` works on the complement columns only (those led by
 no basis row): because the basis is in rref, the residual is zero on every
 pivot column, and a call costs dim x |complement| products instead of
@@ -357,17 +365,6 @@ def _primitive(entries: dict) -> dict:
     if g != 1:
         ints = {j: v // g for j, v in ints.items()}
     return ints
-
-
-def primitive_int_rows(matrix: Matrix) -> list:
-    """Scale each rational row to dense primitive integer entries."""
-    rows = []
-    for row in matrix.rows:
-        dense = [0] * matrix.ncols
-        for c, v in _primitive({j: x for j, x in enumerate(row) if x}).items():
-            dense[c] = v
-        rows.append(dense)
-    return rows
 
 
 # -- prime-field elimination -------------------------------------------------
@@ -744,6 +741,15 @@ def rank_mod(int_rows: Sequence[Sequence[int]], ncols: int, p: int) -> int:
     return len(_eliminate_mod(int_rows, ncols, p)[1])
 
 
+def _rank_promoted(field: FieldConfig, int_rows, ncols: int, bound: int) -> int:
+    """Rank in `field` of an integer matrix whose rank there is at most
+    `bound`: over F_p its rank mod p; over Q its rank mod DEFAULT_PRIME,
+    exact when it reaches `bound` (rank_Q >= rank_p for integer matrices),
+    otherwise the rational rref's."""
+    rk = rank_mod(int_rows, ncols, field.modulus or DEFAULT_PRIME)
+    return rk if rk == bound or not field.is_rational else rank(Matrix(field, int_rows, ncols))
+
+
 def _null_vectors(field: FieldConfig, rows, pivots, ncols: int) -> list:
     """Basis of {v : E @ v = 0} for E in rref with the given pivot columns:
     e_c - sum_i E[i][c] * e_{p_i}, one vector per free column c, ascending.
@@ -759,12 +765,23 @@ def _null_vectors(field: FieldConfig, rows, pivots, ncols: int) -> list:
 
 
 def kernel(m: Matrix) -> Matrix:
-    """Canonical basis (rref rows) of {v : m @ v = 0}."""
-    f = m.field
-    red, pivots, rk = rref(m)
-    red2, _, krank = rref(Matrix(f, _null_vectors(f, red.rows, pivots, m.ncols), m.ncols))
-    invariant(krank == m.ncols - rk, "kernel dimension law violated")
-    return Matrix(f, red2.rows[:krank], m.ncols)
+    """Canonical basis (rref rows) of {v : m @ v = 0}, from one rref: that
+    of m with its columns reversed, E with pivots p_i.
+
+    In the reversed order the null vector of a free column c is 1 at c,
+    zero on the other free columns, and elsewhere nonzero only on pivot
+    columns p_i < c, since row i of E vanishes left of p_i.  Read back in
+    the original order it leads with 1 at its free column, vanishes on the
+    other free columns, which lead the other vectors, and is nonzero only
+    right of its lead.  Listed by ascending lead, the ncols - rank(m)
+    vectors are therefore in rref, and they span the kernel: they are its
+    canonical basis.
+    """
+    f, n = m.field, m.ncols
+    red, pivots, rk = rref(Matrix(f, [r[::-1] for r in m.rows], n))
+    null = _null_vectors(f, red.rows, pivots, n)
+    invariant(len(null) == n - rk, "kernel dimension law violated")
+    return Matrix(f, [v[::-1] for v in reversed(null)], n)
 
 
 # ---------------------------------------------------------------------------
@@ -842,13 +859,35 @@ class GradedSubspace:
         return all(x == z for x in self.reduce(vec))
 
 
+def _rref_pivots(field: FieldConfig, rows) -> tuple | None:
+    """The pivot columns of rows already in rref with canonical scalars
+    (Fractions over Q, residues in [0, p) over F_p), else None: each row
+    leads with 1, the leads increase, and each lead column is zero in the
+    other rows."""
+    p, pivots = field.modulus, []
+    for r in rows:
+        lead = next((c for c, x in enumerate(r) if x), None)
+        if lead is None or r[lead] != 1 or pivots and lead <= pivots[-1]:
+            return None
+        pivots.append(lead)
+    canonical = all(type(x) is Fraction if p is None else type(x) is int and 0 <= x < p
+                    for r in rows for x in r)
+    cleared = not any(r[c] for i, r in enumerate(rows) for j, c in enumerate(pivots) if i != j)
+    return tuple(pivots) if canonical and cleared else None
+
+
 def span(field: FieldConfig, nvars: int, degree: int, family: str, vectors) -> GradedSubspace:
+    """The subspace the vectors span, in its canonical basis: their rref,
+    or the vectors themselves when they are in rref already (a `kernel`,
+    say), which costs no elimination."""
     if degree < 0:
         raise PreconditionError(f"degree {degree} is negative")
     ncols = math.comb(nvars - 1 + degree, degree)
-    red, pivots, rk = rref(Matrix(field, list(vectors), ncols))
-    basis = Matrix(field, red.rows[:rk], ncols)
-    return GradedSubspace(field, nvars, degree, family, basis, pivots)
+    m = Matrix(field, list(vectors), ncols)
+    if (pivots := _rref_pivots(field, m.rows)) is None:
+        red, pivots, rk = rref(m)
+        m = Matrix(field, red.rows[:rk], ncols)
+    return GradedSubspace(field, nvars, degree, family, m, pivots)
 
 
 def _check_ambient(a: GradedSubspace, b: GradedSubspace):

@@ -16,11 +16,13 @@ from fractions import Fraction
 
 from .apolarity import (
     _contract,
-    _pairings,
+    _integer_array,
+    _jacobian_pairings,
+    _jacobian_perp,
+    _quotient_rank,
     annihilator_quadric,
     colon_graded,
     extract_c,
-    perp_graded,
     socle_functional,
 )
 from .defects import (
@@ -58,7 +60,6 @@ from .linalg import (
     Matrix,
     SeedStream,
     child_seed,
-    primitive_int_rows,
     random_scalar,
     rank,
     rref,
@@ -151,7 +152,7 @@ def membership_u(
             "not_certified", f, None, None, 0, reason=f"F {cert.verdict}"
         )
     d = f.homogeneous_degree()
-    perp = perp_graded(jacobian_graded(f, d))
+    perp = _jacobian_perp(f, d)
     t = f.nvars * (d - 2)
     # the Milnor algebra vanishes above T, and so does the perp
     expected = smooth_reference_dims(f.nvars, d)[d] if d <= t else 0
@@ -165,27 +166,20 @@ def membership_u(
             reason=f"perp of the Jacobian piece is zero in degree {d} > T = {t}",
         )
     field = f.field
-    if field.is_rational:
-        int_rows = primitive_int_rows(perp.basis)
-    else:
-        int_rows = [list(r) for r in perp.basis.rows]
-    dual_family = perp.family
+    int_rows = _integer_array(field, perp.basis.rows, perp.ambient_dim).tolist()
     for i in range(trials):
         stream = SeedStream(child_seed(seed, i))
         while True:
             coeffs = [stream.randint(-bound, bound) for _ in range(len(int_rows))]
-            vec = [
-                sum(c * row[j] for c, row in zip(coeffs, int_rows))
-                for j in range(perp.ambient_dim)
-            ]
+            vec = [sum(c * x for c, x in zip(coeffs, col)) for col in zip(*int_rows)]
             if any(vec):
                 break
         gvec = [field.coerce(v) for v in vec]
-        g = Polynomial.from_vector(field, f.nvars, dual_family, d, gvec)
+        g = Polynomial.from_vector(field, f.nvars, perp.family, d, gvec)
         gcert = is_smooth_hypersurface(g)
         if gcert.is_smooth:
             invariant(
-                not _pairings(jacobian_graded(f, d), [gvec]).any(),
+                not _jacobian_pairings(f, d, gvec).any(),
                 "sampled witness does not annihilate the Jacobian piece",
             )
             return UMembership("in_u", f, g, gcert, i + 1)
@@ -242,7 +236,8 @@ def construct_pair(
     g_norm = g.normalized()
     invariant(cubic.poly == g_norm, "extracted cubic differs from the witness")
     c_cert = is_smooth_hypersurface(cubic.poly)
-    colon1 = colon_graded(f, q, 1).dim
+    # dim (J_F : Q)_1 = dim S_1 - rank of multiplication by Q into (S/J_F)_3
+    colon1 = graded_dim(f.nvars, 1) - _quotient_rank(f, q, 1)
     return PairCertificate(
         f=f,
         q=q,
@@ -377,22 +372,17 @@ def theorem14_check(
 
 
 def _distance_sq_to_subspace(basis: Matrix, vec) -> Fraction:
-    """Exact squared euclidean distance from vec to the row space of basis."""
-    f = basis.field
+    """Exact squared euclidean distance from vec to the row space of basis:
+    |vec|^2 - p.s, p the projections of vec on the basis rows and s the
+    solution of the Gram system (Gram | p)."""
+    def dot(u, v):
+        return sum((Fraction(x) * y for x, y in zip(u, v)), Fraction(0))
+
     b_rows = basis.rows
-    if not b_rows:
-        return sum((Fraction(x) ** 2 for x in vec), Fraction(0))
-    gram = [
-        [sum((x * y for x, y in zip(r1, r2)), Fraction(0)) for r2 in b_rows]
-        for r1 in b_rows
-    ]
-    proj = [sum((x * y for x, y in zip(r, vec)), Fraction(0)) for r in b_rows]
-    aug = [row + [p] for row, p in zip(gram, proj)]
-    red, pivots, rk = rref(Matrix(f, aug, len(b_rows) + 1))
+    aug = [[dot(r1, r2) for r2 in b_rows] + [dot(r1, vec)] for r1 in b_rows]
+    red, _, rk = rref(Matrix(basis.field, aug, len(b_rows) + 1))
     invariant(rk == len(b_rows), "gram matrix of an independent basis is singular")
-    sol = [red.rows[i][-1] for i in range(rk)]
-    vv = sum((Fraction(x) ** 2 for x in vec), Fraction(0))
-    return vv - sum((p * s for p, s in zip(proj, sol)), Fraction(0))
+    return dot(vec, vec) - dot([row[-1] for row in aug], [row[-1] for row in red.rows[:rk]])
 
 
 def deformation_experiment(
@@ -429,7 +419,7 @@ def deformation_experiment(
         cert = is_smooth_hypersurface(f_t)
         rec = {"t": f"1/{s}", "smooth": cert.verdict}
         if cert.is_smooth:
-            perp = perp_graded(jacobian_graded(f_t, 3))
+            perp = _jacobian_perp(f_t, 3)
             rec["perp_dim"] = perp.dim
             dist_sq = _distance_sq_to_subspace(perp.basis, fermat_vec)
             rec["fermat_distance_sq"] = str(dist_sq)
@@ -466,11 +456,11 @@ def reproduce_example(field=None) -> dict:
     m3 = milnor_dim(q, 3)
     add("milnor_dim_3_is_10", m3 == 10, got=m3)
 
-    perp3 = perp_graded(jacobian_graded(q, 3))
+    perp3 = _jacobian_perp(q, 3)
     add("perp_dim_is_10", perp3.dim == 10, got=perp3.dim)
 
     fermat = fermat_form(field, 5, 3, family="y")
-    nonzero = sum(map(bool, _pairings(jacobian_graded(q, 3), [fermat.coeff_vector(3)]).flat))
+    nonzero = sum(map(bool, _jacobian_pairings(q, 3, fermat.coeff_vector(3)).flat))
     add("fermat_in_perp", nonzero == 0, nonzero=nonzero)
 
     j4 = jacobian_graded(q, 4)

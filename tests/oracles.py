@@ -7,16 +7,18 @@ perp of the colon ideal), and the Macaulay rows and socle contractions the
 library built monomial by monomial before its product-index table,
 quotient dimensions from whole Macaulay matrices, where the library's
 fullness sweeps go degree by degree from normal forms, and the perp and
-the socle functional through `kernel`, the perp checked by its involution,
-where the library reads both off rref null vectors and checks one pairing
-product, Milnor dimensions from the rref of the generator rows, where
-the library reads them off its modular sweep, and the certificate of a
+the socle functional through the two-rref kernel below, the perp checked
+by its involution, where the library reads both off null vectors and checks
+one pairing product, Milnor dimensions from the rref of the generator rows,
+where the library reads them off its modular sweep, and the certificate of a
 rational hypersurface that is deficient mod p from the rational rref of
 J_(T+1) and a scan of F_7 points, where the library first reads the node
 off the sweep's normal forms, and the certificate of a (cubic, quadric)
 complete intersection from 2x2 minors multiplied out as Fraction
 polynomials, where the library forms them from the primitive integer
-partials.
+partials, and the kernel of a matrix as the rref of the null vectors of its
+rref (two eliminations), where the library runs one, of the matrix with its
+columns reversed.
 
 These deliberately avoid the library's elimination code paths (modular
 images, quotient shortcuts) so agreement is meaningful.
@@ -33,7 +35,6 @@ from gradus import (
     SmoothnessCertificate,
     colon_graded,
     jacobian_graded,
-    kernel,
     perp_graded,
     rref,
     socle_functional,
@@ -47,6 +48,7 @@ from gradus.jacobian import (
     _integer_rows,
     projective_empty,
 )
+from gradus.linalg import _null_vectors
 from gradus.poly import (
     Polynomial,
     graded_dim,
@@ -215,6 +217,16 @@ def naive_rank(rows, field):
     return naive_rank_mod(rows, field.modulus)
 
 
+def kernel_by_two_rrefs(m):
+    """Canonical basis of {v : m @ v = 0}: the null vectors read off the
+    rref of m, then put in rref by a second elimination."""
+    f = m.field
+    red, pivots, rk = rref(m)
+    red2, _, krank = rref(Matrix(f, _null_vectors(f, red.rows, pivots, m.ncols), m.ncols))
+    assert krank == m.ncols - rk, "kernel dimension law violated"
+    return Matrix(f, red2.rows[:krank], m.ncols)
+
+
 def naive_reduce(subspace, vec):
     """Residual of vec modulo a GradedSubspace, rewriting the whole row for
     every basis row whose pivot coordinate is nonzero."""
@@ -257,7 +269,7 @@ def brute_colon_basis(f: Polynomial, q: Polynomial, k: int):
     for g in gens:
         cols.append([field.neg(x) for x in g])
     rows = [[col[i] for col in cols] for i in range(amb)]
-    null = kernel(Matrix(field, rows, len(cols)))
+    null = kernel_by_two_rrefs(Matrix(field, rows, len(cols)))
     projected = [row[:a_dim] for row in null.rows]
     return span(field, nvars, k, f.family, projected)
 
@@ -271,7 +283,7 @@ def _weighted_kernel(e):
         raise CharacteristicError(f"a weight c! vanishes in degree {e.degree}")
     rows = [[field.mul(x, w) for x, w in zip(row, weights)] for row in e.basis.rows]
     other = "y" if e.family == "x" else "x"
-    null = kernel(Matrix(field, rows, e.ambient_dim))
+    null = kernel_by_two_rrefs(Matrix(field, rows, e.ambient_dim))
     return span(field, e.nvars, e.degree, other, null.rows)
 
 
@@ -287,7 +299,7 @@ def socle_by_kernel(f: Polynomial) -> tuple:
     """The socle functional as the one rref row of the kernel of the
     degree-T Jacobian basis; None unless that kernel is a line."""
     t = f.nvars * (f.homogeneous_degree() - 2)
-    null = kernel(jacobian_graded(f, t).basis)
+    null = kernel_by_two_rrefs(jacobian_graded(f, t).basis)
     return null.rows[0] if null.nrows == 1 else None
 
 
@@ -316,7 +328,7 @@ def hyperplane_annihilator_quadric(f: Polynomial, g_dual: Polynomial) -> Polynom
     weights = [pairing_weight(field, m) for m in monomials(nvars, d)]
     gvec = g_dual.coeff_vector(d)
     hrow = [field.mul(c, w) for c, w in zip(gvec, weights)]
-    hbasis = kernel(Matrix(field, [hrow], len(gvec)))
+    hbasis = kernel_by_two_rrefs(Matrix(field, [hrow], len(gvec)))
     lam = socle_functional(f)
     qdeg = lam.degree - d
     idx_t = monomial_index(nvars, lam.degree)
@@ -334,7 +346,7 @@ def hyperplane_annihilator_quadric(f: Polynomial, g_dual: Polynomial) -> Polynom
                 total = field.add(total, field.mul(c, lam.vector[idx_t[prod]]))
             row.append(total)
         rows.append(row)
-    sol = kernel(Matrix(field, rows, len(qmons)))
+    sol = kernel_by_two_rrefs(Matrix(field, rows, len(qmons)))
     j2 = jacobian_graded(f, qdeg)
     quotient = span(field, nvars, qdeg, f.family, [j2.reduce(r) for r in sol.rows])
     assert quotient.dim == 1, quotient.dim

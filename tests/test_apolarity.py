@@ -30,12 +30,15 @@ from gradus import (
     span,
     special_q,
 )
-from gradus import apolarity
+from gradus import linalg
 from gradus.apolarity import (
     SocleFunctional,
     _contract,
+    _jacobian_pairings,
+    _jacobian_perp,
+    _pairing_product,
     _pairing_weights,
-    _pairings,
+    _quotient_rank,
     _socle_functional,
 )
 from gradus.errors import (
@@ -45,6 +48,7 @@ from gradus.errors import (
     NotSmoothError,
     PreconditionError,
 )
+from gradus.lefschetz import mult_map
 from gradus.linalg import Matrix
 
 from .conftest import _seeded_smooth_cubics
@@ -482,7 +486,7 @@ def test_perp_check_catches_corrupted_null_vectors(monkeypatch, field, corruptio
     # shift: the first null vector gains e_(first pivot), so it stays
     # independent of the others but E no longer kills it; drop: one fewer
     j3 = jacobian_graded(fermat_form(field, 5, 3), 3)
-    honest = apolarity._null_vectors
+    honest = linalg._null_vectors
 
     def corrupted(field, rows, pivots, ncols):
         first, *rest = honest(field, rows, pivots, ncols)
@@ -491,7 +495,7 @@ def test_perp_check_catches_corrupted_null_vectors(monkeypatch, field, corruptio
         first[pivots[0]] = field.add(first[pivots[0]], field.one)
         return [first, *rest]
 
-    monkeypatch.setattr(apolarity, "_null_vectors", corrupted)
+    monkeypatch.setattr(linalg, "_null_vectors", corrupted)
     with pytest.raises(InternalInvariantError, match=message):
         perp_graded(j3)
 
@@ -503,7 +507,7 @@ def test_pairings_vanish_exactly_where_polar_pair_does(e, data):
     entry = st.integers(-3, 3).map(field.coerce)
     duals = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=3))
     duals += perp_graded(e).basis.rows[:1]  # a dual pairing to zero with all of e
-    got = _pairings(e, duals)
+    got = _pairing_product(field, e.nvars, e.degree, e.basis.rows, duals)
     assert got.shape == (e.dim, len(duals))
     for i, b in enumerate(e.basis.rows):
         fb = Polynomial.from_vector(field, e.nvars, "x", e.degree, b)
@@ -585,3 +589,75 @@ def functionals_and_forms(draw):
 def test_contract_matches_index_loop(case):
     lam, h = case
     assert _contract(lam, h) == contract_by_index_loop(lam, h)
+
+
+# ---------------------------------------------------------------------------
+# the perp from the generator rows and the rank from the socle catalecticant,
+# against the J-basis routes
+
+
+@st.composite
+def forms_and_degrees(draw):
+    """(F, k): a cubic in 3 or 4 variables or a quartic in 3, random (smooth
+    or not) or singular at e0, over Q, F_10007 or a prime at most 5, and k
+    in 0..T+1."""
+    nvars, d = draw(st.sampled_from(((3, 3), (4, 3), (3, 4))))
+    p = draw(st.sampled_from((None, 10007, 2, 3, 5)))
+    field = QQ if p is None else FieldConfig.prime_field(p)
+    stream = SeedStream(draw(st.integers(0, 2**32)))
+    top = draw(st.sampled_from((d, d - 2)))
+    terms = {m: random_scalar(field, stream, 5) for m in monomials(nvars, d) if m[0] <= top}
+    f = Polynomial(field, nvars, "x", terms)
+    assume(not f.is_zero())
+    return f, draw(st.integers(0, nvars * (d - 2) + 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(forms_and_degrees(), st.data())
+def test_generator_row_perp_matches_perp_of_the_jacobian_basis(case, data):
+    f, k = case
+    try:
+        expected = perp_graded(jacobian_graded(f, k))
+    except CharacteristicError:
+        with pytest.raises(CharacteristicError):
+            _jacobian_perp(f, k)
+        return
+    assert _jacobian_perp(f, k) == expected
+    # the pairing check on the generator rows vanishes where the one on the
+    # J_k basis does: on the perp, and off it
+    field, n, rows = f.field, expected.ambient_dim, jacobian_graded(f, k).basis.rows
+    entry = st.integers(-2, 2).map(field.coerce)
+    for g in [*expected.basis.rows[:1], data.draw(st.lists(entry, min_size=n, max_size=n))]:
+        expected_pairs = _pairing_product(field, f.nvars, k, rows, [g])
+        assert _jacobian_pairings(f, k, g).any() == expected_pairs.any()
+
+
+@st.composite
+def smooth_forms_and_multipliers(draw):
+    """(F, g, k): a smooth cubic in 3-5 variables or quartic in 3-4 over Q
+    or F_10007; g a random linear form, a power of one, or a quadric; k in
+    0..T + 1 - deg g, the last one into (S/J_F)_(T+1) = 0."""
+    field = draw(st.sampled_from((QQ, FieldConfig.prime_field(10007))))
+    nvars, d = draw(st.sampled_from(((3, 3), (4, 3), (5, 3), (3, 4), (4, 4))))
+    stream = SeedStream(draw(st.integers(0, 2**32)))
+    f = random_poly(field, stream, nvars, d, 3)
+    assume(not f.is_zero() and is_smooth_hypersurface(f).is_smooth)
+    t = nvars * (d - 2)
+    kind = draw(st.sampled_from(("linear", "power", "quadric")))
+    if kind == "quadric":
+        g = random_poly(field, stream, nvars, 2, 3)
+    else:
+        g = random_poly(field, stream, nvars, 1, 3)
+        g = g.pow(draw(st.integers(2, t))) if kind == "power" else g
+    assume(not g.is_zero())
+    return f, g, draw(st.integers(0, max(t + 1 - g.homogeneous_degree(), 0)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(smooth_forms_and_multipliers())
+def test_quotient_rank_matches_multiplication_map(case):
+    f, g, k = case
+    rk = _quotient_rank(f, g, k)
+    assert rk == rank(mult_map(f, g, k))
+    if g.homogeneous_degree() == 2:
+        assert graded_dim(f.nvars, k) - rk == colon_graded(f, g, k).dim

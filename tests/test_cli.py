@@ -159,6 +159,20 @@ def test_macaulay_blocks_past_the_work_budget():
     assert "degree-32 Macaulay rows" in results["reason"]
 
 
+def test_macaulay_budget_counts_the_whole_matrix():
+    # every G drawn in the perp of the Fermat quartic's J_4 is singular at
+    # the coordinate points, so its certificate needs the exact J_11: five
+    # blocks of 495 x 1365 cells, each inside the budget, 3378375 together
+    results = _budget_results("membership-u", "--poly", "x0^4+x1^4+x2^4+x3^4+x4^4")
+    assert "degree-11 Macaulay rows have 3378375 cells" in results["reason"]
+
+
+def test_socle_pairing_of_a_linear_form_names_its_socle_degree(capsys):
+    code, _, err = run_cli(capsys, "socle-pairing", "--poly", "x0+x1+x2", "--j", "0")
+    assert code == 2
+    assert err == "gradus: F has no socle functional: T = 3*(1-2) = -3 < 0\n"
+
+
 def test_budget_exhausted_reports_keep_their_input_digests(capsys):
     reports = [
         run_json(capsys, "singular-search", "--poly", poly, "--p", "101")["report"]

@@ -13,6 +13,7 @@ from gradus import (
     SeedStream,
     SmoothnessCertificate,
     ci_smooth,
+    fermat_form,
     graded_dim,
     ideal_graded,
     is_smooth_hypersurface,
@@ -406,6 +407,22 @@ def test_macaulay_rows_are_bounded_before_the_first_row(fermat, monkeypatch):
     assert built == []
     assert graded_dim(5, 7) * graded_dim(5, 9) < MACAULAY_CELLS
     assert len(_shifted_rows(random_poly(QQ, SeedStream(1), 5, 2, 3), 9, sparse=True)) == 330
+
+
+def test_macaulay_budget_counts_every_generator(monkeypatch):
+    # J_11 of the Fermat quartic in 5 variables: each partial's block of
+    # 495 x 1365 cells is inside the budget, the whole matrix is not; the
+    # largest whole matrix tier-1 builds, (F, Q, minors) at degree 9 in 5
+    # variables, 2640 x 715, is inside
+    f = fermat_form(QQ, 5, 4)
+    built = []
+    table = jacobian.product_index
+    monkeypatch.setattr(jacobian, "product_index", lambda *a: built.append(a) or table(*a))
+    with pytest.raises(BudgetExhaustedError, match="have 3378375 cells"):
+        _integer_rows(jacobian.partials(f), 11)
+    assert built == []
+    assert graded_dim(5, 8) * graded_dim(5, 11) < MACAULAY_CELLS < 3378375
+    assert 2640 * graded_dim(5, 9) < MACAULAY_CELLS
 
 
 # ---------------------------------------------------------------------------

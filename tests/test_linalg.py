@@ -23,11 +23,19 @@ from gradus import (
 )
 from gradus import linalg
 from gradus.errors import AmbientMismatchError, PreconditionError
-from gradus.linalg import _LIFT_PRIME, _elimination_dtype, is_prime, rank_mod
+from gradus.linalg import (
+    DEFAULT_PRIME,
+    _LIFT_PRIME,
+    _elimination_dtype,
+    _rank_promoted,
+    is_prime,
+    rank_mod,
+)
 from gradus.poly import random_poly
 
 from .oracles import (
     jacobian_rows,
+    kernel_by_two_rrefs,
     naive_rank,
     naive_rank_mod,
     naive_reduce,
@@ -501,3 +509,62 @@ def test_kernel_matches_sympy_nullspace(matrix, p):
         theirs = [[int(x) % p for x in r] for r in dm.nullspace().to_list()]
     assert ours.nrows == len(theirs)
     assert naive_rank(list(ours.rows) + theirs, field) == ours.nrows
+
+
+# ---------------------------------------------------------------------------
+# the one-rref kernel and the rref-aware span against the routes they replaced
+
+
+@st.composite
+def kernel_matrices(draw):
+    """(rows, ncols): an `int_matrices` draw as it is, with zero rows
+    inserted, or with the identity appended (full rank, empty kernel)."""
+    rows, ncols = draw(int_matrices())
+    shape = draw(st.sampled_from(("plain", "zero_rows", "full_rank")))
+    if shape == "zero_rows":
+        for _ in range(draw(st.integers(1, 3))):
+            rows.insert(draw(st.integers(0, len(rows))), [0] * ncols)
+    elif shape == "full_rank":
+        rows += [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    return rows, ncols
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_matrices(), st.sampled_from((None,) + ELIMINATION_PRIMES))
+@example(([], 3), None)
+@example(([[0, 0, 0]], 3), 10007)
+@example(([[1, 2], [3, 4]], 2), None)
+def test_kernel_matches_two_rref_oracle(matrix, p):
+    rows, ncols = matrix
+    field = QQ if p is None else FieldConfig.prime_field(p)
+    m = Matrix(field, [[field.coerce(x) for x in r] for r in rows], ncols)
+    assert kernel(m) == kernel_by_two_rrefs(m)
+
+
+def test_promoted_rank_falls_back_to_the_exact_rank(monkeypatch):
+    # diag(1, p) is full rank over Q but deficient mod p: the rational rref
+    # decides; a rank mod p that reaches the bound is returned without one,
+    # and over F_p the rank mod p is the answer
+    p = DEFAULT_PRIME
+    assert rank_mod([[1, 0], [0, p]], 2, p) == 1
+    assert _rank_promoted(QQ, [[1, 0], [0, p]], 2, 2) == 2
+    monkeypatch.setattr(linalg, "rref", lambda m: pytest.fail("rational rref called"))
+    assert _rank_promoted(QQ, [[1, 0], [0, p + 1]], 2, 2) == 2
+    assert _rank_promoted(FP, [[1, 0], [0, 0]], 2, 2) == 1
+
+
+def test_span_takes_rows_in_rref_as_they_are(monkeypatch):
+    for field in (QQ, FP):
+        e = span(field, 4, 1, "x", [[2, 4, 0, 6], [1, 2, 1, 0]])
+        calls = []
+        rref_ = linalg.rref
+        monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m) or rref_(m))
+        assert span(field, 4, 1, "x", e.basis.rows) == e and not calls
+        # the same rows with other scalars, ints over Q and unreduced
+        # residues over F_p, take the rref to their canonical form
+        shift = 0 if field.is_rational else field.modulus
+        raw = [[int(x) + shift for x in row] for row in e.basis.rows]
+        out = span(field, 4, 1, "x", raw)
+        assert out == e and len(calls) == 1
+        assert all(type(x) is type(field.zero) for row in out.basis.rows for x in row)
+        monkeypatch.undo()
