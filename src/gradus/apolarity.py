@@ -31,16 +31,27 @@ exact product of such rows with the weighted duals, B (G W)^T
 (`_pairing_product`); against J_d it runs on the generator rows
 (`_jacobian_pairings`).
 
-Over Q lambda is read off the p-adic lift of J_T's primitive integer rows
-(`linalg._rref_integral`): the rref is e_{p_i} + N_i/L on the complement,
-one column c for a smooth F, so L e_c - sum_i N_i e_{p_i} is the null
-vector, a primitive integer vector.  Over F_p no J_T is built: the Milnor
-sweep of F's class keeps its degree-T normal form
-(`jacobian._milnor_sweep`).  With h_T = 1, as for every F smooth over F_p
-(p > d: the partials form a regular sequence), v(m) = the coefficient of
-NF(m) on the one standard monomial is nonzero and vanishes on J_T mod p,
-whose annihilator is a line, so v is lambda up to scale; h_T != 1 raises
-NotSmoothError naming h_T, the dimension of that annihilator.
+Over Q lambda spans the kernel of A, the r x n integer matrix of J_T's
+generator rows x^a * dF/dx_i, and comes from one elimination of
+[A^T | I_n] modulo the lift prime p (`linalg._null_line`).  It gives
+T A^T = E with E the rref of A^T mod p: E's pivot columns are rows R of A
+independent mod p, rk of them; with rk = n - 1, row rk of T is lambda mod
+p, and as A[R] T[j]^T = e_j for j < rk, T[:rk]^T is the solver that each
+p-adic (Dixon) digit applies.  The digits stay 0 where lambda mod p leads
+with 1, a column the elimination cleared from T[:rk], so the lift keeps
+that coordinate at 1.  No J_T rref and no inverse of a pivot block are
+built.  It is exact: the lift is taken only when A N = 0 on every row,
+and dim_Q (S/J_F)_T = 1, read off the Milnor sweep where h_T meets the
+smooth reference series and from the rref route of `milnor_dim`
+elsewhere, so N spans the kernel; any other dimension raises
+NotSmoothError naming it.  A prime that drops the rank of A gives way to
+the next.  Over F_p no J_T is built: the Milnor sweep of F's class keeps
+its degree-T normal form (`jacobian._milnor_sweep`).  With h_T = 1, as for
+every F smooth over F_p (p > d: the partials form a regular sequence),
+v(m) = the coefficient of NF(m) on the one standard monomial is nonzero
+and vanishes on J_T mod p, whose annihilator is a line, so v is lambda
+up to scale; h_T != 1 raises NotSmoothError naming h_T, the dimension of
+that annihilator.
 `SocleFunctional.vector` is either vector scaled to lead with 1, and
 `SocleFunctional.integral` gives it back as (N, L) over the least common
 denominator (L = 1 over F_p).  A contraction is then an integer product:
@@ -69,15 +80,15 @@ from .errors import (
 )
 from .jacobian import _integer_rows, _matmul_mod, _milnor_sweep, _multiplication_matrix
 from .jacobian import _require_same_ring, jacobian_graded, partials, require_smooth
-from .jacobian import smooth_reference_dims
+from .jacobian import milnor_dim, smooth_reference_dims
 from .linalg import (
     CACHE_SIZE,
     FieldConfig,
     GradedSubspace,
     Matrix,
     _common_denominator,
+    _null_line,
     _rank_promoted,
-    _rref_integral,
     kernel,
     span,
     subspace_le,
@@ -209,19 +220,14 @@ def _socle_functional(f: Polynomial) -> SocleFunctional:
     if t < 0:
         raise PreconditionError(f"F has no socle functional: T = {f.nvars}*({d}-2) = {t} < 0")
     field, n = f.field, graded_dim(f.nvars, t)
-    if field.is_rational:  # the rref of J_T as integers N over one L
-        pivots, comp, nums, den = _rref_integral(_integer_rows(partials(f), t, sparse=True), n)
-        dim = len(comp)
-    else:  # v, the sweep's degree-T normal form, and h_T
-        hs, _, socle = _milnor_sweep(f.normalized())
-        dim = hs[t]
+    dim = milnor_dim(f, t)  # the dimension of J_T's annihilator
     if dim != 1:
         raise NotSmoothError(f"socle is {dim}-dimensional at degree {t}; expected 1")
-    # the null vector L*e_c - sum_i N_i*e_{p_i}, or v, scaled to lead with 1
-    vec = ({comp[0]: den, **{pc: -x for pc, x in zip(pivots, nums)}} if field.is_rational
-           else dict(enumerate(socle.tolist())))
-    inv = field.inv(vec[min(c for c, x in vec.items() if x)])
-    return SocleFunctional(field, f.nvars, t, tuple(field.mul(vec.get(c, 0), inv) for c in range(n)))
+    # J_T's null line over Q, the sweep's v over F_p, scaled to lead with 1
+    vec = (_null_line(_integer_rows(partials(f), t, sparse=True), n) if field.is_rational
+           else _milnor_sweep(f.normalized())[2].tolist())
+    inv = field.inv(next(x for x in vec if x))
+    return SocleFunctional(field, f.nvars, t, tuple(field.mul(x, inv) for x in vec))
 
 
 def _catalecticant(lam: SocleFunctional, e: int) -> np.ndarray:
@@ -288,7 +294,18 @@ def macaulay_pairing_matrix(f: Polynomial, j: int) -> Matrix:
 
 def annihilator_quadric(f: Polynomial, g_dual: Polynomial) -> Polynomial:
     """The quadric (unique mod J_{F,2}, canonically normalized) whose socle
-    products vanish on the hyperplane of cubics pairing to zero with G."""
+    products vanish on the hyperplane of cubics pairing to zero with G.
+
+    (q, t) is solved for on the pivot columns P of the perp of J_d only
+    (`_jacobian_perp`, cached), 10 of 35 for a cubic in 5 variables, with
+    the same solution line as on every column.  Each row of the
+    catalecticant, b -> lambda(m*b), vanishes on J_d, as m*J_d lies in J_T,
+    so it lies in W*J_d^perp, W = diag(c!), and so does gw, as G lies in
+    J_d^perp.  A vector of J_d^perp is fixed by its entries on P (its basis
+    is in rref) and W is an invertible diagonal, so a vector of W*J_d^perp
+    that vanishes on P is zero: a combination of the rows and gw vanishes
+    on P exactly when it vanishes.  The solution is rechecked exactly on
+    every column."""
     lam = socle_functional(f)
     if g_dual.is_zero():
         raise ZeroPolynomialError("G must be nonzero")
@@ -317,8 +334,9 @@ def annihilator_quadric(f: Polynomial, g_dual: Polynomial) -> Polynomial:
     cat = _catalecticant(lam, d)
     j2_g = _integer_array(field, j2.basis.rows, len(cat)) @ cat
     invariant(not any(map(field.coerce, j2_g.flat)), "Jacobian quadrics do not annihilate H")
-    comp = list(j2.complement_columns)
-    null = kernel(Matrix(field, [*cat[comp].tolist(), (-gw).tolist()], len(gw)).transpose())
+    comp, piv = list(j2.complement_columns), list(_jacobian_perp(f, d).pivots)
+    null = kernel(Matrix(field, [*cat[np.ix_(comp, piv)].tolist(), (-gw[piv]).tolist()],
+                         len(piv)).transpose())
     if null.nrows != 1:
         raise DegeneratePairError(
             f"annihilator solution space has dimension {null.nrows} mod the "

@@ -31,6 +31,10 @@ With H the Hadamard bound (the product of the row norms of A), the lift is
 exact once p^k > 2*H^2: a prime whose exact lift fails is unlucky and the
 next prime below it takes over, and a product of unlucky primes above H is
 an internal invariant breach, as is an exact lift that does not reconstruct.
+The null line of an integer matrix of corank 1 (`_null_line`, the socle
+functional's) lifts off one elimination of [A^T | I] instead, through the
+same digit loop (`_padic_images`), probe reconstruction (`_lift`) and
+prime loop (`_over_lift_primes`).
 
 `kernel` runs one rref, of the matrix with its columns reversed: its null
 vectors, read back in the original order, are already the canonical rref
@@ -286,12 +290,8 @@ class Matrix:
         raise AttributeError("Matrix is immutable")
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.field == other.field
-            and self.ncols == other.ncols
-            and self.rows == other.rows
-        )
+        return isinstance(other, Matrix) and (
+            (self.field, self.ncols, self.rows) == (other.field, other.ncols, other.rows))
 
     def __hash__(self):
         return hash((self.field, self.ncols, self.rows))
@@ -324,24 +324,9 @@ class Matrix:
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a.ncols != b.nrows or a.field != b.field:
         raise AmbientMismatchError("matrix product shape mismatch")
-    f = a.field
-    bt = b.transpose().rows
-    out = []
-    for row in a.rows:
-        out.append(
-            tuple(
-                _dot(f, row, col)
-                for col in bt
-            )
-        )
-    return Matrix(f, out, b.ncols)
-
-
-def _dot(field: FieldConfig, u, v):
-    if field.is_rational:
-        return sum((x * y for x, y in zip(u, v)), Fraction(0))
-    p = field.modulus
-    return sum(x * y for x, y in zip(u, v)) % p
+    f, cols = a.field, b.transpose().rows
+    dots = [[sum((x * y for x, y in zip(row, col)), f.zero) for col in cols] for row in a.rows]
+    return Matrix(f, dots if f.is_rational else [[x % f.modulus for x in r] for r in dots], b.ncols)
 
 
 # -- primitive integer rows -------------------------------------------------
@@ -473,6 +458,20 @@ def _lift_primes():
     yield from filter(is_prime, range(_LIFT_PRIME - 2, 2, -2))
 
 
+def _over_lift_primes(h2: int, attempt):
+    """The first result of attempt(p) that is not None, p from
+    `_lift_primes()`.  A prime whose attempt fails is unlucky: it divides
+    a nonzero minor of the integer matrix, at most H = sqrt(h2) (Hadamard),
+    so a product of failed primes above H is an internal invariant breach."""
+    skipped = 1
+    for p in _lift_primes():
+        found = attempt(p)
+        if found is not None:
+            return found
+        skipped *= p
+        invariant(skipped**2 <= h2, "p-adic lift met more unlucky primes than H allows")
+
+
 def _free_columns(pivots, ncols: int) -> list:
     """The columns 0..ncols-1 that are not pivots, ascending."""
     pset = set(pivots)
@@ -553,36 +552,31 @@ def _spans_rows(rows: list, pivots: list, comp: list, nums: list, den: int) -> b
     return True
 
 
-def _padic_images(int_rows, a_max: int, p: int, pivots, comp, pivot_rows, x0):
-    """X = B^-1 C mod p, p^2, p^3, ... as (flat entries, modulus), for
-    B = A[pivot_rows, pivots], invertible mod p, and C = A[pivot_rows, comp],
-    where no entry of A exceeds a_max in absolute value.
+def _digit_dtype(a_max: int, m: int, p: int):
+    """int64 for the p-adic digits of a system whose matrix has m columns
+    and no entry above a_max in absolute value, while m*p^2 < 2^63 and
+    a_max*(1 + 2*m*p) < 2^63 (see `_padic_images`), `object` otherwise."""
+    return np.int64 if m * p * p < 1 << 63 and a_max * (1 + 2 * m * p) < 1 << 63 else object
 
-    x0 is X mod p, the complement block of the rref mod p, and is yielded
-    before B is inverted.  Each further digit is X_i = B^-1 b mod p, then
-    b <- (b - B X_i) / p, an exact division, from b = (C - B x0) / p.  |b|
-    stays below 2 rk a_max, so the digits run in int64 while rk p^2 < 2^63
-    and a_max (1 + 2 rk p) < 2^63, and in `object` arrays otherwise.
+
+def _padic_images(x, p: int, system):
+    """X mod p, p^2, p^3, ... as (flat entries, modulus) for an integer
+    system M X = B (Dixon), the digit loop of both rational lifts.
+
+    x is X mod p, yielded before system() is called.  That returns (M, B,
+    solve), M and B in a dtype of `_digit_dtype`, and solve(r) is a digit d
+    with M d = r mod p.  From b = B each step sets b <- (b - M d) / p, an
+    exact division, and takes the digit d = solve(b mod p).  With m columns
+    of M and no entry of M or B above a_max, |b| stays below 2*m*a_max and
+    |b - M d| below a_max*(1 + 2*m*p); solve's products, over at most m
+    terms, stay below m*p^2.
     """
-    yield x0.ravel().tolist(), p
-    rk, k = len(pivots), len(comp)
-    bmat = [[int_rows[i][c] for c in pivots] for i in pivot_rows]
-    cmat = [[int_rows[i][c] for c in comp] for i in pivot_rows]
-    aug = np.zeros((rk, 2 * rk), dtype=_elimination_dtype(p)[0])
-    aug[:, :rk] = [[x % p for x in row] for row in bmat]
-    np.fill_diagonal(aug[:, rk:], 1)
-    inv, inv_pivots, _ = _eliminate_mod(aug, 2 * rk, p)
-    invariant(inv_pivots == list(range(rk)), "pivot rows of the modular image are dependent")
-    fits = rk * p * p < 1 << 63 and a_max * (1 + 2 * rk * p) < 1 << 63
-    dtype = np.int64 if fits else object
-    binv = inv[:, rk:].astype(dtype)
-    bmat = np.array(bmat, dtype=dtype).reshape(rk, rk)
-    digit = x0.astype(dtype)
-    b = (np.array(cmat, dtype=dtype).reshape(rk, k) - bmat @ digit) // p
-    x, pk = digit.astype(object), p
+    yield x.ravel().tolist(), p
+    mat, b, solve = system()
+    digit, x, pk = x.astype(mat.dtype), x.astype(object), p
     while True:
-        digit = binv @ (b % p) % p
-        b = (b - bmat @ digit) // p
+        b = (b - mat @ digit) // p
+        digit = solve(b % p)
         x = x + digit.astype(object) * pk
         pk *= p
         yield x.ravel().tolist(), pk
@@ -597,23 +591,18 @@ def _fraction_row(entries, den: int, ncols: int) -> list:
     return dense
 
 
-def _lift(prim: list, int_rows: list, a_max: int, p: int, h2: int):
-    """(pivots, complement, N, L) of the rref from the image mod p, or None
-    once the lift is exact (p^k > 2*H^2) and still fails a check: p is then
-    unlucky.  See `rref` for the argument.
+def _lift(images, h2: int, accept):
+    """(N, L), N/L the first of the p-adic `images` that reconstructs and
+    that accept(N, L) takes, or None once the image is exact (p^k > 2*H^2)
+    and still fails: p is then unlucky.
 
-    The whole candidate is reconstructed at the first digit, and after that
+    The whole image is reconstructed at the first digit, and after that
     only when one probe entry, the one that stopped the last candidate,
     reconstructs to the same value at two digits running, or once the lift
-    is exact.  At the first digit where the candidate is the rref, every
+    is exact.  At the first digit where the candidate is the answer, every
     entry reconstructs to its true value, as the probe does at the next, so
     the lift ends at most one digit later than with a candidate per digit,
-    with the same rref."""
-    ncols = len(int_rows[0])
-    a, pivots, order = _eliminate_mod(int_rows, ncols, p)
-    rk = len(pivots)
-    comp = _free_columns(pivots, ncols)
-    images = _padic_images(int_rows, a_max, p, pivots, comp, order[:rk], a[:rk][:, comp])
+    with the same answer."""
     probe = last = None  # the probe entry, and its value at the last digit
     for residues, m in images:
         exact, bound = m > 2 * h2, math.isqrt((m - 1) // 2)
@@ -621,60 +610,130 @@ def _lift(prim: list, int_rows: list, a_max: int, p: int, h2: int):
         if probe is None or exact or value and value == last:
             nums, den = _reconstruct(residues, m)
             if len(nums) < len(residues):  # probe the entry that stopped it
-                invariant(not exact, "p-adic rref did not reconstruct past the Hadamard bound")
+                invariant(not exact, "p-adic lift did not reconstruct past the Hadamard bound")
                 probe, value = len(nums), None
-            elif _is_echelon(pivots, comp, nums) and _spans_rows(prim, pivots, comp, nums, den):
-                return pivots, comp, nums, den
+            elif accept(nums, den):
+                return nums, den
             if exact:
                 return None
         last = value
 
 
-def _rref_integral(prim: list, ncols: int):
-    """(pivots, complement columns, N, L) of the rational rref of nonzero
-    primitive integer rows, each a dict column -> value: rref row i is
-    e_{p_i} + N_i/L on the complement, N_i = N[i*k : (i+1)*k] for k
-    complement columns.  Rows reduced up to scale are scaled by their
-    leading entries; others are lifted p-adically; see `rref`."""
+def _integer_matrix(prim: list, ncols: int) -> tuple:
+    """(dense rows, H^2, a_max) of integer rows given as dicts column ->
+    value: H^2 the squared Hadamard bound, the product of the squared norms
+    of the nonzero rows, and a_max the largest absolute entry."""
+    dense = [[0] * ncols for _ in prim]
+    for row, r in zip(dense, prim):
+        for c, v in r.items():
+            row[c] = v
+    h2 = math.prod(filter(None, (sum(v * v for v in r.values()) for r in prim)))
+    return dense, h2, max((abs(v) for r in prim for v in r.values()), default=0)
+
+
+def _rref_lift(prim: list, ncols: int):
+    """(pivots, complement, N, L) of the rref of primitive integer rows
+    that are not reduced up to scale, lifted p-adically; see `rref`.  The
+    image mod p gives the pivot columns, rk input rows independent mod p
+    with pivot block B and complement block C, and X = B^-1 C mod p, the
+    complement block of the rref mod p.  B is inverted mod p, by one
+    elimination of [B | I], only when the lift asks for a second digit."""
+    int_rows, h2, a_max = _integer_matrix(prim, ncols)
+
+    def attempt(p):
+        a, pivots, order = _eliminate_mod(int_rows, ncols, p)
+        rk, comp = len(pivots), _free_columns(pivots, ncols)
+
+        def system():
+            dtype = _digit_dtype(a_max, rk, p)
+            block = np.array([[int_rows[i][c] for c in pivots + comp] for i in order[:rk]], dtype)
+            aug = np.zeros((rk, 2 * rk), dtype=_elimination_dtype(p)[0])
+            aug[:, :rk] = block[:, :rk] % p
+            np.fill_diagonal(aug[:, rk:], 1)
+            inv, inv_pivots, _ = _eliminate_mod(aug, 2 * rk, p)
+            invariant(inv_pivots == list(range(rk)), "pivot rows of the image are dependent")
+            binv = inv[:, rk:].astype(dtype)
+            return block[:, :rk], block[:, rk:], lambda r: binv @ r % p
+
+        def accept(nums, den):
+            return _is_echelon(pivots, comp, nums) and _spans_rows(prim, pivots, comp, nums, den)
+
+        found = _lift(_padic_images(a[:rk][:, comp], p, system), h2, accept)
+        return found and (pivots, comp, *found)
+
+    return _over_lift_primes(h2, attempt)
+
+
+def _rref_padic(rows, ncols: int):
+    """Rational rref of rows of Fractions or ints; see `rref`.  The rows are
+    scaled to primitive integer rows, each a dict column -> value.  Rows
+    reduced up to scale are scaled by their leading entries; others are
+    lifted p-adically.  Either way rref row i is e_{p_i} + N_i/L on the
+    complement, N_i = N[i*k : (i+1)*k] for k complement columns."""
+    prim = [r for r in (_primitive({j: x for j, x in enumerate(row) if x}) for row in rows) if r]
     if _is_reduced_up_to_scale(prim):
         prim = sorted(prim, key=min)
         pivots = [min(r) for r in prim]
         den = math.lcm(*(r[pc] for r, pc in zip(prim, pivots)))
         comp = _free_columns(pivots, ncols)
         nums = [r.get(c, 0) * (den // r[pc]) for r, pc in zip(prim, pivots) for c in comp]
-        return pivots, comp, nums, den
-    int_rows = []
-    h2 = 1  # squared Hadamard bound: product of the squared row norms
-    a_max = 0
-    for r in prim:
-        dense = [0] * ncols
-        for c, v in r.items():
-            dense[c] = v
-        int_rows.append(dense)
-        h2 *= sum(v * v for v in r.values())
-        a_max = max(a_max, *map(abs, r.values()))
-    skipped = 1
-    for p in _lift_primes():
-        found = _lift(prim, int_rows, a_max, p, h2)
-        if found is not None:
-            return found
-        skipped *= p
-        invariant(
-            skipped**2 <= h2,
-            "p-adic rref met more unlucky primes than the Hadamard bound allows",
-        )
-
-
-def _rref_padic(rows, ncols: int):
-    """Rational rref of rows of Fractions or ints; see `rref`."""
-    prim = [r for r in (_primitive({j: x for j, x in enumerate(row) if x}) for row in rows) if r]
-    pivots, comp, nums, den = _rref_integral(prim, ncols)
+    else:
+        pivots, comp, nums, den = _rref_lift(prim, ncols)
     k = len(comp)
     out = [
         _fraction_row([(pc, den), *zip(comp, nums[i * k : (i + 1) * k])], den, ncols)
         for i, pc in enumerate(pivots)
     ]
     return out, pivots
+
+
+def _null_line(prim: list, ncols: int) -> list:
+    """A nonzero integer vector spanning the kernel of an integer matrix A
+    of rank n - 1 over Q, n = ncols, its r rows given as dicts column ->
+    value, from one elimination of [A^T | I_n] mod p.
+
+    The elimination gives T A^T = E, E the rref of A^T mod p.  E's pivot
+    columns are rows R of A independent mod p, rk of them.  When
+    rk = n - 1, row rk of E is zero, so T[rk] is lambda_p, the null line of
+    A mod p; for j < rk, E[j] is 1 at R_j and 0 at the other pivot columns,
+    so A[R] T[j]^T = e_j, and T[:rk]^T r solves A[R] d = r mod p.  Row rk
+    of the rref leads with 1 at c, lambda_p's first nonzero, and the
+    elimination cleared column c from every other row, so each Dixon digit
+    T[:rk]^T r (`_padic_images`) is 0 at c: the lift from lambda_p is x
+    with A[R] x = 0 and x[c] = 1.  The kernel of A[R] mod p is lambda_p's
+    line, which meets x[c] = 0 only in 0, so x is unique mod every p^k and
+    over Q, where it is the kernel of A scaled at c: its entries are ratios
+    of (n-1)-minors of A, at most H (Hadamard), and it reconstructs once
+    p^k > 2*H^2 (`_lift`).  A candidate N/L is taken only when A N = 0
+    exactly on every row; as the kernel is a line, N spans it.  A prime
+    with rk < n - 1 is unlucky, and the next takes over
+    (`_over_lift_primes`)."""
+    int_rows, h2, a_max = _integer_matrix(prim, ncols)
+    nrows = len(prim)
+
+    def attempt(p):
+        aug = np.zeros((ncols, nrows + ncols), dtype=_elimination_dtype(p)[0])
+        for i, r in enumerate(prim):
+            aug[list(r), i] = [v % p for v in r.values()]
+        np.fill_diagonal(aug[:, nrows:], 1)
+        red, pivots, _ = _eliminate_mod(aug, nrows + ncols, p)
+        rk = bisect_left(pivots, nrows)
+        if rk != ncols - 1:  # the rank dropped mod p
+            return None
+        dtype = _digit_dtype(a_max, ncols, p)
+        sol = red[:rk, nrows:].T.astype(dtype)
+
+        def system():  # A[R] x = 0, digits from the solver T[:rk]^T
+            mat = np.array([int_rows[i] for i in pivots[:rk]], dtype).reshape(rk, ncols)
+            return mat, np.zeros(rk, dtype), lambda r: sol @ r % p
+
+        def accept(nums, den):  # A N = 0 on every row
+            return not any(sum(v * nums[c] for c, v in r.items()) for r in prim)
+
+        found = _lift(_padic_images(red[rk, nrows:], p, system), h2, accept)
+        return found and found[0]
+
+    return _over_lift_primes(h2, attempt)
 
 
 def rref(m: Matrix):

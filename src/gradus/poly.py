@@ -93,7 +93,9 @@ def graded_dim(nvars: int, degree: int) -> int:
 class Polynomial:
     """Sparse polynomial over an exact field; terms map exponent tuple -> scalar."""
 
-    __slots__ = ("field", "nvars", "family", "terms")
+    # _hash and _normalized memoize __hash__ and normalized(): the terms are
+    # never mutated, so both are fixed once computed
+    __slots__ = ("field", "nvars", "family", "terms", "_hash", "_normalized")
 
     def __init__(self, field: FieldConfig, nvars: int, family: str, terms: dict):
         if family not in FAMILIES:
@@ -109,6 +111,8 @@ class Polynomial:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_normalized", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Polynomial is immutable")
@@ -273,30 +277,29 @@ class Polynomial:
         return cls(field, nvars, family, dict(zip(basis, vec)))
 
     def normalized(self) -> "Polynomial":
-        """Scale so the first nonzero coefficient (monomial order) is 1."""
-        if self.is_zero():
-            return self
-        f = self.field
-        d = self.homogeneous_degree()
-        for m in monomials(self.nvars, d):
-            c = self.terms.get(m)
-            if c is not None:
-                return self.scale(f.inv(c))
-        raise AssertionError("unreachable")
+        """Scale so the first nonzero coefficient (monomial order) is 1;
+        computed once per polynomial."""
+        if self._normalized is None:
+            out = self
+            if not self.is_zero():
+                lead = next(m for m in monomials(self.nvars, self.homogeneous_degree())
+                            if m in self.terms)
+                out = self.scale(self.field.inv(self.terms[lead]))
+                object.__setattr__(out, "_normalized", out)
+            object.__setattr__(self, "_normalized", out)
+        return self._normalized
 
     # -- comparison / display -----------------------------------------------------
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Polynomial)
-            and self.field == other.field
-            and self.nvars == other.nvars
-            and self.family == other.family
-            and self.terms == other.terms
-        )
+        return isinstance(other, Polynomial) and (
+            (self.field, self.nvars, self.family, self.terms)
+            == (other.field, other.nvars, other.family, other.terms))
 
     def __hash__(self):
-        return hash(self.key())
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(self.key()))
+        return self._hash
 
     def __str__(self):
         return format_poly(self)
@@ -321,13 +324,8 @@ def format_poly(p: Polynomial) -> str:
     rational = p.field.is_rational
     for i, (m, c) in enumerate(pieces):
         neg = rational and c < 0
-        mag = -c if neg else c
-        if i == 0:
-            prefix = "-" if neg else ""
-        else:
-            prefix = " - " if neg else " + "
-        body = _format_term(p.family, m, mag)
-        out.append(prefix + body)
+        sign = (" - " if neg else " + ") if i else ("-" if neg else "")
+        out.append(sign + _format_term(p.family, m, -c if neg else c))
     return "".join(out)
 
 

@@ -49,7 +49,8 @@ from gradus.errors import (
     PreconditionError,
 )
 from gradus.lefschetz import mult_map
-from gradus.linalg import Matrix
+from gradus.jacobian import _integer_rows, _milnor_sweep, partials
+from gradus.linalg import _LIFT_PRIME, Matrix, rank_mod
 
 from .conftest import _seeded_smooth_cubics
 from .oracles import (
@@ -475,6 +476,44 @@ def test_socle_off_the_sweep_matches_kernel_route(f):
     else:
         with pytest.raises(NotSmoothError, match=f"socle is {dim}-dimensional at degree {t};"):
             _socle_functional(f)
+
+
+@st.composite
+def smooth_rational_forms(draw):
+    """Seeded dense forms over Q with coefficients in [-5, 5], certified
+    smooth: cubics in 3-5 variables and quartics in 3 and 4."""
+    nvars, d = draw(st.sampled_from([(3, 3), (4, 3), (5, 3), (3, 4), (4, 4)]))
+    f = random_poly(QQ, SeedStream(draw(st.integers(0, 2**32))), nvars, d, 5)
+    assume(not f.is_zero() and is_smooth_hypersurface(f).is_smooth)
+    return f
+
+
+@settings(max_examples=12, deadline=None)
+@given(smooth_rational_forms())
+def test_socle_over_q_matches_kernel_route(f):
+    # lambda over Q is J_T's null line, from one elimination of [A^T | I]
+    # mod the lift prime and its p-adic lift: the normalized kernel row of
+    # J_T's rref basis
+    assert _socle_functional(f).vector == socle_by_kernel(f)
+
+
+@pytest.mark.parametrize("modulus", [10007, _LIFT_PRIME])
+def test_socle_over_q_of_a_form_singular_mod_p(modulus):
+    # special_q + p*Fermat is smooth over Q and special_q mod p.  Mod 10007
+    # the sweep reads h_5 = 5, so dim (S/J_F)_5 = 1 comes from the rref
+    # route; mod the lift prime J_5 loses rank, so the next prime lifts
+    f = special_q(QQ, 4, 3) + fermat_form(QQ, 5, 3).scale(modulus)
+    rows = _integer_rows(partials(f), 5)
+    if modulus == 10007:
+        assert _milnor_sweep(f.normalized())[0][5] == 5
+    else:
+        assert rank_mod(rows, 126, _LIFT_PRIME) < 125 == rank_mod(rows, 126, 10007)
+    assert _socle_functional(f).vector == socle_by_kernel(f)
+
+
+def test_socle_over_q_names_the_socle_dimension(special_cubic):
+    with pytest.raises(NotSmoothError, match=r"^socle is 5-dimensional at degree 5; expected 1$"):
+        _socle_functional(special_cubic)
 
 
 @pytest.mark.parametrize("field", [QQ, FieldConfig.prime_field(10007)])

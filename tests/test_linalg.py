@@ -406,6 +406,23 @@ def test_rref_qq_matches_fraction_free_oracle(matrix):
     assert_rref_matches_oracle(*matrix)
 
 
+@pytest.mark.parametrize(
+    "rows, line",
+    [
+        # the image mod P, (1, 1), reconstructs at the first digit but
+        # fails A N = 0; the lift goes on to (1 + P, 1)
+        ([[1, -1 - _LIFT_PRIME]], [1 + _LIFT_PRIME, 1]),
+        # rank 1 mod P, 2 over Q: the next prime lifts
+        ([[1, 1, 1], [1, 1 + _LIFT_PRIME, 1 + 2 * _LIFT_PRIME]], [1, -2, 1]),
+        # an entry beyond int64: `object` arrays throughout
+        ([[1 << 64, 1], [0, 0]], [1, -(1 << 64)]),
+    ],
+)
+def test_null_line_is_the_kernel_over_q(rows, line):
+    vec = linalg._null_line([{c: x for c, x in enumerate(r) if x} for r in rows], len(line))
+    assert any(vec) and all(x * line[0] == y * vec[0] for x, y in zip(vec, line))
+
+
 def test_lift_prime_is_prime_and_keeps_int64_digits():
     # the lift's int64 digits need rk * P^2 < 2^63 for the ranks it meets
     # (the largest rational rref in the library has 210 columns), and the

@@ -217,6 +217,37 @@ def test_rational_pair_job_does_its_work_once(monkeypatch):
     assert not [name for name, within, _ in calls if "_socle_functional" in within and name != "partial"]
 
 
+def test_rational_lambda_is_one_elimination(monkeypatch):
+    # one Q pair job on a dense cubic with every cache cleared: lambda
+    # eliminates [A^T | I] for J_5's 175 x 126 generator rows A once, a
+    # 126 x 301 matrix, and nothing eliminates the J_5 rows themselves or
+    # inverts a 125 x 125 pivot block through [B | I]
+    f = random_poly(QQ, SeedStream(20261018), 5, 3, 10)
+    _clear_caches()
+    shapes, inside = [], []  # (rows, columns, within lambda) per elimination
+    socle = apolarity._socle_functional
+
+    def in_socle(f):
+        inside.append(True)
+        try:
+            return socle(f)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(apolarity, "_socle_functional", in_socle)
+    for mod in (jacobian, linalg):  # each module's own binding
+        def eliminate(matrix, ncols, p, eliminate=mod._eliminate_mod):
+            shapes.append((len(matrix), ncols, bool(inside)))
+            return eliminate(matrix, ncols, p)
+
+        monkeypatch.setattr(mod, "_eliminate_mod", eliminate)
+    um = membership_u(f, trials=5, seed=7)
+    cert = construct_pair(f, um.witness, seed=7)
+    assert um.in_u and cert.y_smooth.is_smooth and cert.c_smooth.is_smooth
+    assert [s for s in shapes if s[2]] == [(126, 301, True)]
+    assert not [s for s in shapes if s[:2] in ((175, 126), (125, 250))]
+
+
 def test_prime_field_pair_job_reads_lambda_off_the_sweep(monkeypatch):
     # one F_10007 pair job on a dense cubic with every cache cleared: lambda
     # is the sweep's degree-T normal form, so no degree-5 Macaulay rows are

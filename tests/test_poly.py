@@ -191,6 +191,18 @@ def test_normalized_leading_coefficient():
     assert n.terms[(2, 0)] == 1 and n.terms[(0, 2)] == 2
 
 
+def test_hash_and_normalized_are_computed_once():
+    p = parse_poly("2*x0^2 + 4*x1^2", QQ, nvars=2)
+    q = parse_poly("4*x1^2 + 2*x0^2", QQ, nvars=2)
+    assert hash(p) == hash(p.key()) == hash(q)
+    assert p.normalized() is p.normalized() and p.normalized() == q.normalized()
+    assert p.normalized().normalized() is p.normalized()
+    zero = Polynomial.zero(QQ, 2)
+    assert zero.normalized() is zero and hash(zero) == hash(zero.key())
+    with pytest.raises(AttributeError, match="immutable"):
+        p._hash = 0
+
+
 def test_coeff_vector_roundtrip():
     stream = SeedStream(4)
     p = random_poly(QQ, stream, 4, 2, 5)
