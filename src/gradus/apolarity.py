@@ -24,7 +24,7 @@ complement-monomial coordinates (the non-pivot columns of the Jacobian rref
 basis), so all outputs are exactly comparable.
 
 Annihilators are kernels: <b, g> = b W g with W = diag(c!), so E-perp is
-the kernel of E's rows weighted by W, one rref (`linalg.kernel`), and the
+the kernel of E's rows weighted by W (`linalg.kernel`), and the
 perp of J_d is read from J_d's generator rows x^a * dF/dx_i with no J_d
 basis built (`_jacobian_perp`, cached).  Every "pairs to zero" check is one
 exact product of such rows with the weighted duals, B (G W)^T
@@ -32,20 +32,18 @@ exact product of such rows with the weighted duals, B (G W)^T
 (`_jacobian_pairings`).
 
 Over Q lambda spans the kernel of A, the r x n integer matrix of J_T's
-generator rows x^a * dF/dx_i, and comes from one elimination of
-[A^T | I_n] modulo the lift prime p (`linalg._null_line`).  It gives
-T A^T = E with E the rref of A^T mod p: E's pivot columns are rows R of A
-independent mod p, rk of them; with rk = n - 1, row rk of T is lambda mod
-p, and as A[R] T[j]^T = e_j for j < rk, T[:rk]^T is the solver that each
-p-adic (Dixon) digit applies.  The digits stay 0 where lambda mod p leads
-with 1, a column the elimination cleared from T[:rk], so the lift keeps
-that coordinate at 1.  No J_T rref and no inverse of a pivot block are
-built.  It is exact: the lift is taken only when A N = 0 on every row,
-and dim_Q (S/J_F)_T = 1, read off the Milnor sweep where h_T meets the
-smooth reference series and from the rref route of `milnor_dim`
-elsewhere, so N spans the kernel; any other dimension raises
-NotSmoothError naming it.  A prime that drops the rank of A gives way to
-the next.  Over F_p no J_T is built: the Milnor sweep of F's class keeps
+generator rows x^a * dF/dx_i, and is that kernel's rref row from
+`linalg._kernel_rows`, the same p-adic lift as every exact kernel and rref:
+one elimination of [A^T | I_n] modulo the lift prime p gives the rows of A
+independent mod p, lambda mod p and the solver of each Dixon digit, and
+the lift is taken only when A kills it and it is zero left of the column
+where lambda mod p leads (the argument is `linalg`'s).  No J_T rref and no
+inverse of a pivot block are built.  dim_Q (S/J_F)_T = 1 is checked first,
+read off the Milnor sweep where h_T meets the smooth reference series and
+from the rref route of `milnor_dim` elsewhere; any other dimension raises
+NotSmoothError naming it.  A prime that drops the rank of A is unlucky,
+found as soon as its lift solves the independent rows, and the next prime
+takes over.  Over F_p no J_T is built: the Milnor sweep of F's class keeps
 its degree-T normal form (`jacobian._milnor_sweep`).  With h_T = 1, as for
 every F smooth over F_p (p > d: the partials form a regular sequence),
 v(m) = the coefficient of NF(m) on the one standard monomial is nonzero
@@ -87,7 +85,7 @@ from .linalg import (
     GradedSubspace,
     Matrix,
     _common_denominator,
-    _null_line,
+    _kernel_rows,
     _rank_promoted,
     kernel,
     span,
@@ -180,7 +178,7 @@ def _perp(field: FieldConfig, nvars: int, degree: int, family: str, rows) -> Gra
     """{g : <b, g> = 0 for every row b} in the other family.
 
     <b, g> = b W g for W = diag(c!), so the perp is the kernel of the rows
-    weighted by W, one rref (`linalg.kernel`), whose canonical basis `span`
+    weighted by W (`linalg.kernel`), whose canonical basis `span`
     takes as it is.  The result is checked, not recomputed: `kernel` checks
     its dimension, n - rank, and it pairs to zero with the rows (one exact
     product, `_pairing_product`); the pairing is perfect since p > k, so it
@@ -223,9 +221,9 @@ def _socle_functional(f: Polynomial) -> SocleFunctional:
     dim = milnor_dim(f, t)  # the dimension of J_T's annihilator
     if dim != 1:
         raise NotSmoothError(f"socle is {dim}-dimensional at degree {t}; expected 1")
-    # J_T's null line over Q, the sweep's v over F_p, scaled to lead with 1
-    vec = (_null_line(_integer_rows(partials(f), t, sparse=True), n) if field.is_rational
-           else _milnor_sweep(f.normalized())[2].tolist())
+    # J_T's kernel line over Q, the sweep's v over F_p, scaled to lead with 1
+    vec = (_kernel_rows(field, _integer_rows(partials(f), t, sparse=True), n)[0][0]
+           if field.is_rational else _milnor_sweep(f.normalized())[2].tolist())
     inv = field.inv(next(x for x in vec if x))
     return SocleFunctional(field, f.nvars, t, tuple(field.mul(x, inv) for x in vec))
 

@@ -194,7 +194,7 @@ def is_node(f: Polynomial, point) -> bool:
     point = tuple(field.mul(inv, x) for x in point)
     if f.evaluate(point) != field.zero:
         raise PreconditionError("point does not lie on the hypersurface")
-    if any(f.partial(i).evaluate(point) != field.zero for i in range(f.nvars)):
+    if any(g.evaluate(point) != field.zero for g in partials(f)):
         raise PreconditionError("point is not singular on the hypersurface")
     chart = f.substitute(pivot, field.one)
     others = [i for i in range(f.nvars) if i != pivot]

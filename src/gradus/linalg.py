@@ -7,7 +7,7 @@ form is the canonical representation throughout, so subspace equality is
 literal matrix equality.
 
 Prime-field elimination is one numpy Gauss-Jordan loop, `_eliminate_mod`,
-behind `rref` over F_p and over Q, `rank_mod` and the fullness sweeps of
+behind `rref` over F_p, `rank_mod`, every kernel and the fullness sweeps of
 `jacobian._quotient_dims_mod`.  Each pivot updates only the trailing
 columns from the pivot column on, since the pivot row is zero left of it.
 Its dtype follows the modulus alone: int32 while (p-1)^2 + p < 2^31
@@ -17,32 +17,48 @@ update subtracts a product of two residues, at most (p-1)^2, so after k
 updates an entry lies in [-k(p-1)^2, p), and the trailing block is reduced
 only every slack = (dtype max - p) // (p-1)^2 updates (21 at p = 10007).
 
-The rational rref lifts one modular image p-adically (Dixon).  The rows are
-scaled to primitive integer rows A and reduced once modulo the fixed prime
-`_LIFT_PRIME` < 2^26.  That image gives the pivot columns, rk input rows
-independent mod p with pivot block B, and the first p-adic digit of the
-complement block X = B^-1 C.  B is inverted mod p once, and each further
-digit costs one product with B^-1 and one exact division, in int64 while
-rk*p^2 < 2^63 and the entries of A are small, in `object` arrays otherwise.
-The lift is rationally reconstructed and accepted only when it is in
-echelon form and an exact check shows it spans every row of A; since
-rank_Q(A) >= rank_p(A) for integer A, that proves it is the rref over Q.
-With H the Hadamard bound (the product of the row norms of A), the lift is
-exact once p^k > 2*H^2: a prime whose exact lift fails is unlucky and the
-next prime below it takes over, and a product of unlucky primes above H is
-an internal invariant breach, as is an exact lift that does not reconstruct.
-The null line of an integer matrix of corank 1 (`_null_line`, the socle
-functional's) lifts off one elimination of [A^T | I] instead, through the
-same digit loop (`_padic_images`), probe reconstruction (`_lift`) and
-prime loop (`_over_lift_primes`).
+Every exact result over Q (the rref, the kernel, the socle functional) is
+the kernel of an integer matrix A, r x n with primitive integer rows,
+lifted p-adically (Dixon) from one elimination of [A^T | I_n] mod p per
+prime, p = `_LIFT_PRIME` < 2^26 first (`_transposed_elimination`,
+`_null_space`).  T A^T = E gives the rows R of A independent mod p, rk =
+rank_p(A) of them; the kernel mod p, T[rk:], in rref and led by the
+columns K; and M^-1 = T[:rk, off]^T mod p for M = A[R, off], off the
+columns not in K.  Were K the leads of the kernel's rref over Q, its basis
+would be W_j = e_{K_j} - X[:, j] on off with X = M^-1 A[R, K].  So X is
+lifted from X mod p = -T[rk:, off]^T: each digit costs one product with
+M^-1 and one exact division, in int64 while rk*p^2 < 2^63 and the entries
+of A are small, in `object` arrays otherwise.  After a digit X mod p^k is
+rationally reconstructed as N/L, with one common denominator L, and the
+candidate W is judged (`_lift`):
+- if it does not solve M X = A[R, K] exactly, it was taken too early and
+  the lift goes on;
+- it is the answer when A W = 0 on every row and each W_j is zero left of
+  K_j.  Then the W_j are n - rank_p(A) independent vectors of the kernel
+  over Q (each is L at its own K_j and 0 at the other leads), and
+  rank_Q(A) >= rank_p(A) for integer A, so they span it; the echelon test
+  makes W/L its rref basis;
+- otherwise it solves the rows R exactly, so it is X, the one solution
+  (M is invertible mod p, hence over Q), yet fails another row or the
+  echelon test.  A prime that keeps the rank and the kernel's leads lifts
+  to the rref basis, which passes, so p is unlucky: it drops the rank or
+  moves a lead, and so divides a nonzero minor of A.  The next prime below
+  it takes over at once.
+The loop is bounded.  Every minor of A is at most H = prod ||a||_2
+(Hadamard), and by Cramer's rule the entries of X are minors of A over
+det M, so once p^k > 2*H^2 Wang's reconstruction (unique for |N|, L <=
+sqrt(p^k/2)) returns X itself, and a candidate there that does not solve
+the rows R is an internal invariant breach.  So one prime takes at most
+log_p(2*H^2) + 1 digits, and a product of unlucky primes above H is an
+internal invariant breach too.
 
-`kernel` runs one rref, of the matrix with its columns reversed: its null
-vectors, read back in the original order, are already the canonical rref
-basis of the kernel (see `kernel`), and `span` takes rows that are in rref
-with canonical scalars as they are, so a kernel's span costs no second
-elimination.  `_rank_promoted` gives the rank of an integer matrix of known
-maximal rank from its rank mod a prime, exact when that reaches the bound,
-and falls back to the rational rref otherwise.
+The rational `rref` is that kernel for A with its columns reversed, read
+back (see `rref`), and `kernel` over F_p is T[rk:] itself.  Both are
+canonical, and `span` takes rows that are in rref with canonical scalars
+as they are, so a kernel's span costs no second elimination.
+`_rank_promoted` gives the rank of an integer matrix of known maximal rank
+from its rank mod a prime, exact when that reaches the bound, and falls
+back to the rational rref otherwise.
 
 `GradedSubspace.reduce` works on the complement columns only (those led by
 no basis row): because the basis is in rref, the residual is zero on every
@@ -448,6 +464,32 @@ def _eliminate_mod(rows, ncols: int, p: int):
     return _mod(a, p), pivots, order
 
 
+def _transposed_elimination(rows, ncols: int, p: int) -> tuple:
+    """(R, T, K) of one elimination of [A^T | I_n] mod p, for the r x n
+    integer matrix A of `rows`: an ndarray of residues in [0, p), filled in
+    with one transposed assignment, or dicts column -> value.
+
+    The elimination gives T A^T = E, T invertible and E the rref of A^T mod
+    p.  E's pivot columns are the rows R of A independent mod p, rk =
+    rank_p(A) of them.  E[rk:] is zero, so the rows T[rk:] span the kernel
+    of A mod p; as rows of an rref they are its rref basis, led by the
+    columns K.  E[:rk] is 1 at R_j and 0 at the rest of R, so
+    A[R] T[:rk]^T = I, and T[:rk] is zero on K, which the elimination
+    cleared: for `off` the columns not in K, M = A[R, off] is invertible
+    mod p with M^-1 = T[:rk, off]^T."""
+    nrows = len(rows)
+    aug = np.zeros((ncols, nrows + ncols), dtype=_elimination_dtype(p)[0])
+    if isinstance(rows, np.ndarray):
+        aug[:, :nrows] = rows.T
+    else:
+        for i, r in enumerate(rows):
+            aug[list(r), i] = [v % p for v in r.values()]
+    np.fill_diagonal(aug[:, nrows:], 1)
+    red, pivots, _ = _eliminate_mod(aug, nrows + ncols, p)
+    rk = bisect_left(pivots, nrows)
+    return pivots[:rk], red[:, nrows:], [c - nrows for c in pivots[rk:]]
+
+
 # -- rational elimination: one modular image, lifted p-adically -------------
 
 
@@ -519,39 +561,6 @@ def _reconstruct(residues: list, m: int):
     return nums, den
 
 
-def _is_echelon(pivots: list, comp: list, nums: list) -> bool:
-    """Each row N_i is zero on the complement columns left of its pivot."""
-    k = len(comp)
-    return not any(
-        any(nums[i * k : i * k + bisect_left(comp, pc)]) for i, pc in enumerate(pivots)
-    )
-
-
-def _spans_rows(rows: list, pivots: list, comp: list, nums: list, den: int) -> bool:
-    """Exact check that every row a equals sum_i a[p_i] * R_i for
-    R_i = e_{p_i} + N_i/L on the complement: L*a[c] = sum_i a[p_i]*N_i[c] on
-    each complement column c, summed over a's nonzeros only."""
-    k = len(comp)
-    at_pivot = {c: i for i, c in enumerate(pivots)}
-    at_comp = {c: j for j, c in enumerate(comp)}
-    row_nums = [
-        [(j, y) for j, y in enumerate(nums[i * k : (i + 1) * k]) if y]
-        for i in range(len(pivots))
-    ]
-    for a in rows:
-        acc = [0] * k
-        for c, v in a.items():
-            i = at_pivot.get(c)
-            if i is None:
-                acc[at_comp[c]] += den * v
-            else:
-                for j, y in row_nums[i]:
-                    acc[j] -= v * y
-        if any(acc):
-            return False
-    return True
-
-
 def _digit_dtype(a_max: int, m: int, p: int):
     """int64 for the p-adic digits of a system whose matrix has m columns
     and no entry above a_max in absolute value, while m*p^2 < 2^63 and
@@ -561,7 +570,7 @@ def _digit_dtype(a_max: int, m: int, p: int):
 
 def _padic_images(x, p: int, system):
     """X mod p, p^2, p^3, ... as (flat entries, modulus) for an integer
-    system M X = B (Dixon), the digit loop of both rational lifts.
+    system M X = B (Dixon), the digit loop of `_null_space`.
 
     x is X mod p, yielded before system() is called.  That returns (M, B,
     solve), M and B in a dtype of `_digit_dtype`, and solve(r) is a digit d
@@ -593,8 +602,11 @@ def _fraction_row(entries, den: int, ncols: int) -> list:
 
 def _lift(images, h2: int, accept):
     """(N, L), N/L the first of the p-adic `images` that reconstructs and
-    that accept(N, L) takes, or None once the image is exact (p^k > 2*H^2)
-    and still fails: p is then unlucky.
+    that accept(N, L) takes (True), or None once accept rejects one (False):
+    p is then unlucky.  accept answers None to a candidate taken too early,
+    one that does not yet solve the lifted system, and the lift goes on.
+    Past the Hadamard bound (p^k > 2*H^2) the candidate is the exact
+    solution, so it reconstructs and accept answers True or False.
 
     The whole image is reconstructed at the first digit, and after that
     only when one probe entry, the one that stopped the last candidate,
@@ -609,13 +621,13 @@ def _lift(images, h2: int, accept):
         value = probe is not None and _rational_reconstruction(residues[probe], m, bound)
         if probe is None or exact or value and value == last:
             nums, den = _reconstruct(residues, m)
+            verdict = accept(nums, den) if len(nums) == len(residues) else None
+            invariant(verdict is not None or not exact,
+                      "p-adic lift did not solve its system past the Hadamard bound")
+            if verdict is not None:
+                return (nums, den) if verdict else None
             if len(nums) < len(residues):  # probe the entry that stopped it
-                invariant(not exact, "p-adic lift did not reconstruct past the Hadamard bound")
                 probe, value = len(nums), None
-            elif accept(nums, den):
-                return nums, den
-            if exact:
-                return None
         last = value
 
 
@@ -631,55 +643,73 @@ def _integer_matrix(prim: list, ncols: int) -> tuple:
     return dense, h2, max((abs(v) for r in prim for v in r.values()), default=0)
 
 
-def _rref_lift(prim: list, ncols: int):
-    """(pivots, complement, N, L) of the rref of primitive integer rows
-    that are not reduced up to scale, lifted p-adically; see `rref`.  The
-    image mod p gives the pivot columns, rk input rows independent mod p
-    with pivot block B and complement block C, and X = B^-1 C mod p, the
-    complement block of the rref mod p.  B is inverted mod p, by one
-    elimination of [B | I], only when the lift asks for a second digit."""
+def _null_space(prim: list, ncols: int) -> tuple:
+    """(K, off, N, L): the kernel over Q of the integer matrix A whose rows
+    are the dicts column -> value `prim`.  Its rref basis is W_j = e_{K_j}
+    - X[:, j] on the columns `off`, X = N/L with N flat by rows.
+
+    One `_transposed_elimination` mod p gives the rows R, the leads K and
+    off, and X = M^-1 A[R, K] for M = A[R, off] is lifted p-adically (Dixon)
+    from its image -T[rk:, off]^T, each digit through the solver
+    M^-1 = T[:rk, off]^T mod p.  A candidate that does not solve
+    M X = A[R, K] was taken too early; one that does is X itself, and it is
+    the answer when A W = 0 on every row and each W_j is zero left of K_j.
+    Otherwise p is unlucky and the next prime takes over (module
+    docstring)."""
     int_rows, h2, a_max = _integer_matrix(prim, ncols)
 
     def attempt(p):
-        a, pivots, order = _eliminate_mod(int_rows, ncols, p)
-        rk, comp = len(pivots), _free_columns(pivots, ncols)
+        indep, t, lead = _transposed_elimination(prim, ncols, p)
+        rk, off = len(indep), _free_columns(lead, ncols)
+        dtype = _digit_dtype(a_max, rk, p)
+        sol = t[:rk][:, off].T.astype(dtype)
 
-        def system():
-            dtype = _digit_dtype(a_max, rk, p)
-            block = np.array([[int_rows[i][c] for c in pivots + comp] for i in order[:rk]], dtype)
-            aug = np.zeros((rk, 2 * rk), dtype=_elimination_dtype(p)[0])
-            aug[:, :rk] = block[:, :rk] % p
-            np.fill_diagonal(aug[:, rk:], 1)
-            inv, inv_pivots, _ = _eliminate_mod(aug, 2 * rk, p)
-            invariant(inv_pivots == list(range(rk)), "pivot rows of the image are dependent")
-            binv = inv[:, rk:].astype(dtype)
-            return block[:, :rk], block[:, rk:], lambda r: binv @ r % p
+        def system():  # M X = A[R, K]
+            sub = np.array([int_rows[i] for i in indep], dtype).reshape(rk, ncols)
+            return sub[:, off], sub[:, lead], lambda r: sol @ r % p
 
-        def accept(nums, den):
-            return _is_echelon(pivots, comp, nums) and _spans_rows(prim, pivots, comp, nums, den)
+        def accept(nums, den):  # the integer rows L W_j
+            w = np.zeros((len(lead), ncols), dtype=object)
+            w[:, off] = -np.array(nums, dtype=object).reshape(rk, len(lead)).T
+            w[range(len(lead)), lead] = den
+            null = w.tolist()
 
-        found = _lift(_padic_images(a[:rk][:, comp], p, system), h2, accept)
-        return found and (pivots, comp, *found)
+            def kills(i):
+                return not any(sum(v * x[c] for c, v in prim[i].items()) for x in null)
+
+            if not all(map(kills, indep)):
+                return None
+            rest = set(range(len(prim))).difference(indep)
+            return all(map(kills, rest)) and not any(any(x[:c]) for c, x in zip(lead, null))
+
+        found = _lift(_padic_images(-t[rk:][:, off].T % p, p, system), h2, accept)
+        return found and (lead, off, *found)
 
     return _over_lift_primes(h2, attempt)
 
 
+def _primitive_rows(rows) -> list:
+    """The nonzero rows of ints or Fractions as primitive integer rows, each
+    a dict column -> value."""
+    return [r for r in (_primitive({j: x for j, x in enumerate(row) if x}) for row in rows) if r]
+
+
 def _rref_padic(rows, ncols: int):
     """Rational rref of rows of Fractions or ints; see `rref`.  The rows are
-    scaled to primitive integer rows, each a dict column -> value.  Rows
-    reduced up to scale are scaled by their leading entries; others are
-    lifted p-adically.  Either way rref row i is e_{p_i} + N_i/L on the
-    complement, N_i = N[i*k : (i+1)*k] for k complement columns."""
-    prim = [r for r in (_primitive({j: x for j, x in enumerate(row) if x}) for row in rows) if r]
+    scaled to primitive integer rows.  Rows reduced up to scale are scaled
+    by their leading entries.  Others are read off the kernel of the rows
+    with their columns reversed (`_null_space`): its leads are the rref's
+    free columns reversed, its `off` the pivots, and its N/L, reversed, the
+    rref's complement block, row i of which is row i of the rref on the
+    complement columns."""
+    prim = _primitive_rows(rows)
     if _is_reduced_up_to_scale(prim):
         prim = sorted(prim, key=min)
-        pivots = [min(r) for r in prim]
-        den = math.lcm(*(r[pc] for r, pc in zip(prim, pivots)))
-        comp = _free_columns(pivots, ncols)
-        nums = [r.get(c, 0) * (den // r[pc]) for r, pc in zip(prim, pivots) for c in comp]
-    else:
-        pivots, comp, nums, den = _rref_lift(prim, ncols)
-    k = len(comp)
+        return [_fraction_row(r.items(), r[min(r)], ncols) for r in prim], [min(r) for r in prim]
+    last = ncols - 1
+    lead, off, nums, den = _null_space([{last - c: v for c, v in r.items()} for r in prim], ncols)
+    pivots, comp = [last - c for c in reversed(off)], [last - c for c in reversed(lead)]
+    k, nums = len(comp), nums[::-1]
     out = [
         _fraction_row([(pc, den), *zip(comp, nums[i * k : (i + 1) * k])], den, ncols)
         for i, pc in enumerate(pivots)
@@ -687,92 +717,23 @@ def _rref_padic(rows, ncols: int):
     return out, pivots
 
 
-def _null_line(prim: list, ncols: int) -> list:
-    """A nonzero integer vector spanning the kernel of an integer matrix A
-    of rank n - 1 over Q, n = ncols, its r rows given as dicts column ->
-    value, from one elimination of [A^T | I_n] mod p.
-
-    The elimination gives T A^T = E, E the rref of A^T mod p.  E's pivot
-    columns are rows R of A independent mod p, rk of them.  When
-    rk = n - 1, row rk of E is zero, so T[rk] is lambda_p, the null line of
-    A mod p; for j < rk, E[j] is 1 at R_j and 0 at the other pivot columns,
-    so A[R] T[j]^T = e_j, and T[:rk]^T r solves A[R] d = r mod p.  Row rk
-    of the rref leads with 1 at c, lambda_p's first nonzero, and the
-    elimination cleared column c from every other row, so each Dixon digit
-    T[:rk]^T r (`_padic_images`) is 0 at c: the lift from lambda_p is x
-    with A[R] x = 0 and x[c] = 1.  The kernel of A[R] mod p is lambda_p's
-    line, which meets x[c] = 0 only in 0, so x is unique mod every p^k and
-    over Q, where it is the kernel of A scaled at c: its entries are ratios
-    of (n-1)-minors of A, at most H (Hadamard), and it reconstructs once
-    p^k > 2*H^2 (`_lift`).  A candidate N/L is taken only when A N = 0
-    exactly on every row; as the kernel is a line, N spans it.  A prime
-    with rk < n - 1 is unlucky, and the next takes over
-    (`_over_lift_primes`)."""
-    int_rows, h2, a_max = _integer_matrix(prim, ncols)
-    nrows = len(prim)
-
-    def attempt(p):
-        aug = np.zeros((ncols, nrows + ncols), dtype=_elimination_dtype(p)[0])
-        for i, r in enumerate(prim):
-            aug[list(r), i] = [v % p for v in r.values()]
-        np.fill_diagonal(aug[:, nrows:], 1)
-        red, pivots, _ = _eliminate_mod(aug, nrows + ncols, p)
-        rk = bisect_left(pivots, nrows)
-        if rk != ncols - 1:  # the rank dropped mod p
-            return None
-        dtype = _digit_dtype(a_max, ncols, p)
-        sol = red[:rk, nrows:].T.astype(dtype)
-
-        def system():  # A[R] x = 0, digits from the solver T[:rk]^T
-            mat = np.array([int_rows[i] for i in pivots[:rk]], dtype).reshape(rk, ncols)
-            return mat, np.zeros(rk, dtype), lambda r: sol @ r % p
-
-        def accept(nums, den):  # A N = 0 on every row
-            return not any(sum(v * nums[c] for c, v in r.items()) for r in prim)
-
-        found = _lift(_padic_images(red[rk, nrows:], p, system), h2, accept)
-        return found and found[0]
-
-    return _over_lift_primes(h2, attempt)
-
-
 def rref(m: Matrix):
     """Unique reduced row-echelon form (same shape, zero rows at the bottom):
     (rref matrix, pivot columns, rank).
 
-    Over Q the rows are scaled to primitive integer rows A.  Rows already
-    reduced up to scale and order (distinct leading columns, each row zero on
-    the others' leading columns) are their own rref once scaled and sorted.
-    Otherwise A is reduced once modulo a prime p, first `_LIFT_PRIME`.  That
-    gives the pivot columns p_i, the complement columns c, the rank rk, and
-    rk input rows independent mod p whose pivot block B is invertible mod p;
-    C is their complement block.  X = B^-1 C is lifted p-adically (Dixon):
-    the rref mod p holds X mod p, and each step adds the digit
-    X_i = B^-1 b mod p and sets b <- (b - B X_i)/p.  After each step X mod p^k
-    is rationally reconstructed as N/L with one common denominator L, and the
-    candidate R_i = e_{p_i} + N_i/L is returned only if
-    (1) each N_i is zero on the complement columns left of p_i, and
-    (2) every row a of A satisfies L*a[c] = sum_i a[p_i]*N_i[c] on every
-    complement column c.
-    (2) makes a = sum_i a[p_i]*R_i, so rowspace(A) is inside rowspace(R); and
-    rank_Q(A) >= rank_p(A) = rank(R) for integer A, so the two are equal.
-    (1) puts R in reduced echelon form, so R is the rref over Q.  (1) is not
-    implied by (2): a prime that moves the pivot columns but keeps the rank
-    gives an exact lift that spans rowspace(A) but is not in echelon form
-    ([[p, 1, 0], [0, 1, 1]] has pivots (1, 2) mod p and (0, 1) over Q).
-
-    The loop is bounded.  Every minor of A is at most H = prod ||a||_2
-    (Hadamard).  By Cramer's rule the entries of X are minors of A over
-    det B, so L and the entries of N are at most H, and once p^k > 2*H^2
-    Wang's reconstruction (unique for |N|, L <= sqrt(p^k/2)) returns X
-    itself; no candidate there raises InternalInvariantError.  So one prime
-    takes at most log_p(2*H^2) + 1 steps.  A prime that keeps the rational
-    pivot columns and rank lifts to the rref and passes both checks, so a
-    prime whose exact lift fails does not: it divides the rational pivot
-    minor, a nonzero minor of A, and the product of such primes is at most
-    H.  Such a prime gives way to the next prime below it, and a product of
-    dropped primes above H raises InternalInvariantError, so every path
-    through the loop ends.
+    Over F_p it is one `_eliminate_mod` of m.  Over Q the rows are scaled to
+    primitive integer rows A.  Rows already reduced up to scale and order
+    (distinct leading columns, each row zero on the others' leading columns)
+    are their own rref once scaled and sorted.  Otherwise the rref is read
+    off the kernel's rref basis of A with its columns reversed
+    (`_null_space`, exact by the argument of the module docstring).  Let A
+    have rref rows e_{p_i} + C_i on its free columns q.  The kernel of A is
+    spanned by v_q = e_q - sum_i C_i[q] e_{p_i}, and C_i[q] = 0 for p_i > q,
+    so in reversed order v_q leads with 1 at q, is zero on the other free
+    columns, and is nonzero elsewhere only on pivot columns right of q: the
+    v_q are the kernel's rref basis there.  Its leads are A's free columns
+    and its `off` A's pivots, both reversed, and its X, reversed in both
+    axes, is C.
     """
     f = m.field
     if f.is_rational:
@@ -809,38 +770,33 @@ def _rank_promoted(field: FieldConfig, int_rows, ncols: int, bound: int) -> int:
     return rk if rk == bound or not field.is_rational else rank(Matrix(field, int_rows, ncols))
 
 
-def _null_vectors(field: FieldConfig, rows, pivots, ncols: int) -> list:
-    """Basis of {v : E @ v = 0} for E in rref with the given pivot columns:
-    e_c - sum_i E[i][c] * e_{p_i}, one vector per free column c, ascending.
-    Each is zero on the other free columns, so they are independent."""
-    vecs = []
-    for fc in _free_columns(pivots, ncols):
-        v = [field.zero] * ncols
-        v[fc] = field.one
-        for row, pc in zip(rows, pivots):
-            v[pc] = field.neg(row[fc])
-        vecs.append(v)
-    return vecs
+def _kernel_rows(field: FieldConfig, rows, ncols: int) -> tuple:
+    """(the rref basis of the kernel of the matrix of `rows`, its rank):
+    over Q the rows are primitive integer dicts column -> value, and the
+    basis is W_j = e_{K_j} - X[:, j] on off from `_null_space`; over F_p
+    they are residue rows, and the basis is T[rk:] of
+    `_transposed_elimination`."""
+    if field.is_rational:
+        lead, off, nums, den = _null_space(rows, ncols)
+        k = len(lead)
+        return [_fraction_row([(c, den), *zip(off, (-x for x in nums[j::k]))], den, ncols)
+                for j, c in enumerate(lead)], len(off)
+    a = np.array(rows, dtype=_elimination_dtype(field.modulus)[0]).reshape(len(rows), ncols)
+    indep, t, _ = _transposed_elimination(a, ncols, field.modulus)
+    return t[len(indep):].tolist(), len(indep)
 
 
 def kernel(m: Matrix) -> Matrix:
-    """Canonical basis (rref rows) of {v : m @ v = 0}, from one rref: that
-    of m with its columns reversed, E with pivots p_i.
-
-    In the reversed order the null vector of a free column c is 1 at c,
-    zero on the other free columns, and elsewhere nonzero only on pivot
-    columns p_i < c, since row i of E vanishes left of p_i.  Read back in
-    the original order it leads with 1 at its free column, vanishes on the
-    other free columns, which lead the other vectors, and is nonzero only
-    right of its lead.  Listed by ascending lead, the ncols - rank(m)
-    vectors are therefore in rref, and they span the kernel: they are its
-    canonical basis.
-    """
+    """Canonical basis (rref rows) of {v : m @ v = 0}, from one elimination
+    of [m^T | I] per prime (`_kernel_rows`).  Over F_p it is T[rk:], the
+    I half of the rows of that rref whose m^T half is zero.  Over Q it is
+    those rows lifted p-adically, taken only once every row of m kills them
+    and they are in echelon form, which with rank_Q >= rank_p makes them the
+    rref basis (module docstring).  Their number, ncols - rank, is checked."""
     f, n = m.field, m.ncols
-    red, pivots, rk = rref(Matrix(f, [r[::-1] for r in m.rows], n))
-    null = _null_vectors(f, red.rows, pivots, n)
+    null, rk = _kernel_rows(f, _primitive_rows(m.rows) if f.is_rational else m.rows, n)
     invariant(len(null) == n - rk, "kernel dimension law violated")
-    return Matrix(f, [v[::-1] for v in reversed(null)], n)
+    return Matrix(f, null, n)
 
 
 # ---------------------------------------------------------------------------

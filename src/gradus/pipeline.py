@@ -227,11 +227,11 @@ def construct_pair(
             raise BudgetExhaustedError(
                 f"no smooth intersection within {max_perturbations} perturbations"
             )
-    # equal contractions: q - q_base lies in J_F, so the colons agree in every degree
+    # q - q_base lies in J_2 exactly when it contracts to zero against lambda,
+    # and then the colons agree in every degree
     if q != q_base:
-        lam = socle_functional(f)
-        same = _contract(lam, q) == _contract(lam, q_base)
-        invariant(same, "colon changed under a Jacobian perturbation")
+        invariant(not any(_contract(socle_functional(f), q - q_base)),
+                  "colon changed under a Jacobian perturbation")
     cubic = extract_c(f, q)
     g_norm = g.normalized()
     invariant(cubic.poly == g_norm, "extracted cubic differs from the witness")

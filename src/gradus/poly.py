@@ -219,14 +219,11 @@ class Polynomial:
         """Formal partial derivative with respect to variable i."""
         if not 0 <= i < self.nvars:
             raise PreconditionError(f"variable index {i} out of range")
+        # m -> m - e_i is injective, so each term gives its own; the
+        # constructor drops c*m[i] when p divides m[i]
         f = self.field
-        out = {}
-        for m, c in self.terms.items():
-            e = m[i]
-            if e == 0:
-                continue
-            dm = m[:i] + (e - 1,) + m[i + 1 :]
-            out[dm] = f.add(out.get(dm, f.zero), f.mul(c, f.coerce(e)))
+        out = {m[:i] + (m[i] - 1,) + m[i + 1 :]: f.mul(c, m[i])
+               for m, c in self.terms.items() if m[i]}
         return Polynomial(f, self.nvars, self.family, out)
 
     def evaluate(self, point: Sequence):

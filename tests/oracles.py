@@ -48,7 +48,6 @@ from gradus.jacobian import (
     _integer_rows,
     projective_empty,
 )
-from gradus.linalg import _null_vectors
 from gradus.poly import (
     Polynomial,
     graded_dim,
@@ -219,10 +218,18 @@ def naive_rank(rows, field):
 
 def kernel_by_two_rrefs(m):
     """Canonical basis of {v : m @ v = 0}: the null vectors read off the
-    rref of m, then put in rref by a second elimination."""
+    rref of m, e_c - sum_i E[i][c] e_(p_i) for each free column c, then put
+    in rref by a second elimination."""
     f = m.field
     red, pivots, rk = rref(m)
-    red2, _, krank = rref(Matrix(f, _null_vectors(f, red.rows, pivots, m.ncols), m.ncols))
+    null = []
+    for c in (c for c in range(m.ncols) if c not in pivots):
+        v = [f.zero] * m.ncols
+        v[c] = f.one
+        for row, pc in zip(red.rows, pivots):
+            v[pc] = f.neg(row[c])
+        null.append(v)
+    red2, _, krank = rref(Matrix(f, null, m.ncols))
     assert krank == m.ncols - rk, "kernel dimension law violated"
     return Matrix(f, red2.rows[:krank], m.ncols)
 

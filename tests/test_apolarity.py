@@ -522,19 +522,23 @@ def test_socle_over_q_names_the_socle_dimension(special_cubic):
     [("shift", "does not pair to zero"), ("drop", "dimension law")],
 )
 def test_perp_check_catches_corrupted_null_vectors(monkeypatch, field, corruption, message):
-    # shift: the first null vector gains e_(first pivot), so it stays
+    # the kernel's vectors, corrupted.  shift: the first gains the unit
+    # vector e_c, c the first column that leads none of them, so it stays
     # independent of the others but E no longer kills it; drop: one fewer
     j3 = jacobian_graded(fermat_form(field, 5, 3), 3)
-    honest = linalg._null_vectors
+    honest = linalg._kernel_rows
 
-    def corrupted(field, rows, pivots, ncols):
-        first, *rest = honest(field, rows, pivots, ncols)
+    def corrupted(field, rows, ncols):
+        (first, *rest), rk = honest(field, rows, ncols)
         if corruption == "drop":
-            return rest
-        first[pivots[0]] = field.add(first[pivots[0]], field.one)
-        return [first, *rest]
+            return rest, rk
+        leads = {next(c for c, x in enumerate(v) if x) for v in (first, *rest)}
+        c = min(set(range(ncols)) - leads)
+        first = list(first)
+        first[c] = field.add(first[c], field.one)
+        return [first, *rest], rk
 
-    monkeypatch.setattr(linalg, "_null_vectors", corrupted)
+    monkeypatch.setattr(linalg, "_kernel_rows", corrupted)
     with pytest.raises(InternalInvariantError, match=message):
         perp_graded(j3)
 

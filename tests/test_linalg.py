@@ -12,16 +12,20 @@ from gradus import (
     Matrix,
     SeedStream,
     child_seed,
+    fermat_form,
     is_smooth_hypersurface,
+    jacobian_graded,
     kernel,
+    milnor_dim,
     random_scalar,
     rank,
     rref,
     span,
+    special_q,
     subspace_intersect,
     subspace_sum,
 )
-from gradus import linalg
+from gradus import apolarity, jacobian, linalg
 from gradus.errors import AmbientMismatchError, PreconditionError
 from gradus.linalg import (
     DEFAULT_PRIME,
@@ -419,8 +423,67 @@ def test_rref_qq_matches_fraction_free_oracle(matrix):
     ],
 )
 def test_null_line_is_the_kernel_over_q(rows, line):
-    vec = linalg._null_line([{c: x for c, x in enumerate(r) if x} for r in rows], len(line))
+    n = len(line)
+    prim = [{c: x for c, x in enumerate(r) if x} for r in rows]
+    (lead,), off, nums, den = linalg._null_space(prim, n)
+    vec = [0] * n
+    vec[lead] = den
+    for c, x in zip(off, nums):
+        vec[c] = -x
     assert any(vec) and all(x * line[0] == y * vec[0] for x, y in zip(vec, line))
+
+
+@pytest.mark.parametrize("what", ["rref", "kernel", "lambda"])
+def test_rational_results_make_one_elimination_per_prime(monkeypatch, what):
+    # the rref of a dense cubic's J_5 rows, the kernel of its J_3 rows and
+    # its lambda over Q each eliminate [A^T | I] once, mod the lift prime,
+    # and none goes through the public rref or kernel
+    f = random_poly(QQ, SeedStream(child_seed(20260101, 3)), 5, 3, 10)
+    apolarity._socle_functional.cache_clear()
+    milnor_dim(f, 5)  # the sweep's eliminations, which lambda reads, done first
+    calls = {
+        "rref": lambda rref=rref: rref(Matrix(QQ, jacobian_rows(f, 5), 126))[2] == 125,
+        "kernel": lambda kernel=kernel: kernel(Matrix(QQ, jacobian_rows(f, 3), 35)).nrows == 10,
+        "lambda": lambda: apolarity._socle_functional(f).degree == 5,
+    }
+    primes = []
+
+    def eliminate(matrix, ncols, p, eliminate=linalg._eliminate_mod):
+        primes.append(p)
+        return eliminate(matrix, ncols, p)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("went through the public rref or kernel")
+
+    monkeypatch.setattr(linalg, "_eliminate_mod", eliminate)
+    for mod in (linalg, apolarity, jacobian):  # each module's own binding
+        for name in ("rref", "kernel"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, forbidden)
+    assert calls[what]()
+    assert primes == [_LIFT_PRIME]
+
+
+def test_unlucky_prime_gives_way_once_its_lift_solves_the_independent_rows(monkeypatch):
+    # special_q + P*Fermat, P the lift prime: J_5 loses rank mod P, so the
+    # lift at P solves the rows independent mod P and then fails another
+    # row, long before the Hadamard bound (about 380 digits), and the next
+    # prime lifts the same rref
+    f = special_q(QQ, 4, 3) + fermat_form(QQ, 5, 3).scale(_LIFT_PRIME)
+    digits, padic = {}, linalg._padic_images
+
+    def count_digits(x, p, system):
+        for image in padic(x, p, system):
+            digits[p] = digits.get(p, 0) + 1
+            yield image
+
+    monkeypatch.setattr(linalg, "_padic_images", count_digits)
+    jacobian_graded.cache_clear()
+    basis = jacobian_graded(f, 5).basis
+    assert len(digits) == 2 and digits[_LIFT_PRIME] <= 60
+    rows = jacobian_rows(f, 5)
+    expected, _ = naive_rref_rational(rows, 126)
+    assert basis.rows == tuple(tuple(r) for r in expected)
 
 
 def test_lift_prime_is_prime_and_keeps_int64_digits():
