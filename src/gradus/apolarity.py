@@ -38,18 +38,18 @@ one elimination of [A^T | I_n] modulo the lift prime p gives the rows of A
 independent mod p, lambda mod p and the solver of each Dixon digit, and
 the lift is taken only when A kills it and it is zero left of the column
 where lambda mod p leads (the argument is `linalg`'s).  No J_T rref and no
-inverse of a pivot block are built.  dim_Q (S/J_F)_T = 1 is checked first,
-read off the Milnor sweep where h_T meets the smooth reference series and
-from the rref route of `milnor_dim` elsewhere; any other dimension raises
-NotSmoothError naming it.  A prime that drops the rank of A is unlucky,
-found as soon as its lift solves the independent rows, and the next prime
-takes over.  Over F_p no J_T is built: the Milnor sweep of F's class keeps
-its degree-T normal form (`jacobian._milnor_sweep`).  With h_T = 1, as for
-every F smooth over F_p (p > d: the partials form a regular sequence),
-v(m) = the coefficient of NF(m) on the one standard monomial is nonzero
-and vanishes on J_T mod p, whose annihilator is a line, so v is lambda
-up to scale; h_T != 1 raises NotSmoothError naming h_T, the dimension of
-that annihilator.
+inverse of a pivot block are built.  dim_Q (S/J_F)_T = 1 is checked first
+by `milnor_dim`, which reads it off the Milnor sweep record of F's class
+(`jacobian._milnor_sweep`) where that record calls it exact and takes the
+rref route elsewhere; any other dimension raises NotSmoothError naming it.
+A prime that drops the rank of A is unlucky, found as soon as its lift
+solves the independent rows, and the next prime takes over.  Over F_p no
+J_T is built: lambda is the record's `socle`, its degree-T normal form.
+With h_T = 1, as for every F smooth over F_p (p > d: the partials form a
+regular sequence), v(m) = the coefficient of NF(m) on the one standard
+monomial is nonzero and vanishes on J_T mod p, whose annihilator is a
+line, so v is lambda up to scale; h_T != 1 raises NotSmoothError naming
+h_T, the dimension of that annihilator.
 `SocleFunctional.vector` is either vector scaled to lead with 1, and
 `SocleFunctional.integral` gives it back as (N, L) over the least common
 denominator (L = 1 over F_p).  A contraction is then an integer product:
@@ -223,7 +223,7 @@ def _socle_functional(f: Polynomial) -> SocleFunctional:
         raise NotSmoothError(f"socle is {dim}-dimensional at degree {t}; expected 1")
     # J_T's kernel line over Q, the sweep's v over F_p, scaled to lead with 1
     vec = (_kernel_rows(field, _integer_rows(partials(f), t, sparse=True), n)[0][0]
-           if field.is_rational else _milnor_sweep(f.normalized())[2].tolist())
+           if field.is_rational else _milnor_sweep(f.normalized()).socle)
     inv = field.inv(next(x for x in vec if x))
     return SocleFunctional(field, f.nvars, t, tuple(field.mul(x, inv) for x in vec))
 

@@ -28,18 +28,22 @@ elimination would give.  The promotion argument is untouched: h_k = 0 mod p
 means the Macaulay matrix has full rank mod p, hence over the rationals.
 
 Milnor dimensions, hypersurface smoothness and the socle functional over
-F_p read one sweep per projective class: h_0, ..., h_{T+1} of the partials
-of F mod p (DEFAULT_PRIME over the rationals), cached on `f.normalized()`
-(`_milnor_sweep`).  Where h_k = 1, the degree-k normal form is a column
-v(m) = the coefficient of NF(m) on the one standard monomial.  Over F_p
-the sweep keeps v at degree T (up to scale the socle functional: see
-`apolarity`), and over the rationals the singular point read off v at
-degree T+1 (below).  `_quotient_dims_mod` hands out the table of a degree
-only when asked and then goes on, so neither costs a second sweep or
-elimination.  Over F_p the sweep runs in the field itself, so every h_k is
-dim (S/J_F)_k.  Over the rationals h_k is exact wherever it equals the
-smooth reference, `smooth_reference_dims(n, d)[k]` (0 past T), because
-that reference is a lower bound and h_k an upper one:
+F_p read one record per projective class, `_milnor_sweep`, cached on
+`f.normalized()`.  It holds h_0, ..., h_{T+1} of the partials of F mod p
+(DEFAULT_PRIME over the rationals); `ref`, what h_k must equal to be
+dim (S/J_F)_k; where h_T = 1, the degree-T normal form as a column
+v(m) = the coefficient of NF(m) on the one standard monomial (up to scale
+the socle functional mod p: see `apolarity`); over the rationals, the
+singular point read off v at degree T+1 (below); and, computed once when
+first asked, the smoothness certificate.  `_quotient_dims_mod` hands out
+the table of a degree only when asked and then goes on, so neither v
+costs a second sweep or elimination.  The record's `dim` is the one
+exactness rule: h_k is dim (S/J_F)_k where it equals ref_k (past T+1 only
+when h_{T+1} = 0), and any other degree takes the exact route,
+graded_dim - dim J_k by rref.  Over F_p the sweep runs in the field
+itself, so ref is hs.  Over the rationals ref_k is the smooth reference,
+`smooth_reference_dims(n, d)[k]`, then at T+1 1 where a node was read off
+and 0 otherwise.  The reference is a lower bound and h_k an upper one:
 - dim_Q (S/J_F)_k <= h_k: the rank of an integer matrix mod p is at most
   its rank over the rationals;
 - dim_Q (S/J_F)_k >= ref_k: the degree-k Macaulay matrix of the partials
@@ -47,8 +51,8 @@ that reference is a lower bound and h_k an upper one:
   for generic F.  That generic rank is reached on a dense open set of
   forms, which meets the dense open set of smooth ones; there the partials
   form a regular sequence and S/J_F has the complete-intersection series
-  ((1 - t^(d-1))/(1 - t))^n (Stanley, Adv. Math. 28, 1978).
-Any other degree takes the exact route, graded_dim - dim J_k by rref.
+  ((1 - t^(d-1))/(1 - t))^n (Stanley, Adv. Math. 28, 1978).  At T+1 a
+  node read off the sweep gives dim_Q >= 1 (below).
 
 A rational F whose sweep ends in h_{T+1} = 1 is read for its singular
 point before any rational elimination, as zeros are read off the dual of
@@ -74,8 +78,8 @@ that spans the annihilator of J_{T+1} mod p.
   when a ratio lies beyond reconstruction mod p (a numerator or denominator
   above sqrt(p/2), about 70); the rational rref and the F_7 scan then
   decide as before.
-- A node read off the sweep also makes dim_Q (S/J_F)_{T+1} = 1 exact, so
-  `milnor_dim(f, T+1)` returns it with no rref.
+- A node read off the sweep also makes dim_Q (S/J_F)_{T+1} = 1 exact: it
+  is ref_{T+1}, so `milnor_dim(f, T+1)` returns it with no rref.
 
 `ci_smooth` forms the 2x2 minors of the Jacobian matrix of (F, Q) from the
 primitive integer partials: the partials of F' and Q', the primitive
@@ -94,7 +98,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -307,52 +311,95 @@ def jacobian_graded(f: Polynomial, k: int) -> GradedSubspace:
     return span(f.field, f.nvars, k, f.family, _integer_rows(partials(f), k))
 
 
+@dataclass(frozen=True)
+class _MilnorSweep:
+    """One sweep of a normalized F of degree >= 1 (see the module docstring):
+    hs = (h_0, ..., h_{T+1}) mod p of its partials; ref, what h_k must equal
+    to be dim (S/J_F)_k (hs itself over F_p; over the rationals the smooth
+    reference, then 1 at T+1 where a node was read off, else 0); socle, with
+    h_T = 1, the degree-T normal form v(m) = NF(m) on the one standard
+    monomial, which spans the annihilator of J_T mod p; node, over the
+    rationals with h_{T+1} = 1, the singular point that `_node_off_sweep`
+    reads off the degree-(T+1) normal forms.  Each is None otherwise."""
+
+    f: Polynomial
+    hs: tuple
+    ref: tuple
+    socle: tuple | None
+    node: tuple | None
+
+    def dim(self, k: int) -> int | None:
+        """dim (S/J_F)_k where the sweep makes it exact, else None; past T+1
+        the last h decides only when it is 0."""
+        j = min(k, len(self.hs) - 1)
+        return self.hs[j] if self.hs[j] == self.ref[j] and (j == k or self.hs[j] == 0) else None
+
+    @cached_property
+    def certificate(self) -> SmoothnessCertificate:
+        """`is_smooth_hypersurface` of the class: certified when h_{T+1} = 0
+        mod p."""
+        f, node, t1 = self.f, self.node, len(self.hs) - 1
+        nvars, field = f.nvars, f.field
+        target = graded_dim(nvars, t1)
+        field_used = f"fp:{DEFAULT_PRIME if field.is_rational else field.modulus}"
+        if self.hs[t1] == 0:
+            return SmoothnessCertificate(
+                "smooth", t1, field_used, field.is_rational,
+                note="modular fullness promoted to a rational certificate" if field.is_rational
+                else "full Jacobian rank; certifies every integer lift",
+            )
+        if not field.is_rational:
+            return SmoothnessCertificate(
+                "inconclusive", t1, field_used, False,
+                note="modular rank deficiency; no rational lift available",
+            )
+        # a node read off the sweep gives the rank target - 1 exactly (module
+        # docstring); without one the rational rank decides
+        rk = target - 1 if node else rref(Matrix(field, _integer_rows(partials(f), t1), target))[2]
+        if rk == target:
+            return SmoothnessCertificate("smooth", t1, "rational", False)
+        s, witness = DEFAULT_SEARCH_PRIME, None
+        if nvars <= 5 and node:  # the node mod s, first nonzero coordinate 1
+            lead = pow(next(c for c in node if c % s), -1, s)
+            witness = tuple(c * lead % s for c in node)
+        elif nvars <= 5:
+            witness = next(_common_zeros_mod([*partials(f), f], nvars, s), None)
+        return SmoothnessCertificate(
+            "singular", t1, "rational", False, witness,
+            note=(
+                f"Jacobian rank {rk} < {target} at degree {t1}"
+                + (f"; singular point found over F_{s}" if witness else "")
+            ),
+        )
+
+
 @lru_cache(maxsize=CACHE_SIZE)
-def _milnor_sweep(f: Polynomial) -> tuple:
-    """(hs, node, socle) for a normalized F of degree >= 1: hs = (h_0, ...,
-    h_{T+1}) mod p of its partials; node, over the rationals with
-    h_{T+1} = 1, the singular point that `_node_off_sweep` reads off the
-    degree-(T+1) normal forms; socle, over F_p with h_T = 1, the degree-T
-    normal form v(m) = NF(m) on the one standard monomial, which spans the
-    annihilator of J_T.  Each is None otherwise."""
-    p = DEFAULT_PRIME if f.field.is_rational else f.field.modulus
-    sweep = _quotient_dims_mod(partials(f), p)
-    hs = tuple(h for _, h in itertools.islice(sweep, max(f.nvars * (f.degree() - 2) + 1, 0)))
-    socle = sweep.send(True)[:, 0].copy() if hs[-1:] == (1,) and not f.field.is_rational else None
+def _milnor_sweep(f: Polynomial) -> _MilnorSweep:
+    """The `_MilnorSweep` of a normalized F of degree >= 1."""
+    d, rational = f.degree(), f.field.is_rational
+    sweep = _quotient_dims_mod(partials(f), DEFAULT_PRIME if rational else f.field.modulus)
+    hs = tuple(h for _, h in itertools.islice(sweep, max(f.nvars * (d - 2) + 1, 0)))
+    socle = tuple(sweep.send(True)[:, 0].tolist()) if hs[-1:] == (1,) else None
     hs += (next(sweep)[1],)
-    v = sweep.send(True)[:, 0].tolist() if f.field.is_rational and hs[-1] == 1 else None
-    return hs, v and _node_off_sweep(f, v, len(hs) - 1), socle
+    v = sweep.send(True)[:, 0].tolist() if rational and hs[-1] == 1 else None
+    node = v and _node_off_sweep(f, v, len(hs) - 1)
+    ref = (*(smooth_reference_dims(f.nvars, d) if d >= 2 else ()), 1 if node else 0)
+    return _MilnorSweep(f, hs, ref if rational else hs, socle, node)
 
 
 def milnor_dim(f: Polynomial, k: int) -> int:
     """dim (S/J_F)_k, off the sweep of F's class where exact, else by rref."""
     d = _require_homogeneous(f, "F")
-    return _milnor_dim(f, d, _milnor_sweep(f.normalized()) if d >= 2 and k >= 0 else None, k)
-
-
-def _milnor_dim(f: Polynomial, d: int, sweep, k: int) -> int:
-    """`milnor_dim` of F of degree d given its class's `_milnor_sweep`
-    (None: the rref route)."""
-    if sweep is not None:
-        hs, node, _ = sweep
-        if node and k == len(hs) - 1:  # a node off the sweep: dim_Q = 1 exactly
-            return 1
-        j = min(k, len(hs) - 1)  # past T+1 the sweep's last h decides only when it is 0
-        ref = smooth_reference_dims(f.nvars, d) + [0] if f.field.is_rational else hs
-        if hs[j] == ref[j] and (j == k or hs[j] == 0):
-            return hs[j]
-    return graded_dim(f.nvars, k) - jacobian_graded(f, k).dim
+    dim = _milnor_sweep(f.normalized()).dim(k) if d >= 2 and k >= 0 else None
+    return graded_dim(f.nvars, k) - jacobian_graded(f, k).dim if dim is None else dim
 
 
 def milnor_profile(f: Polynomial) -> MilnorProfile:
     """dim (S/J_F)_k for k = 0, ..., max(T, 0), T = nvars*(d-2); for smooth F
-    these are `smooth_reference_dims`, and S/J_F vanishes above T.  F is
-    normalized and its sweep looked up once for all degrees."""
+    these are `smooth_reference_dims`, and S/J_F vanishes above T."""
     d = _require_homogeneous(f, "F")
     t = f.nvars * (d - 2)
-    sweep = _milnor_sweep(f.normalized()) if d >= 2 else None
-    dims = tuple(_milnor_dim(f, d, sweep, k) for k in range(max(t, 0) + 1))
-    return MilnorProfile(f.nvars, d, t, dims)
+    return MilnorProfile(f.nvars, d, t, tuple(milnor_dim(f, k) for k in range(max(t, 0) + 1)))
 
 
 def smooth_reference_dims(nvars: int, d: int) -> list:
@@ -416,58 +463,15 @@ def is_smooth_hypersurface(f: Polynomial) -> SmoothnessCertificate:
     inconclusive.  Both first decide fullness modulo a prime, DEFAULT_PRIME
     over the rationals and the field's own modulus over F_p, in the sweep of
     F's class.  Ranks and the witness scan read F and its partials up to
-    scale, so the certificate too is cached once per class, on
-    `f.normalized()`.
+    scale, so the certificate is the `certificate` of that sweep, cached
+    with it on `f.normalized()`.
     """
-    _require_homogeneous(f, "F")
-    return _smoothness_of_class(f.normalized())
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _smoothness_of_class(f: Polynomial) -> SmoothnessCertificate:
-    """`is_smooth_hypersurface` of a normalized F: certified when the class's
-    sweep has h_{T+1} = 0 mod p."""
-    d = f.degree()
+    d = _require_homogeneous(f, "F")
     if d < 1:
         raise PreconditionError("constant polynomial defines no hypersurface")
-    nvars = f.nvars
-    t1 = max(nvars * (d - 2) + 1, 0)
-    target = graded_dim(nvars, t1)
-    field = f.field
-    if not field.is_rational and field.modulus <= d:
+    if not f.field.is_rational and f.field.modulus <= d:
         raise CharacteristicError(f"smoothness check at degree {d} needs p > {d}")
-    field_used = f"fp:{DEFAULT_PRIME if field.is_rational else field.modulus}"
-
-    hs, node, _ = _milnor_sweep(f)
-    if hs[t1] == 0:
-        return SmoothnessCertificate(
-            "smooth", t1, field_used, field.is_rational,
-            note="modular fullness promoted to a rational certificate" if field.is_rational
-            else "full Jacobian rank; certifies every integer lift",
-        )
-    if not field.is_rational:
-        return SmoothnessCertificate(
-            "inconclusive", t1, field_used, False,
-            note="modular rank deficiency; no rational lift available",
-        )
-    # a node read off the sweep gives the rank target - 1 exactly (module
-    # docstring); without one the rational rank decides
-    rk = target - 1 if node else rref(Matrix(field, _integer_rows(partials(f), t1), target))[2]
-    if rk == target:
-        return SmoothnessCertificate("smooth", t1, "rational", False)
-    s, witness = DEFAULT_SEARCH_PRIME, None
-    if nvars <= 5 and node:  # the node mod s, first nonzero coordinate 1
-        lead = pow(next(c for c in node if c % s), -1, s)
-        witness = tuple(c * lead % s for c in node)
-    elif nvars <= 5:
-        witness = next(_common_zeros_mod([*partials(f), f], nvars, s), None)
-    return SmoothnessCertificate(
-        "singular", t1, "rational", False, witness,
-        note=(
-            f"Jacobian rank {rk} < {target} at degree {t1}"
-            + (f"; singular point found over F_{s}" if witness else "")
-        ),
-    )
+    return _milnor_sweep(f.normalized()).certificate
 
 
 def _node_off_sweep(f: Polynomial, v: list, t1: int):

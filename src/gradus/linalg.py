@@ -400,10 +400,11 @@ def _eliminate_mod(rows, ncols: int, p: int):
     row order), where row i of the array came from input row order[i].
 
     `rows` is a list of integer rows, reduced mod p here, or an ndarray of
-    residues in [0, p), which is copied.  The first r rows of the returned
-    array, r the rank, are the rref; they span what input rows order[:r]
-    span, so those input rows are independent mod p.  The returned array is
-    reduced to [0, p).
+    residues in [0, p), eliminated in place when it already has the dtype of
+    `_elimination_dtype` and copied into it otherwise.  The first r rows of
+    the returned array, r the rank, are the rref; they span what input rows
+    order[:r] span, so those input rows are independent mod p.  The
+    returned array is reduced to [0, p).
 
     At pivot column c the pivot row is zero left of c, so the swap, the
     normalisation and the row updates touch only the trailing columns c:,
@@ -424,7 +425,7 @@ def _eliminate_mod(rows, ncols: int, p: int):
     """
     dtype, slack = _elimination_dtype(p)
     if isinstance(rows, np.ndarray):
-        a = rows.astype(dtype)
+        a = rows.astype(dtype, copy=False)
     else:
         a = np.array([[x % p for x in row] for row in rows], dtype=dtype)
     a = a.reshape(len(rows), ncols)
@@ -755,10 +756,11 @@ def rank_mod(int_rows: Sequence[Sequence[int]], ncols: int, p: int) -> int:
     """Rank of an integer matrix reduced mod p.
 
     `int_rows` is a list of integer rows or an ndarray of residues in
-    [0, p).  Full rank mod p implies full rank over the rationals for
-    integer matrices.
+    [0, p), which is left as it is.  Full rank mod p implies full rank over
+    the rationals for integer matrices.
     """
-    return len(_eliminate_mod(int_rows, ncols, p)[1])
+    rows = int_rows.copy() if isinstance(int_rows, np.ndarray) else int_rows
+    return len(_eliminate_mod(rows, ncols, p)[1])
 
 
 def _rank_promoted(field: FieldConfig, int_rows, ncols: int, bound: int) -> int:

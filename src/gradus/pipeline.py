@@ -36,7 +36,6 @@ from .defects import (
 )
 from .errors import (
     BudgetExhaustedError,
-    NotSmoothError,
     PreconditionError,
     ZeroPolynomialError,
     invariant,
@@ -50,6 +49,7 @@ from .jacobian import (
     jacobian_graded,
     milnor_dim,
     partials,
+    require_smooth,
     smooth_reference_dims,
 )
 from .lefschetz import mult_map
@@ -323,9 +323,7 @@ def theorem14_check(
     once by the square of a linear form, once by a quadric that also cuts a
     certified-smooth intersection."""
     require_positive(trials=trials, bound=bound)
-    cert = is_smooth_hypersurface(f)
-    if not cert.is_smooth:
-        raise NotSmoothError(f"need a smooth-certified F ({cert.verdict})")
+    require_smooth(f)
     field = f.field
     full = graded_dim(f.nvars, 1)
     ell_witness = None

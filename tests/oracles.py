@@ -18,7 +18,9 @@ complete intersection from 2x2 minors multiplied out as Fraction
 polynomials, where the library forms them from the primitive integer
 partials, and the kernel of a matrix as the rref of the null vectors of its
 rref (two eliminations), where the library runs one, of the matrix with its
-columns reversed.
+columns reversed, and the linear substitution F o A expanded term by term,
+for checks that every output moves as the mathematics says under a change
+of coordinates.
 
 These deliberately avoid the library's elimination code paths (modular
 images, quotient shortcuts) so agreement is meaningful.
@@ -473,3 +475,22 @@ def ci_smooth_by_fraction_minors(f: Polynomial, q: Polynomial, k_max=DEFAULT_KMA
         "inconclusive", sweep.kmax, sweep.field_used, False,
         note=f"no fullness up to degree {sweep.kmax}{reason}",
     )
+
+
+def linear_substitution(f: Polynomial, a) -> Polynomial:
+    """F o A, x -> A x: each x_i replaced by sum_j a[i][j] x_j and the
+    product expanded term by term, for an integer matrix `a`."""
+    field, n = f.field, f.nvars
+    images = [
+        Polynomial(field, n, f.family, {
+            tuple(int(k == j) for k in range(n)): field.coerce(a[i][j]) for j in range(n)
+        })
+        for i in range(n)
+    ]
+    out = Polynomial.zero(field, n, f.family)
+    for m, c in f.terms.items():
+        term = Polynomial.constant(field, n, c, f.family)
+        for image, e in zip(images, m):
+            term = term * image.pow(e)
+        out = out + term
+    return out

@@ -18,6 +18,8 @@ from gradus import (
     jacobian_graded,
     kernel,
     macaulay_pairing_matrix,
+    milnor_dim,
+    milnor_profile,
     monomial_index,
     monomials,
     parse_poly,
@@ -58,6 +60,7 @@ from .oracles import (
     colon_perp_cubic,
     contract_by_index_loop,
     hyperplane_annihilator_quadric,
+    linear_substitution,
     pairing_by_differentiation,
     perp_by_involution,
     socle_by_kernel,
@@ -505,7 +508,7 @@ def test_socle_over_q_of_a_form_singular_mod_p(modulus):
     f = special_q(QQ, 4, 3) + fermat_form(QQ, 5, 3).scale(modulus)
     rows = _integer_rows(partials(f), 5)
     if modulus == 10007:
-        assert _milnor_sweep(f.normalized())[0][5] == 5
+        assert _milnor_sweep(f.normalized()).hs[5] == 5
     else:
         assert rank_mod(rows, 126, _LIFT_PRIME) < 125 == rank_mod(rows, 126, 10007)
     assert _socle_functional(f).vector == socle_by_kernel(f)
@@ -704,3 +707,44 @@ def test_quotient_rank_matches_multiplication_map(case):
     assert rk == rank(mult_map(f, g, k))
     if g.homogeneous_degree() == 2:
         assert graded_dim(f.nvars, k) - rk == colon_graded(f, g, k).dim
+
+
+# ---------------------------------------------------------------------------
+# covariance: J_(F o A) = {h o A : h in J_F} for an invertible A, so every
+# reader of the Milnor sweep moves as the mathematics says
+
+# MIXING has determinant 12.  BAD_REDUCTION is I but A[3][4] = 1 and
+# A[4][4] = 10007: F o A mod 10007 is a cone, so its sweep there is
+# deficient and over Q the certificate, the profile and the ranks take
+# their exact routes
+MIXING = ((1, 2, 0, -1, 0), (0, 1, -1, 0, 2), (0, 1, 1, 2, 0), (1, 0, 0, 1, 0), (0, -2, 0, 1, 1))
+BAD_REDUCTION = ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 1), (0, 0, 0, 0, 10007))
+
+
+@pytest.mark.parametrize("p, a", [(None, MIXING), (None, BAD_REDUCTION), (10007, MIXING)],
+                         ids=["q-mixing", "q-bad-reduction", "fp-mixing"])
+def test_sweep_readers_are_covariant(smooth_cubics, nodal_cubic, p, a):
+    field = QQ if p is None else FieldConfig.prime_field(p)
+    forms = [f if p is None else parse_poly(str(f), field, nvars=5) for f in smooth_cubics[:2]]
+    nodal = [nodal_cubic] if (p, a) == (None, MIXING) else []
+    moved_forms = [(f, linear_substitution(f, a)) for f in forms + nodal]
+    for f, fa in moved_forms:
+        assert is_smooth_hypersurface(fa).verdict == is_smooth_hypersurface(f).verdict
+        assert milnor_profile(fa) == milnor_profile(f)
+        assert milnor_dim(fa, 6) == milnor_dim(f, 6)
+    # the integer coefficients of m o A for the monomials m of degree T = 5
+    moved = [[int(x) for x in linear_substitution(Polynomial(field, 5, "x", {m: 1}), a)
+              .coeff_vector(5)] for m in monomials(5, 5)]
+    for f, fa in moved_forms[:len(forms)]:
+        # lambda_(F o A)(m o A) = c * lambda_F(m), one c != 0 for every m in
+        # S_T: on the integers N = L * lambda of both functionals
+        lam, lam_a = socle_functional(f).integral[0], socle_functional(fa).integral[0]
+        pulled = [field.coerce(sum(x * y for x, y in zip(lam_a, v))) for v in moved]
+        i = next(i for i, x in enumerate(lam) if x)
+        c = field.mul(pulled[i], field.inv(field.coerce(lam[i])))
+        assert c != field.zero and pulled == [field.mul(c, field.coerce(x)) for x in lam]
+        stream = SeedStream(29)
+        for g in (random_poly(field, stream, 5, 1, 10), random_poly(field, stream, 5, 2, 10)):
+            ga, e = linear_substitution(g, a), g.degree()
+            assert [_quotient_rank(fa, ga, k) for k in range(6 - e)] == [
+                _quotient_rank(f, g, k) for k in range(6 - e)]

@@ -26,10 +26,12 @@ from gradus import (
     random_poly,
     random_scalar,
     smooth_reference_dims,
+    socle_functional,
     span,
     special_q,
 )
 from gradus import jacobian, linalg
+from gradus.apolarity import _socle_functional
 from gradus.errors import BudgetExhaustedError, PreconditionError, ZeroPolynomialError
 from gradus.jacobian import (
     MACAULAY_CELLS,
@@ -37,7 +39,6 @@ from gradus.jacobian import (
     _milnor_sweep,
     _quotient_dims_mod,
     _shifted_rows,
-    _smoothness_of_class,
 )
 from gradus.linalg import _primitive
 
@@ -47,6 +48,7 @@ from .oracles import (
     milnor_dims_by_rref,
     product_rows,
     smoothness_by_rref,
+    socle_by_kernel,
 )
 from .test_linalg import ELIMINATION_PRIMES
 
@@ -143,7 +145,7 @@ def test_smoothness_certificate_is_scale_free(fermat, special_cubic, nodal_cubic
     assume(c != field.zero)
     f = form if p is None else parse_poly(str(form), field, nvars=form.nvars)
     cert = is_smooth_hypersurface(f)
-    assert _smoothness_of_class.__wrapped__(f.scale(c)) == cert
+    assert _milnor_sweep.__wrapped__(f.scale(c)).certificate == cert
     assert is_smooth_hypersurface(f.scale(c)) == cert
     if (i, p) == (2, None):
         assert cert.field_used == "rational" and cert.witness_point == (1, 0, 0, 0, 0)
@@ -499,7 +501,8 @@ def test_milnor_dims_match_rref_route_on_larger_forms(special_cubic):
     # x1^3 + x2^3 + x3^3 + x4^3, p = DEFAULT_PRIME, is smooth, but modulo p
     # it is singular at e0, so the sweep's bound is not exact from degree 3 on
     lifted = parse_poly(f"{DEFAULT_PRIME}*x0^3 + x0*x4^2 + x1^3 + x2^3 + x3^3 + x4^3", QQ)
-    assert _milnor_sweep(lifted.normalized())[:2] == ((1, 5, 10, 11, 9, 8, 8), None)
+    sweep = _milnor_sweep(lifted.normalized())
+    assert (sweep.hs, sweep.node) == ((1, 5, 10, 11, 9, 8, 8), None)
     cert = is_smooth_hypersurface(lifted)
     assert cert.is_smooth and cert.field_used == "rational"
     quartic = random_poly(FieldConfig.prime_field(10007), SeedStream(5), 4, 4, 5)
@@ -508,7 +511,7 @@ def test_milnor_dims_match_rref_route_on_larger_forms(special_cubic):
 
 
 def _clear_milnor_caches():
-    for cached in (_milnor_sweep, _smoothness_of_class, jacobian_graded):
+    for cached in (_milnor_sweep, jacobian_graded):
         cached.cache_clear()
 
 
@@ -532,6 +535,17 @@ def test_milnor_profile_reads_the_sweep(monkeypatch, smooth_cubics, nodal_cubic,
     assert rational_rrefs == []
     assert jacobian_graded.cache_info().misses == 0
     assert _milnor_sweep.cache_info().misses == 1
+    # over F_10007 the certificate of c*F, the profile and lambda of F read
+    # one sweep of F's class and build no J_k
+    _clear_milnor_caches()
+    _socle_functional.cache_clear()
+    g = parse_poly(str(f), FieldConfig.prime_field(10007), nvars=5)
+    assert is_smooth_hypersurface(g.scale(3)).is_smooth
+    assert list(milnor_profile(g).dims) == smooth_reference_dims(5, 3)
+    lam = socle_functional(g)
+    assert jacobian_graded.cache_info().misses == 0
+    assert _milnor_sweep.cache_info().misses == 1
+    assert lam.vector == socle_by_kernel(g)
     # a survey-style nodal draw: its node shows from degree T+1 = 6 on only
     _clear_milnor_caches()
     assert milnor_profile(nodal_cubic).dims == (1, 5, 10, 10, 5, 1)
@@ -547,9 +561,10 @@ def test_milnor_profile_reads_the_sweep(monkeypatch, smooth_cubics, nodal_cubic,
         return graded(g, k)
 
     monkeypatch.setattr(jacobian, "jacobian_graded", record)
-    hs, _, _ = _milnor_sweep(special_cubic.normalized())
+    sweep = _milnor_sweep(special_cubic.normalized())
     ref = smooth_reference_dims(5, 3) + [0]
-    assert [k for k in range(6) if hs[k] != ref[k]] == [5]
+    assert sweep.ref == tuple(ref)
+    assert [k for k in range(6) if sweep.hs[k] != ref[k]] == [5]
     assert milnor_profile(special_cubic).dims == (1, 5, 10, 10, 5, 5)
     assert built == [5]
     assert [milnor_dim(special_cubic, k) for k in (6, 7)] == [5, 5]
@@ -625,7 +640,7 @@ def test_nodal_certificate_reads_the_node_off_the_sweep(monkeypatch, nodal_cubic
     assert (cert.verdict, cert.note) == ("singular", note)
     assert calls == ["rref", "scan"]
     lifted = nodal_cubic + parse_poly(f"{DEFAULT_PRIME}*x0^3", QQ, nvars=5)
-    assert _milnor_sweep(lifted.normalized())[0][6] == 1
+    assert _milnor_sweep(lifted.normalized()).hs[6] == 1
     assert is_smooth_hypersurface(lifted) == SmoothnessCertificate("smooth", 6, "rational", False)
     assert calls == ["rref", "scan", "rref"]
 

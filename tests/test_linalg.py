@@ -294,6 +294,18 @@ def test_rank_mod_matches_oracle(matrix, p):
     assert rank_mod(rows, ncols, p) == naive_rank_mod(rows, p)
 
 
+def test_rank_mod_leaves_a_caller_array_as_it_is():
+    # _eliminate_mod eliminates an array of its own dtype in place, with no
+    # copy; rank_mod must not change a caller's array of that dtype
+    p = 10007
+    assert linalg._elimination_dtype(p)[0] is np.int32
+    rows = np.array([[2, 4, 6], [1, 2, 3], [0, 5, p - 1]], dtype=np.int32)
+    before = rows.copy()
+    assert rank_mod(rows, 3, p) == 2
+    assert rows.dtype == np.int32 and (rows == before).all()
+    assert np.shares_memory(linalg._eliminate_mod(rows, 3, p)[0], rows)
+
+
 @settings(max_examples=100, deadline=None)
 @given(int_matrices(dense_pivots=True), st.sampled_from(ELIMINATION_PRIMES))
 def test_rref_mod_p_idempotent_and_keeps_row_space(matrix, p):
