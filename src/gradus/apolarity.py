@@ -12,16 +12,19 @@ coefficient of y^c in h o G, G = sum lambda(x^a)/a! y^a the Macaulay dual
 generator, and <b, h o G> = lambda(h*b).  Q, C, the pairing matrix and the
 pipeline's colon-invariance check are all read from such contractions,
 exactly in every characteristic; p > d is needed only to divide by the
-weights c!, |c| = d.  So is every rank of multiplication on S/J_F that the
-pair pipeline and `slp_check` read (`_quotient_rank`): a*g lies in J
-exactly when lambda(a*g*S) = 0, so the rank of g from degree k is the rank
-of the catalecticant [lambda(g*m_a*m_b)], reduced mod a prime over Q and
-exact where it reaches min(h_k, h_{k+deg g}), with no J basis built.
-`colon_graded` and `perp_graded` stay the general routes: the `colon` and
-`perp` commands, `verify_corollary` (F need not be smooth) and
-`theorem14_check`.  Quotient pieces are represented in the canonical
-complement-monomial coordinates (the non-pivot columns of the Jacobian rref
-basis), so all outputs are exactly comparable.
+weights c!, |c| = d.  So is every rank of multiplication on S/J_F
+(`_quotient_rank`, read by the pair pipeline, `slp_check` and
+`theorem14_check`): a*g lies in J exactly when lambda(a*g*S) = 0, so the
+rank of g from degree k is the rank of the catalecticant
+[lambda(g*m_a*m_b)], with no J basis built.  It is read first off the
+Milnor sweep record's degree-T column, lambda mod p up to a unit, and
+promoted over Q where it reaches min(h_k, h_{k+deg g}); otherwise lambda's
+own catalecticant decides exactly.  `colon_graded` and `perp_graded` stay
+the general routes: the `colon` and `perp` commands and
+`verify_corollary`, whose F need not be smooth.  Quotient pieces are
+represented in the canonical complement-monomial coordinates (the
+non-pivot columns of the Jacobian rref basis), so all outputs are exactly
+comparable.
 
 Annihilators are kernels: <b, g> = b W g with W = diag(c!), so E-perp is
 the kernel of E's rows weighted by W (`linalg.kernel`), and the
@@ -76,18 +79,20 @@ from .errors import (
     ZeroPolynomialError,
     invariant,
 )
-from .jacobian import _integer_rows, _matmul_mod, _milnor_sweep, _multiplication_matrix
-from .jacobian import _require_same_ring, jacobian_graded, partials, require_smooth
-from .jacobian import milnor_dim, smooth_reference_dims
+from .jacobian import _integer_rows, _integer_terms, _matmul_mod, _milnor_sweep
+from .jacobian import _multiplication_matrix, _require_same_ring, jacobian_graded, milnor_dim
+from .jacobian import partials, require_smooth
 from .linalg import (
     CACHE_SIZE,
+    DEFAULT_PRIME,
     FieldConfig,
     GradedSubspace,
     Matrix,
     _common_denominator,
     _kernel_rows,
-    _rank_promoted,
     kernel,
+    rank,
+    rank_mod,
     span,
     subspace_le,
 )
@@ -228,11 +233,11 @@ def _socle_functional(f: Polynomial) -> SocleFunctional:
     return SocleFunctional(field, f.nvars, t, tuple(field.mul(x, inv) for x in vec))
 
 
-def _catalecticant(lam: SocleFunctional, e: int) -> np.ndarray:
-    """L * lambda(m_i * b_j) for m_i in S_{T-e} (rows) and b_j in S_e
-    (columns): one gather of lambda's integers N = L * lambda through
-    `product_index`; needs 0 <= e <= T."""
-    return np.array(lam.integral[0], dtype=object)[product_index(lam.nvars, e, lam.degree)]
+def _catalecticant(vec, nvars: int, e: int, degree: int) -> np.ndarray:
+    """vec(m_i * b_j) for m_i in S_{degree-e} (rows) and b_j in S_e
+    (columns), vec a functional on S_degree in its monomial basis: one
+    gather through `product_index`; needs 0 <= e <= degree."""
+    return np.array(vec, dtype=object)[product_index(nvars, e, degree)]
 
 
 def _contract(lam: SocleFunctional, h: Polynomial) -> list:
@@ -244,7 +249,7 @@ def _contract(lam: SocleFunctional, h: Polynomial) -> list:
     if e > lam.degree:
         return []
     idx, (hnums, hden) = monomial_index(lam.nvars, e), _common_denominator(h.terms.values())
-    cat = _catalecticant(lam, e)[:, [idx[m] for m in h.terms]]
+    cat = _catalecticant(lam.integral[0], lam.nvars, e, lam.degree)[:, [idx[m] for m in h.terms]]
     den = lam.integral[1] * hden
     return [lam.field.coerce(Fraction(x, den)) for x in (cat @ np.array(hnums, dtype=object))]
 
@@ -256,22 +261,37 @@ def _quotient_rank(f: Polynomial, g: Polynomial, k: int) -> int:
     a*g lies in J_{k+e} exactly when lambda(a*g*b) = 0 for every b in
     S_{T-k-e}, so the rank of S_k -> (S/J_F)_{k+e}, which J_k does not
     change, is that of the catalecticant [lambda(g*m_a*m_b)], m_a in S_k,
-    m_b in S_{T-k-e}: one gather of `_contract(lam, g)` through
-    `product_index`, with no J basis.  Over F_p its rank mod p is exact.
-    Over Q the integer matrix is reduced mod a prime: the rank is at most
-    min(h_k, h_{k+e}), the smooth reference dimensions, and at least the
-    rank mod p, so reaching that bound there is exact; below it the exact
-    rank decides (`linalg._rank_promoted`)."""
-    lam = socle_functional(f)
-    e, t, n = g.homogeneous_degree(), lam.degree, f.nvars
+    m_b in S_{T-k-e}, with no J basis built.
+
+    It is read first off the Milnor sweep record of F's class: where h_T = 1
+    mod p (p the field's prime, DEFAULT_PRIME over Q) its column v spans the
+    annihilator of J_T mod p, and the catalecticant of v against g's
+    primitive integers mod p is taken mod p.  Over F_p v is lambda up to
+    scale, so that rank is exact.  Over Q it is promoted: lambda's primitive
+    integers N are nonzero mod p and kill J_T mod p, so N = c*v mod p with c
+    a unit, and the integer catalecticant of N against g reduces to c times
+    the one of v.  So rank_Q >= rank_p, and rank_Q <= min(h_k, h_{k+e}), the
+    smooth reference dimensions of S/J_F for F smooth over Q: a rank mod p
+    that reaches that bound is exact.  This needs only h_T = 1 mod p, not
+    the whole reference series.  Otherwise, or without the column, the
+    catalecticant of lambda itself decides exactly."""
+    require_smooth(f)
+    d, e, n = f.homogeneous_degree(), g.homogeneous_degree(), f.nvars
+    t = n * (d - 2)
     if k + e > t:
         return 0
-    # the catalecticant of the contraction's integers over their least
-    # common denominator
-    nums = _common_denominator(_contract(lam, g))[0]
-    cat = np.array(nums, dtype=object)[product_index(n, k, t - e)].tolist()
-    ref = smooth_reference_dims(n, f.homogeneous_degree())
-    return _rank_promoted(f.field, cat, graded_dim(n, k), min(ref[k], ref[k + e]))
+    sweep, ncols = _milnor_sweep(f.normalized()), graded_dim(n, k)
+    if sweep.socle is not None:
+        p, idx, terms = f.field.modulus or DEFAULT_PRIME, monomial_index(n, e), _integer_terms(g)
+        gp = np.array([[v % p] for v in terms.values()], dtype=object)
+        cat = _catalecticant(sweep.socle, n, e, t)[:, [idx[m] for m in terms]]
+        rk = rank_mod(_catalecticant(_matmul_mod(cat, gp, p, object)[:, 0], n, k, t - e), ncols, p)
+        if not f.field.is_rational or rk == min(sweep.ref[k], sweep.ref[k + e]):
+            return rk
+    # the catalecticant of lambda's contraction, integers over their least
+    # common denominator, over the field itself
+    nums = _common_denominator(_contract(socle_functional(f), g))[0]
+    return rank(Matrix(f.field, _catalecticant(nums, n, k, t - e).tolist(), ncols))
 
 
 def macaulay_pairing_matrix(f: Polynomial, j: int) -> Matrix:
@@ -286,7 +306,7 @@ def macaulay_pairing_matrix(f: Polynomial, j: int) -> Matrix:
         raise PreconditionError(f"pairing degree {j} outside [0, {t}]")
     cols_j = jacobian_graded(f, j).complement_columns
     cols_tj = jacobian_graded(f, t - j).complement_columns
-    cat = np.array(lam.vector, dtype=object)[product_index(f.nvars, t - j, t)]
+    cat = _catalecticant(lam.vector, f.nvars, t - j, t)
     return Matrix(f.field, cat[np.ix_(cols_j, cols_tj)].tolist(), len(cols_tj))
 
 
@@ -329,7 +349,7 @@ def annihilator_quadric(f: Polynomial, g_dual: Polynomial) -> Polynomial:
     # so solving over the complement monomials of J_{T-d} gives the reduced q
     qdeg = lam.degree - d
     j2 = jacobian_graded(f, qdeg)
-    cat = _catalecticant(lam, d)
+    cat = _catalecticant(lam.integral[0], nvars, d, lam.degree)
     j2_g = _integer_array(field, j2.basis.rows, len(cat)) @ cat
     invariant(not any(map(field.coerce, j2_g.flat)), "Jacobian quadrics do not annihilate H")
     comp, piv = list(j2.complement_columns), list(_jacobian_perp(f, d).pivots)
@@ -378,8 +398,7 @@ def extract_c(f: Polynomial, q: Polynomial) -> CubicC:
     if e is not None and lam.degree - e >= d:
         # the functionals of the (q*m) o G, m in S_{T-d-e}, which span the
         # perp of the colon: lambda(q*m*b) = (q o G)(m*b) for b in S_d
-        qg = np.array(_contract(lam, q), dtype=object)
-        funcs = qg[product_index(f.nvars, d, lam.degree - e)].tolist()
+        funcs = _catalecticant(_contract(lam, q), f.nvars, d, lam.degree - e).tolist()
     line = span(field, f.nvars, d, f.family, funcs)
     if line.dim != 1:
         raise DegeneratePairError(

@@ -78,8 +78,9 @@ def slp_check(f: Polynomial, ell: Polynomial) -> LefschetzProfile:
     """Rank profile of ell^(T-2k) from degree k to degree T-k for 2k < T.
 
     The pieces of S/J_F of a smooth F have the smooth reference dimensions,
-    and each rank is `apolarity._quotient_rank`, read off the socle
-    functional's catalecticant with no J basis built."""
+    and each rank is `apolarity._quotient_rank`: the catalecticant of the
+    sweep record's socle column mod p, promoted over Q where it reaches
+    min(h_k, h_{T-k}), else of lambda itself; no J basis is built."""
     require_smooth(f)
     if ell.is_zero():
         raise ZeroPolynomialError("linear form must be nonzero")

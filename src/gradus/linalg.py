@@ -56,9 +56,9 @@ The rational `rref` is that kernel for A with its columns reversed, read
 back (see `rref`), and `kernel` over F_p is T[rk:] itself.  Both are
 canonical, and `span` takes rows that are in rref with canonical scalars
 as they are, so a kernel's span costs no second elimination.
-`_rank_promoted` gives the rank of an integer matrix of known maximal rank
-from its rank mod a prime, exact when that reaches the bound, and falls
-back to the rational rref otherwise.
+`rank_mod` gives the rank of an integer matrix mod p: a lower bound on its
+rank over Q, which `apolarity._quotient_rank` promotes where its upper
+bound is known.
 
 `GradedSubspace.reduce` works on the complement columns only (those led by
 no basis row): because the basis is in rref, the residual is zero on every
@@ -761,15 +761,6 @@ def rank_mod(int_rows: Sequence[Sequence[int]], ncols: int, p: int) -> int:
     """
     rows = int_rows.copy() if isinstance(int_rows, np.ndarray) else int_rows
     return len(_eliminate_mod(rows, ncols, p)[1])
-
-
-def _rank_promoted(field: FieldConfig, int_rows, ncols: int, bound: int) -> int:
-    """Rank in `field` of an integer matrix whose rank there is at most
-    `bound`: over F_p its rank mod p; over Q its rank mod DEFAULT_PRIME,
-    exact when it reaches `bound` (rank_Q >= rank_p for integer matrices),
-    otherwise the rational rref's."""
-    rk = rank_mod(int_rows, ncols, field.modulus or DEFAULT_PRIME)
-    return rk if rk == bound or not field.is_rational else rank(Matrix(field, int_rows, ncols))
 
 
 def _kernel_rows(field: FieldConfig, rows, ncols: int) -> tuple:

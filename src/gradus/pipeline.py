@@ -52,7 +52,6 @@ from .jacobian import (
     require_smooth,
     smooth_reference_dims,
 )
-from .lefschetz import mult_map
 from .linalg import (
     DEFAULT_BOUND,
     DEFAULT_TRIALS,
@@ -61,7 +60,6 @@ from .linalg import (
     SeedStream,
     child_seed,
     random_scalar,
-    rank,
     rref,
     span,
 )
@@ -321,22 +319,24 @@ def theorem14_check(
 ) -> Theorem14Report:
     """Witness injectivity of multiplication into the degree-3 quotient twice:
     once by the square of a linear form, once by a quadric that also cuts a
-    certified-smooth intersection."""
+    certified-smooth intersection.  Each rank of multiplication from degree
+    1, and so the witness's colon dim (J_F : Q)_1 = dim S_1 - rank, is
+    `apolarity._quotient_rank`, the route of `construct_pair` and
+    `slp_check`: no J basis, and over Q no lambda lift where the rank mod p
+    is full."""
     require_positive(trials=trials, bound=bound)
     require_smooth(f)
     field = f.field
     full = graded_dim(f.nvars, 1)
-    ell_witness = None
-    ell_trials = 0
+    ell_witness, ell_trials = None, 0
     for i in range(trials):
         stream = SeedStream(child_seed(seed, i))
         ell = random_linear_form(field, stream, f.nvars, bound, f.family)
         ell_trials = i + 1
-        if rank(mult_map(f, ell * ell, 1)) == full:
+        if _quotient_rank(f, ell * ell, 1) == full:
             ell_witness = ell
             break
-    q_witness = None
-    y_cert = None
+    q_witness = y_cert = colon1 = None
     attempts = []
     for i in range(trials):
         stream = SeedStream(child_seed(seed, trials + i))
@@ -344,16 +344,12 @@ def theorem14_check(
         if q.is_zero():
             attempts.append({"rank_ok": False, "y_verdict": "zero draw"})
             continue
-        rank_ok = rank(mult_map(f, q, 1)) == full
+        rk = _quotient_rank(f, q, 1)
         y = ci_smooth(f, q, kmax, falsify=False)
-        attempts.append({"rank_ok": rank_ok, "y_verdict": y.verdict})
-        if rank_ok and y.is_smooth:
-            q_witness, y_cert = q, y
+        attempts.append({"rank_ok": rk == full, "y_verdict": y.verdict})
+        if rk == full and y.is_smooth:
+            q_witness, y_cert, colon1 = q, y, full - rk
             break
-    colon1 = None
-    if q_witness is not None:
-        colon1 = colon_graded(f, q_witness, 1).dim
-        invariant(colon1 == 0, "colon nonzero despite full multiplication rank")
     return Theorem14Report(
         success=ell_witness is not None and q_witness is not None,
         ell_witness=ell_witness,

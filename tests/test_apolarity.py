@@ -32,7 +32,7 @@ from gradus import (
     span,
     special_q,
 )
-from gradus import linalg
+from gradus import apolarity, linalg
 from gradus.apolarity import (
     SocleFunctional,
     _contract,
@@ -51,8 +51,8 @@ from gradus.errors import (
     PreconditionError,
 )
 from gradus.lefschetz import mult_map
-from gradus.jacobian import _integer_rows, _milnor_sweep, partials
-from gradus.linalg import _LIFT_PRIME, Matrix, rank_mod
+from gradus.jacobian import _integer_rows, _integer_terms, _milnor_sweep, partials
+from gradus.linalg import _LIFT_PRIME, DEFAULT_PRIME, Matrix, rank_mod
 
 from .conftest import _seeded_smooth_cubics
 from .oracles import (
@@ -681,17 +681,23 @@ def test_generator_row_perp_matches_perp_of_the_jacobian_basis(case, data):
 @st.composite
 def smooth_forms_and_multipliers(draw):
     """(F, g, k): a smooth cubic in 3-5 variables or quartic in 3-4 over Q
-    or F_10007; g a random linear form, a power of one, or a quadric; k in
-    0..T + 1 - deg g, the last one into (S/J_F)_(T+1) = 0."""
+    or F_10007; g a random linear form, a power of one, a quadric, or the
+    primitive dF/dx0 + 10007*h for a random h of degree d-1, which lies in
+    J_F mod 10007, so over Q its rank mod p is 0 at every k and the exact
+    route decides; k in 0..T + 1 - deg g, the last one into
+    (S/J_F)_(T+1) = 0."""
     field = draw(st.sampled_from((QQ, FieldConfig.prime_field(10007))))
     nvars, d = draw(st.sampled_from(((3, 3), (4, 3), (5, 3), (3, 4), (4, 4))))
     stream = SeedStream(draw(st.integers(0, 2**32)))
     f = random_poly(field, stream, nvars, d, 3)
     assume(not f.is_zero() and is_smooth_hypersurface(f).is_smooth)
     t = nvars * (d - 2)
-    kind = draw(st.sampled_from(("linear", "power", "quadric")))
+    kind = draw(st.sampled_from(("linear", "power", "quadric", "jacobian")))
     if kind == "quadric":
         g = random_poly(field, stream, nvars, 2, 3)
+    elif kind == "jacobian":
+        df0 = {m: field.coerce(v) for m, v in _integer_terms(partials(f)[0]).items()}
+        g = Polynomial(field, nvars, "x", df0) + random_poly(field, stream, nvars, d - 1, 3).scale(10007)
     else:
         g = random_poly(field, stream, nvars, 1, 3)
         g = g.pow(draw(st.integers(2, t))) if kind == "power" else g
@@ -707,6 +713,31 @@ def test_quotient_rank_matches_multiplication_map(case):
     assert rk == rank(mult_map(f, g, k))
     if g.homogeneous_degree() == 2:
         assert graded_dim(f.nvars, k) - rk == colon_graded(f, g, k).dim
+
+
+def test_quotient_rank_falls_back_to_the_exact_rank(monkeypatch):
+    # F = x0^3 + x1^3 + x2^3 at k = 1, where min(h_1, h_2) = 3.  Mod p,
+    # x0 + p*x1 + p*x2 is x0, of rank 2 off the sweep record, so over Q
+    # lambda's own catalecticant decides, and gives 3.  A rank mod p that
+    # reaches the bound is returned with no exact elimination, and over
+    # F_p the rank mod p is the answer
+    p = DEFAULT_PRIME
+    fp = FieldConfig.prime_field(p)
+
+    def ternary(text, field=QQ):
+        return parse_poly(text, field, nvars=3)
+
+    f, g = ternary("x0^3 + x1^3 + x2^3"), ternary(f"x0 + {p}*x1 + {p}*x2")
+    exact = []
+    socle = apolarity.socle_functional
+    monkeypatch.setattr(apolarity, "socle_functional", lambda f: exact.append(f) or socle(f))
+    assert _quotient_rank(ternary(str(f), fp), ternary(str(g), fp), 1) == 2
+    assert _quotient_rank(f, g, 1) == 3 == rank(mult_map(f, g, 1)) and len(exact) == 1
+    assert _quotient_rank(f, ternary("x0"), 1) == 2 and len(exact) == 2
+    monkeypatch.setattr(linalg, "_null_space", lambda *a: pytest.fail("exact elimination"))
+    assert _quotient_rank(f, ternary("x0 + x1 + x2"), 1) == 3
+    assert _quotient_rank(ternary(str(f), fp), ternary("x0", fp), 1) == 2
+    assert len(exact) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,8 @@ from gradus import (
 from gradus import apolarity, jacobian, linalg
 from gradus.errors import AmbientMismatchError, PreconditionError
 from gradus.linalg import (
-    DEFAULT_PRIME,
     _LIFT_PRIME,
     _elimination_dtype,
-    _rank_promoted,
     is_prime,
     rank_mod,
 )
@@ -631,18 +629,6 @@ def test_kernel_matches_two_rref_oracle(matrix, p):
     field = QQ if p is None else FieldConfig.prime_field(p)
     m = Matrix(field, [[field.coerce(x) for x in r] for r in rows], ncols)
     assert kernel(m) == kernel_by_two_rrefs(m)
-
-
-def test_promoted_rank_falls_back_to_the_exact_rank(monkeypatch):
-    # diag(1, p) is full rank over Q but deficient mod p: the rational rref
-    # decides; a rank mod p that reaches the bound is returned without one,
-    # and over F_p the rank mod p is the answer
-    p = DEFAULT_PRIME
-    assert rank_mod([[1, 0], [0, p]], 2, p) == 1
-    assert _rank_promoted(QQ, [[1, 0], [0, p]], 2, 2) == 2
-    monkeypatch.setattr(linalg, "rref", lambda m: pytest.fail("rational rref called"))
-    assert _rank_promoted(QQ, [[1, 0], [0, p + 1]], 2, 2) == 2
-    assert _rank_promoted(FP, [[1, 0], [0, 0]], 2, 2) == 1
 
 
 def test_span_takes_rows_in_rref_as_they_are(monkeypatch):

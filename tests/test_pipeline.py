@@ -8,21 +8,27 @@ from gradus import (
     construct_pair,
     Polynomial,
     SeedStream,
+    child_seed,
     colon_graded,
     deformation_experiment,
     is_smooth_hypersurface,
     jacobian_graded,
     membership_u,
+    mult_map,
     parse_poly,
     perp_graded,
     polar_pair,
     random_poly,
+    rank,
     reproduce_example,
+    slp_search,
     theorem14_check,
     verify_corollary,
 )
 from gradus import apolarity, jacobian, linalg, pipeline, poly
 from gradus.errors import PreconditionError
+from gradus.linalg import DEFAULT_BOUND
+from gradus.poly import random_linear_form
 from gradus.report import to_jsonable
 
 QQ = FieldConfig.rationals()
@@ -142,6 +148,42 @@ def test_theorem14_distinguishes_rank_from_smoothness(smooth_cubics):
     q = res.ell.pow(2)
     assert rank(mult_map(f, q, 1)) == 5
     assert colon_graded(f, q, 1).dim == 0
+
+
+@pytest.mark.parametrize("p", [None, 10007], ids=["q", "fp"])
+def test_theorem14_ranks_and_colon_match_the_j_basis_routes(smooth_cubics, p):
+    # every rank_ok of theorem14_check, the ell check's included, and its
+    # colon are read off the socle catalecticant; redraw its forms and check
+    # them against the J-basis multiplication map and colon
+    field = QQ if p is None else FieldConfig.prime_field(p)
+    for f in smooth_cubics[:2]:
+        f = f if p is None else parse_poly(str(f), field, nvars=5)
+        rep = theorem14_check(f, trials=5, seed=5)
+
+        def full_rank(g):
+            return rank(mult_map(f, g, 1)) == 5
+
+        ells = [random_linear_form(field, SeedStream(child_seed(5, i)), 5, DEFAULT_BOUND)
+                for i in range(rep.ell_trials)]
+        assert [full_rank(ell * ell) for ell in ells] == [
+            rep.ell_witness is not None and i == rep.ell_trials - 1 for i in range(rep.ell_trials)]
+        for i, attempt in enumerate(rep.q_attempts):
+            q = random_poly(field, SeedStream(child_seed(5, 5 + i)), 5, 2, DEFAULT_BOUND)
+            assert attempt["rank_ok"] == (not q.is_zero() and full_rank(q))
+        assert rep.q_witness is not None
+        assert rep.colon1_dim == colon_graded(f, rep.q_witness, 1).dim == 0
+
+
+def test_theorem14_and_slp_search_over_q_make_no_exact_elimination(smooth_cubics, monkeypatch):
+    # on smooth cubics whose sweeps are cached, every rank is read off the
+    # sweep's degree-T column mod p and promoted: no lambda lift and no
+    # rational rref
+    forms = smooth_cubics[:3]
+    assert all(is_smooth_hypersurface(f).is_smooth for f in forms)
+    monkeypatch.setattr(linalg, "_null_space", lambda *a: pytest.fail("exact elimination"))
+    for f in forms:
+        assert theorem14_check(f, trials=5).success
+        assert slp_search(f, trials=5).found
 
 
 def test_theorem14_rejects_singular(special_cubic):
