@@ -594,7 +594,7 @@ def _quotient_dims_mod(gens, p: int):
                     row[idx[m]] = v % p
             on_border = _mod(rows[:, border] + _matmul_mod(rows[:, off], refs, p, dtype), p)
             relations = np.concatenate([relations, on_border])
-        a, pivots, _ = _eliminate_mod(relations, len(border), p)
+        a, pivots = _eliminate_mod(relations, len(border), p)
         h = len(border) - len(pivots)
         keep = yield k, h
         if h == 0:
@@ -649,6 +649,13 @@ def _gradient(g: Polynomial) -> np.ndarray:
     return (vec[product_index(g.nvars, 1, e)] * (np.array(monomials(g.nvars, e - 1)) + 1)).T
 
 
+def require_cubic_quadric(nvars: int, df: int, dq: int = 2):
+    """PreconditionError unless the degrees are those of a cubic F and a
+    quadric Q in 5 variables, the one configuration of `ci_smooth`."""
+    if (nvars, df, dq) != (5, 3, 2):
+        raise PreconditionError("expected the cubic/quadric configuration in 5 variables")
+
+
 def ci_smooth(
     f: Polynomial,
     q: Polynomial,
@@ -663,11 +670,9 @@ def ci_smooth(
     smoothness of Y (as a scheme).  Falsification for small cases scans
     projective space over a small prime field for a common zero.
     """
-    df = _require_homogeneous(f, "F")
-    dq = _require_homogeneous(q, "Q")
+    df, dq = _require_homogeneous(f, "F"), _require_homogeneous(q, "Q")
     _require_same_ring(f, q, "Q")
-    if (f.nvars, df, dq) != (5, 3, 2):
-        raise PreconditionError("expected the cubic/quadric configuration in 5 variables")
+    require_cubic_quadric(f.nvars, df, dq)
     gens = [f, q]
     # the minors of the primitive integer F and Q (residues over F_p) are
     # multiples of those of F and Q with the same primitive integer rows

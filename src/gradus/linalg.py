@@ -6,16 +6,13 @@ mode.  Every operation is a pure function of its inputs; reduced row-echelon
 form is the canonical representation throughout, so subspace equality is
 literal matrix equality.
 
-Prime-field elimination is one numpy Gauss-Jordan loop, `_eliminate_mod`,
-behind `rref` over F_p, `rank_mod`, every kernel and the fullness sweeps of
-`jacobian._quotient_dims_mod`.  Each pivot updates only the trailing
-columns from the pivot column on, since the pivot row is zero left of it.
-Its dtype follows the modulus alone: int32 while (p-1)^2 + p < 2^31
-(p <= 46337), int64 below `_NUMPY_MOD_LIMIT` = 2^31, Python ints in an
-`object` array at or above it.  In the int dtypes reduction is delayed: an
-update subtracts a product of two residues, at most (p-1)^2, so after k
-updates an entry lies in [-k(p-1)^2, p), and the trailing block is reduced
-only every slack = (dtype max - p) // (p-1)^2 updates (21 at p = 10007).
+Prime-field elimination is `_eliminate_mod`, behind `rref` over F_p,
+`rank_mod`, every kernel and the fullness sweeps of
+`jacobian._quotient_dims_mod`: rows with distinct leading columns become
+pivots in one block, and only the reduced remainder goes through the
+Gauss-Jordan loop `_gauss_jordan`, whose reduction mod p is delayed.  The
+dtype follows the modulus: int32 while (p-1)^2 + p < 2^31 (p <= 46337),
+int64 below `_NUMPY_MOD_LIMIT` = 2^31, Python ints in `object` arrays above.
 
 Every exact result over Q (the rref, the kernel, the socle functional) is
 the kernel of an integer matrix A, r x n with primitive integer rows,
@@ -386,25 +383,19 @@ def _elimination_dtype(p: int):
     int32 while (p-1)^2 + p < 2^31 (p <= 46337), int64 below 2^31, Python
     ints in an `object` array above.  `slack` = (dtype max - p) // (p-1)^2
     is how many rank-1 updates an entry may take unreduced: see
-    `_eliminate_mod`.  `object` entries never overflow but grow, so they are
+    `_gauss_jordan`.  `object` entries never overflow but grow, so they are
     reduced after every update.
     """
     if p >= _NUMPY_MOD_LIMIT:
         return object, 1
-    dtype = np.int32 if (p - 1) ** 2 + p < 1 << 31 else np.int64
-    return dtype, (int(np.iinfo(dtype).max) - p) // (p - 1) ** 2
+    bits = 32 if (p - 1) ** 2 + p < 1 << 31 else 64
+    return (np.int32 if bits == 32 else np.int64), ((1 << bits - 1) - 1 - p) // (p - 1) ** 2
 
 
-def _eliminate_mod(rows, ncols: int, p: int):
-    """Gauss-Jordan elimination of integer rows mod p: (array, pivot columns,
-    row order), where row i of the array came from input row order[i].
-
-    `rows` is a list of integer rows, reduced mod p here, or an ndarray of
-    residues in [0, p), eliminated in place when it already has the dtype of
-    `_elimination_dtype` and copied into it otherwise.  The first r rows of
-    the returned array, r the rank, are the rref; they span what input rows
-    order[:r] span, so those input rows are independent mod p.  The
-    returned array is reduced to [0, p).
+def _gauss_jordan(a, p: int, slack: int) -> list:
+    """Gauss-Jordan elimination mod p of an array of residues in [0, p), in
+    place: its pivot columns, with the first r rows of `a`, r the rank,
+    left as the rref and the rest zero, all reduced to [0, p).
 
     At pivot column c the pivot row is zero left of c, so the swap, the
     normalisation and the row updates touch only the trailing columns c:,
@@ -419,35 +410,26 @@ def _eliminate_mod(rows, ncols: int, p: int):
     test and the pivot row before it is used; the whole trailing block is
     reduced after `slack` updates and once at the end.  With slack 1
     (p = 46337 and `object` entries) the updated rows are reduced at once,
-    as nothing may wait.  The residues, and
-    so the pivots, the row order and the result, are those of an
-    elimination that reduces after every update.
+    as nothing may wait.  The residues, and so the pivots and the result,
+    are those of an elimination that reduces after every update.
     """
-    dtype, slack = _elimination_dtype(p)
-    if isinstance(rows, np.ndarray):
-        a = rows.astype(dtype, copy=False)
-    else:
-        a = np.array([[x % p for x in row] for row in rows], dtype=dtype)
-    a = a.reshape(len(rows), ncols)
-    nrows = a.shape[0]
-    order = list(range(nrows))
+    nrows, ncols = a.shape
     pivots = []
     r = pending = 0
     for c in range(ncols):
         if r == nrows:
             break
-        nz = np.nonzero(_mod(a[:, c], p)[r:])[0]
+        nz = _mod(a[:, c], p)[r:].nonzero()[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
             a[[r, i], c:] = a[[i, r], c:]
-            order[r], order[i] = order[i], order[r]
         pivot_row = _mod(a[r, c:], p)
         _mod(np.multiply(pivot_row, pow(int(pivot_row[0]), -1, p), out=pivot_row), p)
         factors = a[:, c].copy()
         factors[r] = 0
-        updated = np.nonzero(factors)[0]
+        updated = factors.nonzero()[0]
         if updated.size:
             # only the rows with a nonzero factor, gathered: their contiguous
             # copy updates faster than a strided view of the trailing block
@@ -462,7 +444,89 @@ def _eliminate_mod(rows, ncols: int, p: int):
                     pending = 0
         pivots.append(c)
         r += 1
-    return _mod(a, p), pivots, order
+    _mod(a, p)
+    return pivots
+
+
+def _reducers(a) -> tuple:
+    """(L, F, reducers, others): the columns L that rows lead at and the
+    rest F, the first row leading at each of L, and the other nonzero rows.
+    No sort, `ufunc.at` or `searchsorted`: each pages in one more numpy
+    kernel, about 128 KB resident."""
+    nrows, ncols = a.shape
+    nonzero = np.ones((nrows, ncols + 1), bool)
+    np.not_equal(a, 0, out=nonzero[:, :ncols])
+    lead = nonzero.argmax(1)
+    nonzero[:] = False
+    nonzero[np.arange(nrows), lead] = True
+    is_lead = nonzero[:, :ncols].any(0)
+    reducers = nonzero[:, :ncols].argmax(0)[is_lead]
+    is_other = lead < ncols
+    is_other[reducers] = False
+    return is_lead.nonzero()[0], (~is_lead).nonzero()[0], reducers, is_other.nonzero()[0]
+
+
+def _reducer_block(a, leads, free, reducers, p: int, wide):
+    """The reducers scaled to lead with 1 and back-substituted, last lead
+    first, to the identity on L: their columns F.  a[rows[:, None], cols]
+    is C-ordered (a[:, cols] is not), so row updates run on contiguous rows."""
+    scale = np.array([pow(v, -1, p) for v in a[reducers, leads].tolist()], wide)[:, None]
+    upper = _mod(a[reducers[:, None], leads] * scale, p)  # unit upper triangular
+    x = _mod(a[reducers[:, None], free] * scale, p)
+    np.fill_diagonal(upper, 0)
+    for i in upper.any(1).nonzero()[0][::-1]:
+        x[i] = _mod(x[i] - upper[i, i + 1 :] @ x[i + 1 :], p)
+    return x
+
+
+def _eliminate_mod(rows, ncols: int, p: int):
+    """Gauss-Jordan elimination mod p of integer rows (a list, reduced here)
+    or of an ndarray of residues (eliminated in place when it has the dtype
+    of `_elimination_dtype`): (array, pivots), the array's first rank rows
+    the rref and the rest zero.
+
+    Reducers first, the split of F4's linear algebra (Faugere, JPAA 139,
+    1999; Faugere and Lachartre, PASCO 2010): the first row at each distinct
+    leading column, scaled to lead with 1, and back-substituted to the
+    identity on those leads L.  One product reduces the other rows against
+    this block, `_gauss_jordan` runs on that remainder's columns F off L, one
+    more product clears its pivots in the block, and the rows are sorted by
+    pivot.  Exact: a row is zero left of its lead, so subtracting a reducer
+    that leads to its right keeps it so; the remainder is zero on L, so its
+    pivots are new; the rows are the identity on all pivots and zero left of
+    each lead, the unique rref.  Products run in int64 while ncols (p-1)^2
+    fits, in `object` above, as in `jacobian._matmul_mod`.
+    """
+    dtype, slack = _elimination_dtype(p)
+    if isinstance(rows, np.ndarray):
+        a = rows.astype(dtype, copy=False)
+    else:
+        a = np.array([[x % p for x in row] for row in rows], dtype=dtype)
+    a = a.reshape(len(rows), ncols)
+    if not a.size:  # nothing to eliminate
+        return a, []
+    wide = np.int64 if ncols * (p - 1) ** 2 < 1 << 63 else object
+    leads, free, reducers, others = _reducers(a)
+    x = _reducer_block(a, leads, free, reducers, p, wide)
+    rest = a[others[:, None], free].astype(wide, copy=False)
+    rest -= a[others[:, None], leads].astype(wide, copy=False) @ x
+    rest = _mod(rest, p).astype(dtype, copy=False)
+    new = _gauss_jordan(rest, p, slack)
+    # the block is cleared on the new pivots; only its columns off them move
+    off = np.ones(len(free), bool)
+    off[new] = False
+    x_new, x = x.take(new, 1), x[:, off]
+    x -= x_new @ rest[: len(new)][:, off].astype(wide, copy=False)
+    # rows sorted by pivot column: row at[c] is the one that leads at c
+    at = np.zeros(ncols, np.intp)
+    at[leads] = at[free[new]] = 1
+    pivots = at.nonzero()[0]
+    at[pivots] = np.arange(len(pivots))
+    a[:] = 0
+    a[at[leads][:, None], free[off]] = _mod(x, p)
+    a[at[leads], leads] = 1
+    a[at[free[new]][:, None], free] = rest[: len(new)]
+    return a, pivots.tolist()
 
 
 def _transposed_elimination(rows, ncols: int, p: int) -> tuple:
@@ -486,7 +550,7 @@ def _transposed_elimination(rows, ncols: int, p: int) -> tuple:
         for i, r in enumerate(rows):
             aug[list(r), i] = [v % p for v in r.values()]
     np.fill_diagonal(aug[:, nrows:], 1)
-    red, pivots, _ = _eliminate_mod(aug, nrows + ncols, p)
+    red, pivots = _eliminate_mod(aug, nrows + ncols, p)
     rk = bisect_left(pivots, nrows)
     return pivots[:rk], red[:, nrows:], [c - nrows for c in pivots[rk:]]
 
@@ -740,7 +804,7 @@ def rref(m: Matrix):
     if f.is_rational:
         dense, pivots = _rref_padic(m.rows, m.ncols)
     else:
-        a, pivots, _ = _eliminate_mod(m.rows, m.ncols, f.modulus)
+        a, pivots = _eliminate_mod(m.rows, m.ncols, f.modulus)
         dense = a[: len(pivots)].tolist()
     while len(dense) < m.nrows:
         dense.append([f.zero] * m.ncols)

@@ -49,6 +49,7 @@ from .jacobian import (
     jacobian_graded,
     milnor_dim,
     partials,
+    require_cubic_quadric,
     require_smooth,
     smooth_reference_dims,
 )
@@ -326,6 +327,7 @@ def theorem14_check(
     is full."""
     require_positive(trials=trials, bound=bound)
     require_smooth(f)
+    require_cubic_quadric(f.nvars, f.degree())  # the quadrics drawn below
     field = f.field
     full = graded_dim(f.nvars, 1)
     ell_witness, ell_trials = None, 0

@@ -18,7 +18,9 @@ complete intersection from 2x2 minors multiplied out as Fraction
 polynomials, where the library forms them from the primitive integer
 partials, and the kernel of a matrix as the rref of the null vectors of its
 rref (two eliminations), where the library runs one, of the matrix with its
-columns reversed, and the linear substitution F o A expanded term by term,
+columns reversed, the rref mod p by a pivot-by-pivot Gauss-Jordan on Python
+ints, where the library takes the rows with distinct leads as one block
+first, and the linear substitution F o A expanded term by term,
 for checks that every output moves as the mathematics says under a change
 of coordinates.
 
@@ -199,6 +201,27 @@ def naive_rank_mod(rows, p):
             a[below, c:] = (a[below, c:] - np.multiply.outer(f, a[r, c:])) % p
         r += 1
     return r
+
+
+def naive_rref_mod(rows, ncols: int, p: int):
+    """Textbook Gauss-Jordan over F_p on lists of Python ints, pivot by
+    pivot, every update reduced at once: (the nonzero rref rows, pivot
+    columns)."""
+    a = [[int(x) % p for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        i = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if i is None:
+            continue
+        a[r], a[i] = a[i], a[r]
+        inv = pow(a[r][c], -1, p)
+        a[r] = [x * inv % p for x in a[r]]
+        for j, row in enumerate(a):
+            if j != r and row[c]:
+                a[j] = [(x - row[c] * y) % p for x, y in zip(row, a[r])]
+        pivots.append(c)
+    return a[: len(pivots)], pivots
 
 
 def residues_oracle(gens, k, p):

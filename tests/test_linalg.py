@@ -41,6 +41,7 @@ from .oracles import (
     naive_rank,
     naive_rank_mod,
     naive_reduce,
+    naive_rref_mod,
     naive_rref_rational,
 )
 
@@ -268,11 +269,25 @@ def int_matrices(draw, dense_pivots=False):
     entries far beyond the modulus so reduction mod p is exercised.  With
     `dense_pivots`, one draw in four is `dense_pivot_rows` with 44 to 48
     pivots, at least 2 * slack + 2 for every int32 prime but 2, 3 and 101,
-    so the delayed reduction reaches its bound mid-sweep."""
+    so the delayed reduction reaches its bound mid-sweep.  Another draw in
+    four plants each row's leading column: distinct leads, repeated ones
+    and zero rows, tall or wide, with entries -1 and -2 (p-1 and p-2 mod
+    every p), so the reducer block's products reach (p-1)^2 per term."""
     if dense_pivots and draw(st.integers(0, 3)) == 0:
         rank = draw(st.integers(44, 48))
         nrows, ncols = rank + draw(st.integers(0, 2)), rank + draw(st.integers(0, 2))
         return dense_pivot_rows(nrows, rank, ncols), ncols
+    if draw(st.integers(0, 3)) == 0:
+        ncols = draw(st.integers(1, 9))
+        near = st.one_of(st.sampled_from((-1, -2, -1, 0)), st.integers(-(1 << 70), 1 << 70))
+        rows = []
+        for lead in draw(st.lists(st.integers(0, ncols), min_size=1, max_size=14)):
+            if lead == ncols:
+                rows.append([0] * ncols)
+                continue
+            tail = draw(st.lists(near, min_size=ncols - lead - 1, max_size=ncols - lead - 1))
+            rows.append([0] * lead + [draw(st.sampled_from((-1, 1, -2)))] + tail)
+        return rows, ncols
     ncols = draw(st.integers(1, 7))
     nrows = draw(st.integers(0, 7))
     entry = st.one_of(st.integers(-2, 2), st.integers(-(1 << 70), 1 << 70))
@@ -290,6 +305,34 @@ def int_matrices(draw, dense_pivots=False):
 def test_rank_mod_matches_oracle(matrix, p):
     rows, ncols = matrix
     assert rank_mod(rows, ncols, p) == naive_rank_mod(rows, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(int_matrices(), st.sampled_from(ELIMINATION_PRIMES))
+def test_eliminate_mod_matches_naive_gauss_jordan(matrix, p):
+    rows, ncols = matrix
+    a, pivots = linalg._eliminate_mod(rows, ncols, p)
+    expected, expected_pivots = naive_rref_mod(rows, ncols, p)
+    assert pivots == expected_pivots
+    assert a.tolist() == expected + [[0] * ncols] * (len(rows) - len(pivots))
+
+
+@pytest.mark.parametrize("p", [10007, (1 << 31) - 1, (1 << 61) - 1])
+def test_echelon_rows_with_distinct_leads_skip_the_column_loop(monkeypatch, p):
+    # rows already in echelon form, each leading at its own column, are the
+    # reducer block whole: the column loop gets a remainder of no rows
+    leads, ncols = (0, 2, 3, 6), 8
+    rows = [[0] * c + [-1] * (ncols - c) for c in leads]
+    remainders, loop = [], linalg._gauss_jordan
+
+    def spy(a, *args):
+        remainders.append(len(a))
+        return loop(a, *args)
+
+    monkeypatch.setattr(linalg, "_gauss_jordan", spy)
+    a, pivots = linalg._eliminate_mod(rows, ncols, p)
+    assert remainders == [0] and pivots == list(leads)
+    assert a.tolist() == naive_rref_mod(rows, ncols, p)[0]
 
 
 def test_rank_mod_leaves_a_caller_array_as_it_is():

@@ -191,6 +191,17 @@ def test_theorem14_rejects_singular(special_cubic):
         theorem14_check(special_cubic, trials=2, seed=0)
 
 
+@pytest.mark.parametrize("text, nvars", [("x0^3+x1^3+x2^3", 3), ("x0^4+x1^4+x2^4+x3^4+x4^4", 5)])
+def test_theorem14_rejects_another_configuration_before_any_rank(monkeypatch, text, nvars):
+    # a smooth form that is not a cubic in 5 variables is rejected right
+    # after its smoothness check, before the ell search takes a rank
+    f = parse_poly(text, QQ, nvars=nvars)
+    assert is_smooth_hypersurface(f).is_smooth
+    monkeypatch.setattr(pipeline, "_quotient_rank", lambda *a: pytest.fail("rank taken"))
+    with pytest.raises(PreconditionError, match="cubic/quadric configuration in 5 variables"):
+        theorem14_check(f, trials=5, seed=0)
+
+
 def test_deformation_experiment():
     rep = deformation_experiment(seed=1, steps=3, trials=3)
     assert len(rep["steps"]) == 3
