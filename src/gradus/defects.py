@@ -5,6 +5,12 @@ checker relating Milnor dimensions to defects.
 Only reduced point-set singular loci are supported; defect is the corank of
 the evaluation map from the degree-k piece to functions on the points.
 
+The evaluation map and the F_p scan of `brute_singular_search` read
+`poly.monomial_values`, the values of all degree-k monomials at a block of
+points.  A node is read off F's own Hessian at the point (see `is_node`),
+so no affine chart is built.  `Polynomial.evaluate` serves the single exact
+points of `singular_points` and `is_node`.
+
 Point-set file format: one point per line, comma-separated integers or
 rationals, '#' starts a comment.
 """
@@ -15,15 +21,18 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import (
     AmbientMismatchError,
+    BudgetExhaustedError,
     ParseError,
     PreconditionError,
     RangeError,
 )
 from .jacobian import _common_zeros_mod, _reduce_mod, milnor_dim, partials, smooth_reference_dims
-from .linalg import FieldConfig, Matrix, rank
-from .poly import Polynomial, monomials
+from .linalg import WORK_BUDGET, FieldConfig, Matrix, rank
+from .poly import Polynomial, graded_dim, monomial_values
 
 
 @dataclass(frozen=True)
@@ -156,6 +165,9 @@ def singular_points(f: Polynomial, candidates: PointSet) -> PointSet:
     """Subset of candidates where every first partial of F vanishes."""
     if candidates.nvars != f.nvars:
         raise AmbientMismatchError("point length != nvars")
+    if candidates.field != f.field:
+        raise AmbientMismatchError(f"points over {candidates.field.descriptor()}, "
+                                   f"F over {f.field.descriptor()}")
     derivs = partials(f)
     verified = [
         pt
@@ -182,28 +194,24 @@ def brute_singular_search(f: Polynomial, p: int) -> PointSet:
 
 
 def is_node(f: Polynomial, point) -> bool:
-    """Nondegeneracy of the affine Hessian in the chart of the point's pivot."""
+    """Whether a singular point P of the hypersurface F = 0 is a node: the
+    Hessian H of F, its matrix of second partials, has rank nvars - 1 at P.
+    This is the criterion of an affine chart: Euler's identity on each d_jF
+    gives H(P) P = (d - 1) grad F(P) = 0 over any field, so the row and the
+    column of a nonzero coordinate of P are combinations of the others, and
+    deleting them leaves that chart's affine Hessian, of the same rank."""
     field = f.field
     point = tuple(field.coerce(x) for x in point)
     if len(point) != f.nvars:
         raise AmbientMismatchError("point length != nvars")
-    pivot = next((i for i, x in enumerate(point) if x != field.zero), None)
-    if pivot is None:
+    if not any(point):
         raise PreconditionError("zero vector is not a projective point")
-    inv = field.inv(point[pivot])
-    point = tuple(field.mul(inv, x) for x in point)
     if f.evaluate(point) != field.zero:
         raise PreconditionError("point does not lie on the hypersurface")
     if any(g.evaluate(point) != field.zero for g in partials(f)):
         raise PreconditionError("point is not singular on the hypersurface")
-    chart = f.substitute(pivot, field.one)
-    others = [i for i in range(f.nvars) if i != pivot]
-    rows = []
-    for i in others:
-        di = chart.partial(i)
-        rows.append([di.partial(j).evaluate(point) for j in others])
-    hessian = Matrix(field, rows, len(others))
-    return rank(hessian) == len(others)
+    hessian = [[g.partial(j).evaluate(point) for j in range(f.nvars)] for g in partials(f)]
+    return rank(Matrix(field, hessian, f.nvars)) == f.nvars - 1
 
 
 # ---------------------------------------------------------------------------
@@ -211,21 +219,17 @@ def is_node(f: Polynomial, point) -> bool:
 
 
 def evaluation_matrix(points: PointSet, k: int) -> Matrix:
-    """Rows = values of the degree-k monomial basis at each point."""
+    """Rows = values of the degree-k monomial basis at each point, by
+    `monomial_values`; BudgetExhaustedError, before the monomials are
+    listed, when points x monomials is above WORK_BUDGET."""
     if k < 0:
         raise PreconditionError("degree must be nonnegative")
-    field = points.field
-    rows = []
-    for pt in points.points:
-        row = []
-        for m in monomials(points.nvars, k):
-            v = field.one
-            for x, e in zip(pt, m):
-                if e:
-                    v = field.mul(v, field.pow(x, e))
-            row.append(v)
-        rows.append(row)
-    return Matrix(field, rows, len(monomials(points.nvars, k)))
+    field, ncols = points.field, graded_dim(points.nvars, k)
+    if len(points) * ncols > WORK_BUDGET:
+        raise BudgetExhaustedError(f"the degree-{k} evaluation map on {len(points)} points has "
+                                   f"{len(points) * ncols} cells, above the work budget of {WORK_BUDGET}")
+    pts = np.array(points.points, dtype=object).reshape(len(points), points.nvars)
+    return Matrix(field, monomial_values(pts, k, field.modulus).tolist(), ncols)
 
 
 def defect(points: PointSet, k: int) -> DefectReport:

@@ -55,7 +55,8 @@ class RangeError(PreconditionError):
 
 class BudgetExhaustedError(GradusError):
     """A randomized search ran out of trials, or a computation's estimated
-    work is above `linalg.WORK_BUDGET` (points of a scan) or
+    work is above `linalg.WORK_BUDGET` (points of a scan, cells of an
+    evaluation map) or
     `jacobian.MACAULAY_CELLS` (cells of a block of Macaulay rows);
     reported, not a crash."""
 

@@ -126,7 +126,7 @@ from .linalg import (
     rref,
     span,
 )
-from .poly import Polynomial, graded_dim, monomial_index, monomials, product_index
+from .poly import Polynomial, graded_dim, monomial_index, monomial_values, monomials, product_index
 
 DEFAULT_KMAX = 12
 DEFAULT_SEARCH_PRIME = 7
@@ -135,6 +135,12 @@ DEFAULT_SEARCH_PRIME = 7
 # largest the tests build, the rows of a cubic, a quadric and their ten
 # 2x2 Jacobian minors in 5 variables at degree 9, has 2640 x 715 = 1887600
 MACAULAY_CELLS = 2 * WORK_BUDGET
+# the most cells, points x nvars x monomials, one block of a point scan
+# gathers: the F_31 scan of a dense cubic's partials (954305 points) peaked
+# at 43 MB resident with WORK_BUDGET cells a block, and at 30.9 MB with this
+# sixteenth, against 30.3 MB for a loop over single points (2 cores, Python
+# 3.11); smaller blocks peak no lower and run slower
+SCAN_CELLS = WORK_BUDGET // 16
 
 
 @dataclass(frozen=True)
@@ -440,19 +446,26 @@ def _balanced_lift(point, p: int) -> tuple:
 
 
 def _common_zeros_mod(polys, nvars: int, p: int):
-    """The points of `projective_points(nvars, p)` where all of `polys`
-    vanish.  Each poly is read through `_reduce_mod` and evaluated in its
-    own field at the point's balanced lift: over F_p that is the point
-    itself, over another prime field an exact zero with small coordinates."""
+    """The points of `projective_points(nvars, p)` where all of the
+    homogeneous `polys` vanish, in that order.  Each poly is read through
+    `_reduce_mod` and evaluated in its own field F_q at the points' balanced
+    lifts mod q: over F_p that is the point itself, over another prime field
+    an exact zero with small coordinates.  Block by block, one product of
+    `monomial_values` with the coefficient vectors of the polys of each
+    field and degree marks the points where they all vanish."""
     field = FieldConfig.prime_field(p)
-    reduced = [_reduce_mod(g, field) for g in polys if not g.is_zero()]
-    for point in projective_points(nvars, p):
-        # over F_p itself the lift and the point agree: skip building it
-        if all(
-            g.evaluate(point if g.field == field else _balanced_lift(point, p)) == 0
-            for g in reduced
-        ):
-            yield point
+    groups: dict = {}
+    for g in (_reduce_mod(g, field) for g in polys if not g.is_zero()):
+        groups.setdefault((g.field.modulus, g.degree()), []).append(g.coeff_vector(g.degree()))
+    widest = max((graded_dim(nvars, d) for _, d in groups), default=1)
+    points, size = projective_points(nvars, p), max(SCAN_CELLS // (nvars * widest), 1)
+    while block := list(itertools.islice(points, size)):
+        pts = np.array(block, dtype=np.int64)
+        zero = np.ones(len(block), dtype=bool)
+        for (q, d), coeffs in groups.items():
+            values = monomial_values(pts if q == p else np.where(2 * pts > p, pts - p, pts), d, q)
+            zero &= (_matmul_mod(values, np.array(coeffs).T, q, values.dtype) == 0).all(axis=1)
+        yield from itertools.compress(block, zero)
 
 
 def is_smooth_hypersurface(f: Polynomial) -> SmoothnessCertificate:

@@ -97,8 +97,9 @@ _LIFT_PRIME = 67108859
 CACHE_SIZE = 256
 
 # the most work one computation may be estimated to take before it starts,
-# in points visited by a scan of projective space over F_p (a few seconds
-# at about 3-15 us a point); a larger estimate raises BudgetExhaustedError
+# in points visited by a scan of projective space over F_p (about a second
+# for the partials of a cubic), or in cells, points x monomials, of an
+# evaluation map; a larger estimate raises BudgetExhaustedError
 WORK_BUDGET = 10**6
 
 

@@ -7,6 +7,9 @@ normalized representatives, printed terms) refers to this order.
 
 `product_index` tabulates products of monomials; every Macaulay row, colon,
 multiplication map and socle contraction in the library reads it.
+`monomial_values` tabulates the values of the degree-k monomials at a block
+of points; every point scan and evaluation map reads it, and
+`Polynomial.evaluate` serves single exact points.
 
 Two variable families exist: primal "x" and dual "y".  They never mix inside
 one polynomial; the polar pairing is the only bridge between them.
@@ -29,7 +32,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from operator import add
 from typing import Sequence
 
@@ -41,7 +44,8 @@ from .errors import (
     ParseError,
     PreconditionError,
 )
-from .linalg import CACHE_SIZE, FieldConfig, SeedStream, format_scalar, random_scalar
+from .linalg import _NUMPY_MOD_LIMIT, CACHE_SIZE, FieldConfig, SeedStream, _mod
+from .linalg import format_scalar, random_scalar
 
 FAMILIES = ("x", "y")
 
@@ -88,6 +92,29 @@ def graded_dim(nvars: int, degree: int) -> int:
     if degree < 0:
         raise PreconditionError(f"degree {degree} is negative")
     return math.comb(nvars - 1 + degree, degree)
+
+
+def monomial_values(points, k: int, p: int | None = None) -> np.ndarray:
+    """Row r holds the values of monomials(nvars, k) at points[r], for a 2-D
+    array of points, one a row of nvars coordinates: the powers 0..k of
+    each coordinate, gathered by that coordinate's exponent column and
+    multiplied across the coordinates.  Mod p, with coordinates below p in
+    absolute value, reduced after each product, in int64 while p < 2^31 and
+    in `object` above; exact `object` entries (Fractions over Q) when p is
+    None."""
+    def times(a, b):  # a * b, in place in a: a product's old entries go at once
+        np.multiply(a, b, out=a)
+        return a if p is None else _mod(a, p)
+
+    def values(x, column):  # the powers 0..k of one coordinate, by exponent
+        powers = [x**0]
+        for _ in range(k):
+            powers.append(times(x.copy(), powers[-1]))
+        return np.stack(powers, axis=1)[:, column]
+
+    pts = np.asarray(points).astype(np.int64 if p is not None and p < _NUMPY_MOD_LIMIT else object)
+    exps = np.array(monomials(pts.shape[1], k), dtype=np.intp).reshape(-1, pts.shape[1])
+    return reduce(times, map(values, pts.T, exps.T))
 
 
 class Polynomial:
@@ -238,19 +265,6 @@ class Polynomial:
                     v = f.mul(v, f.pow(x, e))
             total = f.add(total, v)
         return total
-
-    def substitute(self, i: int, value) -> "Polynomial":
-        """Set variable i to a scalar (used for affine charts)."""
-        f = self.field
-        value = f.coerce(value)
-        out: dict = {}
-        for m, c in self.terms.items():
-            e = m[i]
-            if e:
-                c = f.mul(c, f.pow(value, e))
-            mm = m[:i] + (0,) + m[i + 1 :]
-            out[mm] = f.add(out.get(mm, f.zero), c)
-        return Polynomial(f, self.nvars, self.family, out)
 
     # -- coordinates ------------------------------------------------------------
 

@@ -20,9 +20,12 @@ partials, and the kernel of a matrix as the rref of the null vectors of its
 rref (two eliminations), where the library runs one, of the matrix with its
 columns reversed, the rref mod p by a pivot-by-pivot Gauss-Jordan on Python
 ints, where the library takes the rows with distinct leads as one block
-first, and the linear substitution F o A expanded term by term,
+first, the linear substitution F o A expanded term by term,
 for checks that every output moves as the mathematics says under a change
-of coordinates.
+of coordinates, the common zeros of forms over F_p and the evaluation map
+of a point set one point and one term at a time, where the library takes
+block products of monomial values, and the node test in the affine chart
+of the point, where the library reads the rank of F's own Hessian.
 
 These deliberately avoid the library's elimination code paths (modular
 images, quotient shortcuts) so agreement is meaningful.
@@ -35,6 +38,7 @@ from math import gcd
 import numpy as np
 
 from gradus import (
+    FieldConfig,
     Matrix,
     SmoothnessCertificate,
     colon_graded,
@@ -44,13 +48,19 @@ from gradus import (
     socle_functional,
     span,
 )
-from gradus.errors import CharacteristicError, DegeneratePairError
+from gradus.errors import (
+    AmbientMismatchError,
+    CharacteristicError,
+    DegeneratePairError,
+    PreconditionError,
+)
 from gradus.jacobian import (
     DEFAULT_KMAX,
     _balanced_lift,
-    _common_zeros_mod,
     _integer_rows,
+    _reduce_mod,
     projective_empty,
+    projective_points,
 )
 from gradus.poly import (
     Polynomial,
@@ -434,11 +444,70 @@ def smoothness_by_rref(f: Polynomial) -> SmoothnessCertificate:
     if rk == target:
         return SmoothnessCertificate("smooth", t1, "rational", False)
     derivs = [f.partial(i) for i in range(f.nvars)]
-    witness = next(_common_zeros_mod(derivs + [f], f.nvars, 7), None) if f.nvars <= 5 else None
+    witness = next(naive_common_zeros(derivs + [f], f.nvars, 7), None) if f.nvars <= 5 else None
     note = f"Jacobian rank {rk} < {target} at degree {t1}"
     if witness:
         note += "; singular point found over F_7"
     return SmoothnessCertificate("singular", t1, "rational", False, witness, note)
+
+
+def naive_common_zeros(polys, nvars: int, p: int):
+    """The points of `projective_points(nvars, p)` where all of `polys`
+    vanish, one point and one poly at a time: each poly reduced as the
+    library does and evaluated term by term in its own field, at the point
+    over F_p and at its balanced lift over another prime field."""
+    field = FieldConfig.prime_field(p)
+    reduced = [_reduce_mod(g, field) for g in polys if not g.is_zero()]
+    for point in projective_points(nvars, p):
+        if all(
+            g.evaluate(point if g.field == field else _balanced_lift(point, p)) == 0
+            for g in reduced
+        ):
+            yield point
+
+
+def evaluation_by_pow(points, k: int) -> list:
+    """The rows of the evaluation map of a PointSet at degree k, one field
+    product of `field.pow` values per monomial and point."""
+    field = points.field
+    rows = []
+    for pt in points.points:
+        row = []
+        for m in monomials(points.nvars, k):
+            v = field.one
+            for x, e in zip(pt, m):
+                if e:
+                    v = field.mul(v, field.pow(x, e))
+            row.append(v)
+        rows.append(row)
+    return rows
+
+
+def is_node_by_chart(f: Polynomial, point) -> bool:
+    """Nondegeneracy of the affine Hessian of F in the chart x_i = 1 of the
+    point's first nonzero coordinate i, the point scaled to 1 there: F with
+    x_i set to 1 term by term, differentiated twice in the other variables."""
+    field = f.field
+    point = tuple(field.coerce(x) for x in point)
+    if len(point) != f.nvars:
+        raise AmbientMismatchError("point length != nvars")
+    pivot = next((i for i, x in enumerate(point) if x != field.zero), None)
+    if pivot is None:
+        raise PreconditionError("zero vector is not a projective point")
+    inv = field.inv(point[pivot])
+    point = tuple(field.mul(inv, x) for x in point)
+    if f.evaluate(point) != field.zero:
+        raise PreconditionError("point does not lie on the hypersurface")
+    if any(f.partial(i).evaluate(point) != field.zero for i in range(f.nvars)):
+        raise PreconditionError("point is not singular on the hypersurface")
+    terms: dict = {}
+    for m, c in f.terms.items():
+        chart_m = m[:pivot] + (0,) + m[pivot + 1:]
+        terms[chart_m] = field.add(terms.get(chart_m, field.zero), c)
+    chart = Polynomial(field, f.nvars, f.family, terms)
+    others = [i for i in range(f.nvars) if i != pivot]
+    rows = [[chart.partial(i).partial(j).evaluate(point) for j in others] for i in others]
+    return naive_rank(rows, field) == len(others)
 
 
 def contract_by_index_loop(lam, h: Polynomial) -> list:
@@ -479,7 +548,7 @@ def ci_smooth_by_fraction_minors(f: Polynomial, q: Polynomial, k_max=DEFAULT_KMA
     reason = "; falsification skipped"
     if falsify:
         near = None
-        for point in _common_zeros_mod(gens, f.nvars, 7):
+        for point in naive_common_zeros(gens, f.nvars, 7):
             lift = _balanced_lift(point, 7)
             if f.field.is_rational:
                 near = near or point

@@ -159,6 +159,13 @@ def test_macaulay_blocks_past_the_work_budget():
     assert "degree-32 Macaulay rows" in results["reason"]
 
 
+def test_evaluation_map_past_the_work_budget():
+    # the degree-120 evaluation map on two points has 2 x 9381251 cells:
+    # refused before the monomials are listed
+    results = _budget_results("defect", "--points", "1,0,0,0,0;0,1,0,0,0", "--k", "120")
+    assert "has 18762502 cells" in results["reason"]
+
+
 def test_macaulay_budget_counts_the_whole_matrix():
     # every G drawn in the perp of the Fermat quartic's J_4 is singular at
     # the coordinate points, so its certificate needs the exact J_11: five

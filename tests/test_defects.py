@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gradus import (
     FieldConfig,
@@ -10,18 +12,30 @@ from gradus import (
     check_lemma_defect,
     defect,
     evaluation_matrix,
+    graded_dim,
     is_node,
     milnor_dim,
     parse_points,
     parse_poly,
+    random_scalar,
     rank,
     singular_points,
     special_q,
 )
-from gradus.errors import BudgetExhaustedError, ParseError, PreconditionError, RangeError
-from gradus.jacobian import projective_points
+from gradus import poly
+from gradus.errors import (
+    AmbientMismatchError,
+    BudgetExhaustedError,
+    GradusError,
+    ParseError,
+    PreconditionError,
+    RangeError,
+)
+from gradus.jacobian import _common_zeros_mod, projective_points
 from gradus.linalg import WORK_BUDGET
 from gradus.poly import Polynomial, monomials
+
+from .oracles import evaluation_by_pow, is_node_by_chart, linear_substitution
 
 QQ = FieldConfig.rationals()
 
@@ -60,6 +74,12 @@ def test_singular_points_filters_non_singular(special_cubic):
     cands = PointSet.from_raw(QQ, 5, [[1, 0, 0, 0, 0], [1, 1, 1, 1, 1]])
     verified = singular_points(special_cubic, cands)
     assert verified.points == ((1, 0, 0, 0, 0),)
+    # points over another field than F's are refused, either way round
+    f7 = FieldConfig.prime_field(7)
+    with pytest.raises(AmbientMismatchError, match="points over rational, F over fp:7"):
+        singular_points(special_q(f7, 4, 3), cands)
+    with pytest.raises(AmbientMismatchError, match="points over fp:7, F over rational"):
+        check_lemma_defect(special_cubic, coordinate_points(f7, 5), 0)
 
 
 def test_brute_search_special_form(special_cubic):
@@ -116,6 +136,63 @@ def test_is_node_requires_singular_point(special_cubic, fermat):
         is_node(fermat, [1, -1, 0, 0, 0])  # on it, but smooth there
 
 
+def _unit_lower_inverse_column(a, j) -> list:
+    """Column j of the inverse of a unit lower triangular integer matrix."""
+    x = []
+    for i, row in enumerate(a):
+        x.append(int(i == j) - sum(row[c] * x[c] for c in range(i)))
+    return x
+
+
+@st.composite
+def node_cases(draw):
+    """(G, point): a nonzero F of degree 2-4 in 3-5 variables (3-4 at degree
+    4) over Q, F_2, F_3 or F_7, singular at e0 (no monomial of x0-degree
+    >= d - 1), one draw in three with a degenerate Hessian there (no
+    x0^(d-2) x_i x_(n-1)), and zero at e1 (no x1^d); G = F o A for a unit
+    lower triangular integer A, so G is singular at A^-1 e0, off the
+    coordinate points, and zero at A^-1 e1.  The point: A^-1 e0 scaled (two draws in five), A^-1 e1
+    (singular or not), a random point (mostly off G) or the zero vector."""
+    d = draw(st.integers(2, 4))
+    nvars = draw(st.integers(3, 4 if d == 4 else 5))
+    p = draw(st.sampled_from((None, 2, 3, 7)))
+    field = QQ if p is None else FieldConfig.prime_field(p)
+    stream = SeedStream(draw(st.integers(0, 2**32)))
+    degenerate = stream.randint(0, 2) == 0
+    f = Polynomial(field, nvars, "x", {
+        m: random_scalar(field, stream, 5) for m in monomials(nvars, d)
+        if m[0] < d - 1 and m[1] < d and not (degenerate and m[0] == d - 2 and m[-1])
+    })
+    assume(not f.is_zero())
+    a = [[int(i == j) if j >= i else stream.randint(-3, 3) for j in range(nvars)] for i in range(nvars)]
+    kind = draw(st.sampled_from(("node", "node", "on", "random", "zero")))
+    if kind == "node":
+        scale = random_scalar(field, stream, 4)
+        assume(scale != field.zero)
+        point = [field.mul(scale, field.coerce(x)) for x in _unit_lower_inverse_column(a, 0)]
+    elif kind == "on":
+        point = _unit_lower_inverse_column(a, 1)
+    else:
+        point = [stream.randint(-3, 3) if kind == "random" else 0 for _ in range(nvars)]
+    return linear_substitution(f, a), point
+
+
+def _node_outcome(test, f, point):
+    try:
+        return test(f, point)
+    except GradusError as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=80, deadline=None)
+@given(node_cases())
+def test_is_node_matches_chart_route(case):
+    # the rank of F's own Hessian gives the verdict, or the error, that the
+    # affine Hessian in the chart of the point's pivot gives
+    f, point = case
+    assert _node_outcome(is_node, f, point) == _node_outcome(is_node_by_chart, f, point)
+
+
 def test_evaluation_matrix_and_defects(special_cubic):
     pts = coordinate_points(QQ, 5)
     theta1 = evaluation_matrix(pts, 1)
@@ -123,6 +200,50 @@ def test_evaluation_matrix_and_defects(special_cubic):
     for k in (1, 2, 3, 4):
         assert defect(pts, k).defect == 0
     assert defect(pts, 0).defect == 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_evaluation_matrix_matches_pow_loop(data):
+    # the same entries, of the same types, as one field.pow product per
+    # monomial and point: Fractions over Q, ints over F_p up to 2^61 - 1
+    p = data.draw(st.sampled_from((None, 2, 7, 10007, (1 << 31) - 1, (1 << 61) - 1)))
+    field = QQ if p is None else FieldConfig.prime_field(p)
+    nvars, k = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 5))
+    coord = st.fractions(-20, 20, max_denominator=9) if p is None else st.integers(-(1 << 70), 1 << 70)
+    rows = data.draw(st.lists(st.lists(coord, min_size=nvars, max_size=nvars), max_size=6))
+    try:
+        pts = PointSet.from_raw(field, nvars, rows)
+    except PreconditionError:  # a zero vector or a repeated point
+        assume(False)
+    theta, want = evaluation_matrix(pts, k), evaluation_by_pow(pts, k)
+    assert theta.rows == tuple(map(tuple, want))
+    assert [type(x) for r in theta.rows for x in r] == [type(x) for r in want for x in r]
+
+
+def test_evaluation_matrix_is_bounded_before_the_monomials(monkeypatch):
+    # two points at k = 120 in 5 variables: 18762502 cells, refused before
+    # a monomial is listed; at k = 40, 271502 cells, inside the budget
+    listed = []
+    table = poly.monomials
+    monkeypatch.setattr(poly, "monomials", lambda *a: listed.append(a) or table(*a))
+    pts = PointSet.from_raw(QQ, 5, [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]])
+    with pytest.raises(BudgetExhaustedError, match="on 2 points has 18762502 cells"):
+        evaluation_matrix(pts, 120)
+    assert listed == []
+    assert 2 * graded_dim(5, 40) < WORK_BUDGET < 18762502
+
+
+def test_scans_and_evaluation_maps_never_evaluate_term_by_term(monkeypatch, special_cubic):
+    # every point scan and evaluation map reads monomial_values
+    def refuse(*_):
+        raise AssertionError("Polynomial.evaluate called")
+
+    monkeypatch.setattr(Polynomial, "evaluate", refuse)
+    assert len(brute_singular_search(special_cubic, 7)) == 5
+    assert evaluation_matrix(coordinate_points(QQ, 5), 3).nrows == 5
+    f13 = parse_poly("x0*x1 - x2^2", FieldConfig.prime_field(13))
+    assert next(_common_zeros_mod([f13, special_q(QQ, 2, 3)], 3, 7)) == (1, 0, 0)
 
 
 def test_defect_single_point():

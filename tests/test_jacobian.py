@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -35,17 +36,21 @@ from gradus.apolarity import _socle_functional
 from gradus.errors import BudgetExhaustedError, PreconditionError, ZeroPolynomialError
 from gradus.jacobian import (
     MACAULAY_CELLS,
+    SCAN_CELLS,
+    _common_zeros_mod,
     _integer_rows,
     _milnor_sweep,
     _quotient_dims_mod,
     _shifted_rows,
 )
 from gradus.linalg import _primitive
+from gradus.poly import random_linear_form
 
 from .oracles import (
     ci_smooth_by_fraction_minors,
     macaulay_quotient_dim,
     milnor_dims_by_rref,
+    naive_common_zeros,
     product_rows,
     smoothness_by_rref,
     socle_by_kernel,
@@ -395,6 +400,48 @@ def test_ci_smooth_matches_fraction_minor_route(case):
     # certificate, field by field, as the Fraction products they replace
     f, q, kmax, falsify = case
     assert ci_smooth(f, q, kmax, falsify) == ci_smooth_by_fraction_minors(f, q, kmax, falsify)
+
+
+@st.composite
+def scan_cases(draw):
+    """(polys, nvars, p, cells): one to four homogeneous forms of degrees
+    0-3 in 2-4 variables, scanned over F_p, p <= 31, with at most 1500
+    points: over Q (fractional coefficients half the time), over F_p, or
+    over another prime field F_q, whose forms are read at balanced lifts
+    (q up to 2^61 - 1); each form dense, a product of linear forms (many
+    common zeros) or zero; and a block size in cells, down to one point a
+    block."""
+    nvars, p = draw(st.sampled_from([
+        (n, p) for n in (2, 3, 4) for p in (2, 3, 5, 7, 11, 13, 31) if (p**n - 1) // (p - 1) <= 1500
+    ]))
+    kind = draw(st.sampled_from(("rational", "own", "other")))
+    q = draw(st.sampled_from([q for q in (5, 7, 13, 10007, (1 << 61) - 1) if q != p]))
+    field = {"rational": QQ, "own": FieldConfig.prime_field(p), "other": FieldConfig.prime_field(q)}[kind]
+    stream = SeedStream(draw(st.integers(0, 2**32)))
+    polys = []
+    for _ in range(draw(st.integers(1, 4))):
+        shape, d = draw(st.sampled_from(("dense", "lines", "zero"))), draw(st.integers(0, 3))
+        g = random_poly(field, stream, nvars, d, 3)
+        if shape == "lines":
+            g = Polynomial.constant(field, nvars, 1)
+            for _ in range(max(d, 1)):
+                g = g * random_linear_form(field, stream, nvars, 2)
+        if shape == "zero":
+            g = Polynomial.zero(field, nvars)
+        if kind == "rational" and draw(st.booleans()):
+            g = g.scale(Fraction(1, 3))
+        polys.append(g)
+    return polys, nvars, p, draw(st.sampled_from((1, 50, SCAN_CELLS)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(scan_cases())
+def test_block_scan_matches_point_loop(case):
+    # the block products mark the same zeros, in the same order, as a loop
+    # that evaluates each form at each point term by term
+    polys, nvars, p, cells = case
+    with mock.patch.object(jacobian, "SCAN_CELLS", cells):
+        assert list(_common_zeros_mod(polys, nvars, p)) == list(naive_common_zeros(polys, nvars, p))
 
 
 def test_macaulay_rows_are_bounded_before_the_first_row(fermat, monkeypatch):
