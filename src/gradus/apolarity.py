@@ -79,7 +79,7 @@ from .errors import (
     ZeroPolynomialError,
     invariant,
 )
-from .jacobian import _integer_rows, _integer_terms, _matmul_mod, _milnor_sweep
+from .jacobian import _by_degree, _integer_rows, _matmul_mod, _milnor_sweep
 from .jacobian import _multiplication_matrix, _require_same_ring, jacobian_graded, milnor_dim
 from .jacobian import partials, require_smooth
 from .linalg import (
@@ -282,10 +282,10 @@ def _quotient_rank(f: Polynomial, g: Polynomial, k: int) -> int:
         return 0
     sweep, ncols = _milnor_sweep(f.normalized()), graded_dim(n, k)
     if sweep.socle is not None:
-        p, idx, terms = f.field.modulus or DEFAULT_PRIME, monomial_index(n, e), _integer_terms(g)
-        gp = np.array([[v % p] for v in terms.values()], dtype=object)
-        cat = _catalecticant(sweep.socle, n, e, t)[:, [idx[m] for m in terms]]
-        rk = rank_mod(_catalecticant(_matmul_mod(cat, gp, p, object)[:, 0], n, k, t - e), ncols, p)
+        p = f.field.modulus or DEFAULT_PRIME
+        col = _by_degree([g])[e].T % p  # g's primitive integers mod p
+        cat = _matmul_mod(_catalecticant(sweep.socle, n, e, t), col, p, object)[:, 0]
+        rk = rank_mod(_catalecticant(cat, n, k, t - e), ncols, p)
         if not f.field.is_rational or rk == min(sweep.ref[k], sweep.ref[k + e]):
             return rk
     # the catalecticant of lambda's contraction, integers over their least

@@ -5,11 +5,13 @@ checker relating Milnor dimensions to defects.
 Only reduced point-set singular loci are supported; defect is the corank of
 the evaluation map from the degree-k piece to functions on the points.
 
-The evaluation map and the F_p scan of `brute_singular_search` read
-`poly.monomial_values`, the values of all degree-k monomials at a block of
-points.  A node is read off F's own Hessian at the point (see `is_node`),
-so no affine chart is built.  `Polynomial.evaluate` serves the single exact
-points of `singular_points` and `is_node`.
+The evaluation map reads `poly.monomial_values`, the values of all
+degree-k monomials at a block of points.  The F_p scan of
+`brute_singular_search` and the exact check of `singular_points` read the
+integer rows of the partials (`jacobian._by_degree`, `jacobian._gradient`)
+through the same values, in one zero test, `jacobian._zeros_of`.  A node
+is read off F's own Hessian at the point (see `is_node`), so no affine
+chart is built; `Polynomial.evaluate` serves only that one exact point.
 
 Point-set file format: one point per line, comma-separated integers or
 rationals, '#' starts a comment.
@@ -18,6 +20,7 @@ rationals, '#' starts a comment.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,7 +33,8 @@ from .errors import (
     PreconditionError,
     RangeError,
 )
-from .jacobian import _common_zeros_mod, _reduce_mod, milnor_dim, partials, smooth_reference_dims
+from .jacobian import _by_degree, _common_zeros_mod, _gradient, _zeros_of, milnor_dim, partials
+from .jacobian import smooth_reference_dims
 from .linalg import WORK_BUDGET, FieldConfig, Matrix, rank
 from .poly import Polynomial, graded_dim, monomial_values
 
@@ -136,7 +140,9 @@ def special_q(field: FieldConfig, n: int, d: int) -> Polynomial:
 
     For d = 3 this is the sum of all squarefree cubic monomials.  The printed
     source for d >= 4 mixes degrees d and d-1, so that branch is rejected
-    with a diagnostic instead of guessing intended exponents.
+    with a diagnostic instead of guessing intended exponents.  Its C(n+1, 3)
+    exponent tuples of n+1 entries are bounded by WORK_BUDGET cells before
+    the first is built (BudgetExhaustedError above).
     """
     if n < 2:
         raise PreconditionError("need n >= 2")
@@ -148,6 +154,10 @@ def special_q(field: FieldConfig, n: int, d: int) -> Polynomial:
             "inhomogeneous as printed (degrees d and d-1); only d = 3 is supported"
         )
     nvars = n + 1
+    cells = math.comb(nvars, 3) * nvars
+    if cells > WORK_BUDGET:
+        raise BudgetExhaustedError(f"the squarefree cubics in {nvars} variables have {cells} cells, "
+                                   f"above the work budget of {WORK_BUDGET}")
     terms = {}
     for combo in itertools.combinations(range(nvars), 3):
         e = [0] * nvars
@@ -168,29 +178,27 @@ def singular_points(f: Polynomial, candidates: PointSet) -> PointSet:
     if candidates.field != f.field:
         raise AmbientMismatchError(f"points over {candidates.field.descriptor()}, "
                                    f"F over {f.field.descriptor()}")
-    derivs = partials(f)
-    verified = [
-        pt
-        for pt in candidates.points
-        if all(p.evaluate(pt) == f.field.zero for p in derivs)
-    ]
+    pts = np.array(candidates.points, dtype=object).reshape(-1, f.nvars)
+    verified = itertools.compress(candidates.points, _zeros_of(_by_degree(partials(f)), pts, f.field.modulus))
     return PointSet(candidates.field, candidates.nvars, tuple(verified))
 
 
 def brute_singular_search(f: Polynomial, p: int) -> PointSet:
     """Scan all of projective space over F_p for common zeros of the
-    partials of F mod p.  A rational F is scaled to primitive integers
-    before it is reduced, so no denominator vanishes.  An F over F_q is
-    read in F_q, so q must be p: its partials read mod another prime define
-    no singular locus, and that input is a PreconditionError."""
+    partials of F mod p, F homogeneous.  A rational F is scaled to
+    primitive integers before it is reduced, so no denominator vanishes, and
+    the scan reads the partials of that one form (`_gradient`), not each
+    partial scaled on its own.  An F over F_q is read in F_q, so q must be
+    p: its partials read mod another prime define no singular locus, and
+    that input is a PreconditionError."""
     if not f.field.is_rational and f.field.modulus != p:
         raise PreconditionError(
             f"F over {f.field.descriptor()} has no singular locus over F_{p}; "
             f"pass p = {f.field.modulus}"
         )
-    field = FieldConfig.prime_field(p)
-    f_mod = _reduce_mod(f, field)
-    return PointSet(field, f.nvars, tuple(_common_zeros_mod(partials(f_mod), f.nvars, p)))
+    d = f.degree()
+    forms = {d - 1: _gradient(f)} if d else {}  # a constant's partials vanish everywhere
+    return PointSet(FieldConfig.prime_field(p), f.nvars, tuple(_common_zeros_mod(forms, f.nvars, p)))
 
 
 def is_node(f: Polynomial, point) -> bool:

@@ -7,8 +7,15 @@ Jacobian ideal, T = nvars*(d-2).  Over the rationals the check first runs
 modulo a fixed prime: full rank mod p certifies full rank over the rationals
 for integer matrices, so a modular "smooth" verdict is promoted; a modular
 deficiency triggers the exact computation.  All ranks are of matrices with
-entries from the input field, so rational verdicts are conclusive.  Rows
-m*g of a generator g are scattered through `poly.product_index`.
+entries from the input field, so rational verdicts are conclusive.
+
+Forms become integer rows in one place, `_by_degree`: for each degree an
+`object` array of the coefficient vectors of the nonzero forms, each
+rational form scaled to primitive integers on its own, each prime-field
+form kept as residues.  The sweep mod p, the point scans, the one zero test
+at points (`_zeros_of`), the gradients and the Macaulay rows read that
+table; a row m*g of a generator g is g's row scattered through
+`poly.product_index` (`_shifted_rows`).
 
 Modular fullness is read off h_k = dim (S/I)_k mod p, degree by degree from
 the normal forms of degree k-1 (Lazard, EUROCAL 1983): `_quotient_dims_mod`.
@@ -81,12 +88,14 @@ that spans the annihilator of J_{T+1} mod p.
 - A node read off the sweep also makes dim_Q (S/J_F)_{T+1} = 1 exact: it
   is ref_{T+1}, so `milnor_dim(f, T+1)` returns it with no rref.
 
-`ci_smooth` forms the 2x2 minors of the Jacobian matrix of (F, Q) from the
-primitive integer partials: the partials of F' and Q', the primitive
-integer multiples of F and Q (their residues over F_p), multiplied as
-integer vectors through `product_index`.  A minor of (F', Q') is a nonzero
-rational multiple of the minor of (F, Q), so both scale to the same
-primitive integer row, and the sweep reads the same rows mod p.
+`ci_smooth` forms the 2x2 minors of the Jacobian matrix of (F, Q) as
+integer products of the gradients of F's and Q's rows in the table, the
+partials of F' and Q', the primitive integer multiples of F and Q (their
+residues over F_p), through `product_index`.  A minor of (F', Q') is a
+nonzero rational multiple of the minor of (F, Q); over Q each is divided by
+the gcd of its entries, over F_p reduced, and the nonzero ones join F's row
+of degree 3.  The sweep, the F_7 scan and the exact check of a witness read
+that one table; no minor becomes a Polynomial.
 
 A whole Macaulay matrix is bounded before its first row is built: rows x
 columns over all generators above MACAULAY_CELLS raises
@@ -216,24 +225,35 @@ class EmptinessResult:
 # generator rows
 
 
-def _shifted_rows(g: Polynomial, k: int, terms: dict | None = None, sparse: bool = False) -> list:
-    """Coefficient vectors of m*g for the monomials m of degree k - deg(g), in
-    order: g's coefficients, or `terms` (integer ones on the same
-    monomials), scattered through `product_index`; with `sparse`, dicts
-    column -> value."""
-    e = g.homogeneous_degree()
-    if e is None or e > k:
-        return []
-    terms, n = g.terms if terms is None else terms, graded_dim(g.nvars, k)
-    idx = monomial_index(g.nvars, e)
-    vals = list(terms.values())
-    table = product_index(g.nvars, e, k)[:, [idx[m] for m in terms]].tolist()
+def _by_degree(gens) -> dict:
+    """The integer image of the homogeneous forms `gens`: degree e -> an
+    `object` array whose rows are the coefficient vectors, on
+    monomials(nvars, e), of the nonzero forms of degree e in generator
+    order.  A rational form is scaled to primitive integers on its own (the
+    same ideal and zero locus, no denominator to vanish mod p); a
+    prime-field form keeps its residues."""
+    rows: dict = {}
+    for g in gens:
+        if not g.is_zero():
+            e = g.homogeneous_degree()
+            idx, row = monomial_index(g.nvars, e), [0] * graded_dim(g.nvars, e)
+            for m, v in (_primitive(g.terms) if g.field.is_rational else g.terms).items():
+                row[idx[m]] = v
+            rows.setdefault(e, []).append(row)
+    return {e: np.array(r, dtype=object) for e, r in rows.items()}
+
+
+def _shifted_rows(vec, nvars: int, e: int, k: int, sparse: bool = False):
+    """The coefficient rows of m*g for the monomials m of degree k - e, in
+    order, g the degree-e form with coefficient vector `vec`: one
+    assignment through `product_index` into a dense `object` array, or,
+    with `sparse`, dicts column -> nonzero value."""
+    table = product_index(nvars, e, k)
     if sparse:
-        return [dict(zip(cols, vals)) for cols in table]
-    rows = [[0] * n for _ in table]
-    for row, cols in zip(rows, table):
-        for c, v in zip(cols, vals):
-            row[c] = v
+        nz = np.flatnonzero(vec)
+        return [dict(zip(cols, vec[nz].tolist())) for cols in table[:, nz].tolist()]
+    rows = np.zeros((len(table), graded_dim(nvars, k)), dtype=object)
+    rows[np.arange(len(table))[:, None], table] = vec
     return rows
 
 
@@ -241,35 +261,31 @@ def _multiplication_matrix(g: Polynomial, target: GradedSubspace, src=None) -> M
     """Multiplication by g into S_k / target, k = target.degree: column s
     holds the complement coordinates of m_s*g reduced modulo target, for
     the monomials m_s of degree k - deg g (all, or those indexed by src)."""
-    rows = _shifted_rows(g, target.degree)
+    e = g.homogeneous_degree()
+    rows = _shifted_rows(np.array(g.coeff_vector(e), dtype=object), g.nvars, e, target.degree)
     if src is not None:
-        rows = [rows[s] for s in src]
+        rows = rows[list(src)]
     comp = target.complement_columns
     cols = [[resid[c] for c in comp] for resid in map(target.reduce, rows)]
     return Matrix(g.field, cols, len(comp)).transpose()
 
 
-def _integer_rows(gens, k: int, sparse: bool = False) -> list:
-    """Integer rows spanning the degree-k piece of the ideal of `gens`.
-
-    Zero generators are skipped; rational generators are scaled to primitive
-    integers (same ideal), so each row is primitive; prime-field ones keep
-    their residues.  BudgetExhaustedError before the first row when the
-    whole matrix, sum over g of dim S_(k - deg g) x dim S_k, holds more than
-    MACAULAY_CELLS cells.
+def _integer_rows(gens, k: int, sparse: bool = False):
+    """The rows spanning the degree-k piece of the ideal of `gens`: the
+    `_shifted_rows` of every row of `_by_degree(gens)` of degree <= k, so
+    each is primitive over Q, as one `object` array (with `sparse`, a list
+    of dicts).  BudgetExhaustedError before the first row when the whole
+    matrix, sum over the rows g of dim S_(k - deg g) x dim S_k, holds more
+    than MACAULAY_CELLS cells.
     """
-    cells = sum(graded_dim(g.nvars, k - g.degree()) * graded_dim(g.nvars, k)
-                for g in gens if not g.is_zero() and g.degree() <= k)
+    nvars, n = gens[0].nvars, graded_dim(gens[0].nvars, k)
+    vecs = [(e, vec) for e, rows in _by_degree(gens).items() if e <= k for vec in rows]
+    cells = sum(graded_dim(nvars, k - e) for e, _ in vecs) * n
     if cells > MACAULAY_CELLS:
         raise BudgetExhaustedError(f"the degree-{k} Macaulay rows have {cells} cells, "
                                    f"above the work budget of {MACAULAY_CELLS}")
-    return [row for g in gens for row in _shifted_rows(g, k, _integer_terms(g), sparse)]
-
-
-def _integer_terms(g: Polynomial) -> dict:
-    """g's terms scaled to primitive integers over Q (none for g = 0), its
-    residues over F_p."""
-    return _primitive(g.terms) if g.field.is_rational else g.terms
+    rows = [r for e, vec in vecs for r in _shifted_rows(vec, nvars, e, k, sparse)]
+    return rows if sparse else np.array(rows, dtype=object).reshape(-1, n)
 
 
 def projective_points(nvars: int, p: int):
@@ -369,7 +385,7 @@ class _MilnorSweep:
             lead = pow(next(c for c in node if c % s), -1, s)
             witness = tuple(c * lead % s for c in node)
         elif nvars <= 5:
-            witness = next(_common_zeros_mod([*partials(f), f], nvars, s), None)
+            witness = next(_common_zeros_mod(_by_degree([*partials(f), f]), nvars, s), None)
         return SmoothnessCertificate(
             "singular", t1, "rational", False, witness,
             note=(
@@ -383,7 +399,8 @@ class _MilnorSweep:
 def _milnor_sweep(f: Polynomial) -> _MilnorSweep:
     """The `_MilnorSweep` of a normalized F of degree >= 1."""
     d, rational = f.degree(), f.field.is_rational
-    sweep = _quotient_dims_mod(partials(f), DEFAULT_PRIME if rational else f.field.modulus)
+    p = DEFAULT_PRIME if rational else f.field.modulus
+    sweep = _quotient_dims_mod(_by_degree(partials(f)), f.nvars, p)
     hs = tuple(h for _, h in itertools.islice(sweep, max(f.nvars * (d - 2) + 1, 0)))
     socle = tuple(sweep.send(True)[:, 0].tolist()) if hs[-1:] == (1,) else None
     hs += (next(sweep)[1],)
@@ -430,42 +447,39 @@ def smooth_reference_dims(nvars: int, d: int) -> list:
 # ---------------------------------------------------------------------------
 # smoothness of a hypersurface
 
-def _reduce_mod(g: Polynomial, field: FieldConfig) -> Polynomial:
-    """A rational g scaled to primitive integers (same zero locus, no
-    denominator to vanish) and reduced into the prime field `field`; g
-    itself when it is over a prime field already."""
-    if not g.field.is_rational:
-        return g
-    p = field.modulus
-    return Polynomial(field, g.nvars, g.family, {m: c % p for m, c in _primitive(g.terms).items()})
-
-
 def _balanced_lift(point, p: int) -> tuple:
     """The integer point with coordinates in (-p/2, p/2) congruent to an F_p point."""
     return tuple(c - p if 2 * c > p else c for c in point)
 
 
-def _common_zeros_mod(polys, nvars: int, p: int):
-    """The points of `projective_points(nvars, p)` where all of the
-    homogeneous `polys` vanish, in that order.  Each poly is read through
-    `_reduce_mod` and evaluated in its own field F_q at the points' balanced
-    lifts mod q: over F_p that is the point itself, over another prime field
-    an exact zero with small coordinates.  Block by block, one product of
-    `monomial_values` with the coefficient vectors of the polys of each
-    field and degree marks the points where they all vanish."""
-    field = FieldConfig.prime_field(p)
-    groups: dict = {}
-    for g in (_reduce_mod(g, field) for g in polys if not g.is_zero()):
-        groups.setdefault((g.field.modulus, g.degree()), []).append(g.coeff_vector(g.degree()))
-    widest = max((graded_dim(nvars, d) for _, d in groups), default=1)
+def _zeros_of(forms: dict, points, p: int | None = None) -> np.ndarray:
+    """The mask of the rows of the 2-D array `points` where every form of
+    the table `forms` (`_by_degree`) vanishes: one product of
+    `monomial_values` with the rows of each degree, mod p through
+    `_matmul_mod` (coordinates below p in absolute value), or exactly when
+    p is None (int or Fraction coordinates)."""
+    zero = np.ones(len(points), dtype=bool)
+    for d, rows in forms.items():
+        values = monomial_values(points, d, p)
+        prod = values @ rows.T if p is None else _matmul_mod(values, rows.T % p, p, values.dtype)
+        zero &= (prod == 0).all(axis=1)
+    return zero
+
+
+def _common_zeros_mod(forms: dict, nvars: int, p: int, q: int | None = None):
+    """The points of `projective_points(nvars, p)` where every form of the
+    table `forms` vanishes, in that order, block by block through
+    `_zeros_of`.  q is the forms' field: None over Q, whose rows are read
+    mod p at the points; p itself; or another prime, whose residues are read
+    at the points' balanced lifts mod q, an exact zero with small
+    coordinates."""
+    widest = max((rows.shape[1] for rows in forms.values()), default=1)
     points, size = projective_points(nvars, p), max(SCAN_CELLS // (nvars * widest), 1)
     while block := list(itertools.islice(points, size)):
         pts = np.array(block, dtype=np.int64)
-        zero = np.ones(len(block), dtype=bool)
-        for (q, d), coeffs in groups.items():
-            values = monomial_values(pts if q == p else np.where(2 * pts > p, pts - p, pts), d, q)
-            zero &= (_matmul_mod(values, np.array(coeffs).T, q, values.dtype) == 0).all(axis=1)
-        yield from itertools.compress(block, zero)
+        if q not in (None, p):
+            pts = np.where(2 * pts > p, pts - p, pts)
+        yield from itertools.compress(block, _zeros_of(forms, pts, q or p))
 
 
 def is_smooth_hypersurface(f: Polynomial) -> SmoothnessCertificate:
@@ -505,7 +519,8 @@ def _node_off_sweep(f: Polynomial, v: list, t1: int):
     if not ratios or len(nums) < n:  # v(x_j^t1) = 0 for every j, or a ratio past reconstruction
         return None
     point = tuple(_primitive(dict(enumerate(nums))).values())
-    return None if any(g.evaluate(point) for g in [f, *partials(f)]) else point
+    exact = _zeros_of(_by_degree([f, *partials(f)]), np.array([point], dtype=object))[0]
+    return point if exact else None
 
 
 def require_smooth(f: Polynomial) -> SmoothnessCertificate:
@@ -550,21 +565,16 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int, dtype) -> np.ndarray:
     return _mod(a.astype(wide) @ b.astype(wide), p).astype(dtype)
 
 
-def _quotient_dims_mod(gens, p: int):
+def _quotient_dims_mod(forms: dict, nvars: int, p: int):
     """Yield (k, h_k) for k = 0, 1, 2, ..., h_k = dim (S/I)_k mod p for the
-    ideal I of `gens` (zero generators skipped, rational ones scaled to
-    primitive integers), from the normal forms of degree k-1; see the module
-    docstring.  Once h_k = 0 every later h is 0.  `send(True)` in place of
-    the next `next` returns the normal-form table of the degree just yielded
-    (h > 0), row m the coordinates of NF(m) over N_k mod p, and the sweep
-    goes on at the `next` after it; the table of the last degree a caller
-    reads is built only if it is sent for."""
-    nvars = gens[0].nvars
+    ideal I of the table `forms` (`_by_degree`) in nvars variables, its
+    degree-k generator rows read mod p, from the normal forms of degree k-1;
+    see the module docstring.  Once h_k = 0 every later h is 0.
+    `send(True)` in place of the next `next` returns the normal-form table
+    of the degree just yielded (h > 0), row m the coordinates of NF(m) over
+    N_k mod p, and the sweep goes on at the `next` after it; the table of
+    the last degree a caller reads is built only if it is sent for."""
     dtype = _elimination_dtype(p)[0]
-    by_degree: dict = {}
-    for g in gens:
-        if not g.is_zero():
-            by_degree.setdefault(g.homogeneous_degree(), []).append(g)
     for k in itertools.count():
         size = graded_dim(nvars, k)
         if k == 0:
@@ -599,12 +609,8 @@ def _quotient_dims_mod(gens, p: int):
                 unit - tails[on],
                 tails[ref[leads[others]]] - tails[others],
             ]), p)
-        if k in by_degree:
-            idx = monomial_index(nvars, k)
-            rows = np.zeros((len(by_degree[k]), size), dtype)
-            for row, g in zip(rows, by_degree[k]):
-                for m, v in _integer_terms(g).items():
-                    row[idx[m]] = v % p
+        if k in forms:
+            rows = (forms[k] % p).astype(dtype)
             on_border = _mod(rows[:, border] + _matmul_mod(rows[:, off], refs, p, dtype), p)
             relations = np.concatenate([relations, on_border])
         a, pivots = _eliminate_mod(relations, len(border), p)
@@ -638,13 +644,17 @@ def projective_empty(generators, k_max: int = DEFAULT_KMAX) -> EmptinessResult:
     inconclusive.
     """
     gens = _generators(generators)
+    return _empty(_by_degree(gens), gens[0].nvars, gens[0].field, k_max)
+
+
+def _empty(forms: dict, nvars: int, field: FieldConfig, k_max: int) -> EmptinessResult:
+    """`projective_empty` of the table `forms` of nonzero generators over
+    `field`: the sweep mod p up to k_max, from the largest degree on."""
     if k_max < 0:
         raise PreconditionError(f"k_max must be >= 0, got {k_max}")
-    field = gens[0].field
     p = DEFAULT_PRIME if field.is_rational else field.modulus
-    k0 = max(g.degree() for g in gens)
-    for k, h in itertools.islice(_quotient_dims_mod(gens, p), k_max + 1):
-        if h == 0 and k >= k0:
+    for k, h in itertools.islice(_quotient_dims_mod(forms, nvars, p), k_max + 1):
+        if h == 0 and k >= max(forms):
             return EmptinessResult(True, k, k_max, f"fp:{p}")
     return EmptinessResult(False, None, k_max, f"fp:{p}")
 
@@ -654,10 +664,11 @@ def projective_empty(generators, k_max: int = DEFAULT_KMAX) -> EmptinessResult:
 
 
 def _gradient(g: Polynomial) -> np.ndarray:
-    """Row i: d/dx_i of g's primitive integer multiple (of its residues over
-    F_p) on monomials(nvars, deg g - 1), read through `product_index`."""
-    e, terms = g.degree(), _integer_terms(g)
-    vec = np.array([terms.get(m, 0) for m in monomials(g.nvars, e)], dtype=object)
+    """Row i: d/dx_i of g's row in `_by_degree` (its primitive integers, its
+    residues over F_p) on monomials(nvars, deg g - 1), read through
+    `product_index`."""
+    e = g.degree()
+    vec = _by_degree([g])[e][0]
     # the coefficient of m in d/dx_i g is (m_i + 1) times that of m*x_i
     return (vec[product_index(g.nvars, 1, e)] * (np.array(monomials(g.nvars, e - 1)) + 1)).T
 
@@ -686,45 +697,44 @@ def ci_smooth(
     df, dq = _require_homogeneous(f, "F"), _require_homogeneous(q, "Q")
     _require_same_ring(f, q, "Q")
     require_cubic_quadric(f.nvars, df, dq)
-    gens = [f, q]
-    # the minors of the primitive integer F and Q (residues over F_p) are
-    # multiples of those of F and Q with the same primitive integer rows
+    field, n = f.field, f.nvars
+    # the minors of the primitive integer F and Q (residues over F_q) are
+    # integer multiples of those of F and Q with the same primitive rows
     fd, qd = _gradient(f), _gradient(q)
-    i, j = np.triu_indices(f.nvars, 1)  # the pairs i < j, in order
-    minors = np.zeros((len(i), graded_dim(f.nvars, 3)), dtype=object)
-    np.add.at(minors, (slice(None), product_index(f.nvars, 1, 3)),
+    i, j = np.triu_indices(n, 1)  # the pairs i < j, in order
+    minors = np.zeros((len(i), graded_dim(n, 3)), dtype=object)
+    np.add.at(minors, (slice(None), product_index(n, 1, 3)),
               fd[i, :, None] * qd[j, None, :] - fd[j, :, None] * qd[i, None, :])
-    for row in (minors % f.field.modulus if f.field.modulus else minors).tolist():
-        if any(row):
-            gens.append(Polynomial(f.field, f.nvars, f.family, dict(zip(monomials(f.nvars, 3), row))))
-    sweep = projective_empty(gens, k_max)
+    minors = minors % field.modulus if field.modulus else minors
+    minors = minors[(minors != 0).any(axis=1)]
+    if field.is_rational:
+        minors //= np.gcd.reduce(minors, axis=1)[:, None]
+    forms = _by_degree([f, q])
+    forms[3] = np.concatenate([forms[3], minors])
+    sweep = _empty(forms, n, field, k_max)
     if sweep.certified:
         return SmoothnessCertificate(
-            "smooth", sweep.degree, sweep.field_used, f.field.is_rational,
+            "smooth", sweep.degree, sweep.field_used, field.is_rational,
             note=f"ideal of (F, Q, minors) full at degree {sweep.degree}",
         )
     reason = "; falsification skipped"
     if falsify:
         # a singular verdict needs an exact zero in the input field, with
-        # coordinates in [-3, 3]: over F_q the scan evaluates in F_q at
-        # those lifts already, over Q each F_7 zero's lift is checked
+        # coordinates in [-3, 3]: the lifts of the F_7 zeros, read in the
+        # input field (over F_q the scan read the forms there already)
         s = DEFAULT_SEARCH_PRIME
-        near = None
-        for point in _common_zeros_mod(gens, f.nvars, s):
-            lift = _balanced_lift(point, s)
-            if f.field.is_rational:
-                near = near or point
-                if any(g.evaluate(lift) for g in gens):
-                    continue
-            else:
-                lift = tuple(f.field.coerce(c) for c in lift)
+        zeros = list(_common_zeros_mod(forms, n, s, field.modulus))
+        lifts = np.array([_balanced_lift(point, s) for point in zeros], dtype=object).reshape(-1, n)
+        lifts = lifts if field.is_rational else lifts % field.modulus
+        exact = lifts[_zeros_of(forms, lifts, field.modulus)]
+        if len(exact):
             return SmoothnessCertificate(
-                "singular", None, f.field.descriptor(), False, lift,
+                "singular", None, field.descriptor(), False, tuple(exact[0].tolist()),
                 note="common zero of (F, Q, minors), checked exactly in the input field",
             )
         reason = ", no small-field witness"
-        if near is not None:
-            reason = f"; the common zero {near} over F_{s} does not lift to an exact zero"
+        if zeros:
+            reason = f"; the common zero {zeros[0]} over F_{s} does not lift to an exact zero"
     return SmoothnessCertificate(
         "inconclusive", sweep.kmax, sweep.field_used, False,
         note=f"no fullness up to degree {sweep.kmax}{reason}",

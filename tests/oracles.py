@@ -5,8 +5,10 @@ repeated differentiation, the annihilator quadric and associated cubic
 the library built before its socle contractions (a hyperplane loop, and the
 perp of the colon ideal), and the Macaulay rows and socle contractions the
 library built monomial by monomial before its product-index table,
-quotient dimensions from whole Macaulay matrices, where the library's
-fullness sweeps go degree by degree from normal forms, and the perp and
+quotient dimensions from whole Macaulay matrices built monomial by monomial
+from generators scaled to primitive integers here, where the
+library's fullness sweeps go degree by degree from normal forms on its own
+integer rows (`jacobian._by_degree`), and the perp and
 the socle functional through the two-rref kernel below, the perp checked
 by its involution, where the library reads both off null vectors and checks
 one pairing product, Milnor dimensions from the rref of the generator rows,
@@ -57,8 +59,6 @@ from gradus.errors import (
 from gradus.jacobian import (
     DEFAULT_KMAX,
     _balanced_lift,
-    _integer_rows,
-    _reduce_mod,
     projective_empty,
     projective_points,
 )
@@ -234,10 +234,37 @@ def naive_rref_mod(rows, ncols: int, p: int):
     return a[: len(pivots)], pivots
 
 
+def _primitive_form(g: Polynomial) -> Polynomial:
+    """A rational homogeneous g scaled to primitive integers by
+    `_row_to_primitive` of its coefficient vector; g itself when it is zero
+    or over a prime field."""
+    if g.is_zero() or not g.field.is_rational:
+        return g
+    d = g.homogeneous_degree()
+    mons = monomials(g.nvars, d)
+    ints = _row_to_primitive(g.coeff_vector(d))
+    return Polynomial(g.field, g.nvars, g.family, {mons[j]: v for j, v in ints.items()})
+
+
 def residues_oracle(gens, k, p):
-    """The integer rows of the degree-k Macaulay matrix of gens (rational
-    generators scaled to primitive integers), each entry reduced mod p."""
-    return [[x % p for x in row] for row in _integer_rows(gens, k)]
+    """The rows of the degree-k Macaulay matrix of gens, m*g for every
+    generator g and monomial m of degree k - deg g in that order, one
+    exponent sum and index lookup per (row, term): each rational generator
+    first scaled to primitive integers (`_primitive_form`), each entry
+    reduced mod p."""
+    idx = monomial_index(gens[0].nvars, k)
+    rows = []
+    for g in map(_primitive_form, gens):
+        e = g.degree()
+        if e is None or e > k:
+            continue
+        terms = [(b, c.numerator % p) for b, c in g.terms.items()]
+        for m in monomials(g.nvars, k - e):
+            row = [0] * len(idx)
+            for b, c in terms:
+                row[idx[tuple(x + y for x, y in zip(m, b))]] = c
+            rows.append(row)
+    return rows
 
 
 def macaulay_quotient_dim(gens, k, p):
@@ -453,11 +480,15 @@ def smoothness_by_rref(f: Polynomial) -> SmoothnessCertificate:
 
 def naive_common_zeros(polys, nvars: int, p: int):
     """The points of `projective_points(nvars, p)` where all of `polys`
-    vanish, one point and one poly at a time: each poly reduced as the
-    library does and evaluated term by term in its own field, at the point
-    over F_p and at its balanced lift over another prime field."""
+    vanish, one point and one poly at a time: each rational poly scaled to
+    primitive integers (`_primitive_form`) and reduced mod p, each poly
+    evaluated term by term in its own field, at the point over F_p and at
+    its balanced lift over another prime field."""
     field = FieldConfig.prime_field(p)
-    reduced = [_reduce_mod(g, field) for g in polys if not g.is_zero()]
+    reduced = [
+        Polynomial(field, nvars, g.family, {m: c.numerator % p for m, c in _primitive_form(g).terms.items()})
+        if g.field.is_rational else g for g in polys if not g.is_zero()
+    ]
     for point in projective_points(nvars, p):
         if all(
             g.evaluate(point if g.field == field else _balanced_lift(point, p)) == 0

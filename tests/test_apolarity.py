@@ -10,6 +10,7 @@ from gradus import (
     Polynomial,
     SeedStream,
     annihilator_quadric,
+    ci_smooth,
     colon_graded,
     extract_c,
     fermat_form,
@@ -51,8 +52,8 @@ from gradus.errors import (
     PreconditionError,
 )
 from gradus.lefschetz import mult_map
-from gradus.jacobian import _integer_rows, _integer_terms, _milnor_sweep, partials
-from gradus.linalg import _LIFT_PRIME, DEFAULT_PRIME, Matrix, rank_mod
+from gradus.jacobian import _integer_rows, _milnor_sweep, partials
+from gradus.linalg import _LIFT_PRIME, DEFAULT_PRIME, Matrix, _primitive, rank_mod
 
 from .conftest import _seeded_smooth_cubics
 from .oracles import (
@@ -506,7 +507,7 @@ def test_socle_over_q_of_a_form_singular_mod_p(modulus):
     # the sweep reads h_5 = 5, so dim (S/J_F)_5 = 1 comes from the rref
     # route; mod the lift prime J_5 loses rank, so the next prime lifts
     f = special_q(QQ, 4, 3) + fermat_form(QQ, 5, 3).scale(modulus)
-    rows = _integer_rows(partials(f), 5)
+    rows = _integer_rows(partials(f), 5).tolist()  # integers, not residues
     if modulus == 10007:
         assert _milnor_sweep(f.normalized()).hs[5] == 5
     else:
@@ -696,7 +697,7 @@ def smooth_forms_and_multipliers(draw):
     if kind == "quadric":
         g = random_poly(field, stream, nvars, 2, 3)
     elif kind == "jacobian":
-        df0 = {m: field.coerce(v) for m, v in _integer_terms(partials(f)[0]).items()}
+        df0 = {m: field.coerce(v) for m, v in _primitive(partials(f)[0].terms).items()}
         g = Polynomial(field, nvars, "x", df0) + random_poly(field, stream, nvars, d - 1, 3).scale(10007)
     else:
         g = random_poly(field, stream, nvars, 1, 3)
@@ -779,3 +780,12 @@ def test_sweep_readers_are_covariant(smooth_cubics, nodal_cubic, p, a):
             ga, e = linear_substitution(g, a), g.degree()
             assert [_quotient_rank(fa, ga, k) for k in range(6 - e)] == [
                 _quotient_rank(f, g, k) for k in range(6 - e)]
+    if a == MIXING:
+        # ci_smooth(F o A, Q o A) never swaps smooth and singular: at kmax 8
+        # the seeded cubics with a smooth quadric read smooth on both sides,
+        # the Fermat cubic with x0^2 singular
+        quadric, square = (parse_poly(t, field, nvars=5) for t in ("x0*x1 + x2*x3 + x4^2", "x0^2"))
+        pairs = [(f, quadric) for f in forms] + [(fermat_form(field, 5, 3), square)]
+        for (f, q), want in zip(pairs, ("smooth", "smooth", "singular")):
+            moved = (linear_substitution(f, a), linear_substitution(q, a))
+            assert ci_smooth(f, q, 8).verdict == ci_smooth(*moved, 8).verdict == want

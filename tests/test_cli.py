@@ -1,12 +1,17 @@
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
 import time
 from pathlib import Path
 
-from gradus import FieldConfig, parse_poly
+import pytest
+
+from gradus import FieldConfig, parse_poly, special_q
 from gradus.cli import main
+from gradus.errors import BudgetExhaustedError
 
 QQ = FieldConfig.rationals()
 
@@ -164,6 +169,21 @@ def test_evaluation_map_past_the_work_budget():
     # refused before the monomials are listed
     results = _budget_results("defect", "--points", "1,0,0,0,0;0,1,0,0,0", "--k", "120")
     assert "has 18762502 cells" in results["reason"]
+
+
+def test_special_q_past_the_work_budget(monkeypatch):
+    # n = 300 asks for C(301, 3) = 4499950 exponent tuples of 301 entries, a
+    # MemoryError under a 1 GB address-space cap: refused in its own process,
+    # and in-process before the first term is built; n = 49 is inside
+    results = _budget_results("special-q", "--n", "300")
+    assert "have 1354484950 cells" in results["reason"]
+    built = []
+    combinations = itertools.combinations
+    monkeypatch.setattr(itertools, "combinations", lambda *a: built.append(a) or combinations(*a))
+    with pytest.raises(BudgetExhaustedError, match="above the work budget"):
+        special_q(QQ, 50, 3)
+    assert built == []
+    assert len(special_q(QQ, 49, 3).terms) == math.comb(50, 3) and built == [(range(50), 3)]
 
 
 def test_macaulay_budget_counts_the_whole_matrix():

@@ -10,10 +10,12 @@ from gradus import (
     SeedStream,
     brute_singular_search,
     check_lemma_defect,
+    ci_smooth,
     defect,
     evaluation_matrix,
     graded_dim,
     is_node,
+    is_smooth_hypersurface,
     milnor_dim,
     parse_points,
     parse_poly,
@@ -31,7 +33,7 @@ from gradus.errors import (
     PreconditionError,
     RangeError,
 )
-from gradus.jacobian import _common_zeros_mod, projective_points
+from gradus.jacobian import _by_degree, _common_zeros_mod, _milnor_sweep, projective_points
 from gradus.linalg import WORK_BUDGET
 from gradus.poly import Polynomial, monomials
 
@@ -97,6 +99,9 @@ def test_brute_search_reduces_the_rational_form_once():
     # (1, 0, 0); scaling each partial to primitive integers would lose it
     f = parse_poly("7*x0^3 + x1^3 + x2^3", QQ)
     assert brute_singular_search(f, 7).points == ((1, 0, 0),)
+    # x0^3 + x1^3 + x2^3 has partials 3*x_i^2, all 0 mod 3: every one of
+    # the 13 points of P^2(F_3), where the primitive x_i^2 would give none
+    assert len(brute_singular_search(parse_poly("x0^3 + x1^3 + x2^3", QQ), 3)) == 13
 
 
 def test_brute_search_over_its_own_prime_field():
@@ -234,8 +239,14 @@ def test_evaluation_matrix_is_bounded_before_the_monomials(monkeypatch):
     assert 2 * graded_dim(5, 40) < WORK_BUDGET < 18762502
 
 
-def test_scans_and_evaluation_maps_never_evaluate_term_by_term(monkeypatch, special_cubic):
-    # every point scan and evaluation map reads monomial_values
+def test_scans_and_evaluation_maps_never_evaluate_term_by_term(monkeypatch, special_cubic, fermat,
+                                                               nodal_cubic):
+    # every point scan, evaluation map and exact zero test reads
+    # monomial_values: the scans, singular_points, ci_smooth's exact check
+    # of an F_7 zero's lift and the node read off a rational sweep (its
+    # cache cleared, so the sweep runs); and ci_smooth builds no Polynomial
+    quadrics = [parse_poly(t, QQ, nvars=5) for t in ("x0*x1 + x2*x3 + x4^2", "x0^2")]
+
     def refuse(*_):
         raise AssertionError("Polynomial.evaluate called")
 
@@ -243,7 +254,19 @@ def test_scans_and_evaluation_maps_never_evaluate_term_by_term(monkeypatch, spec
     assert len(brute_singular_search(special_cubic, 7)) == 5
     assert evaluation_matrix(coordinate_points(QQ, 5), 3).nrows == 5
     f13 = parse_poly("x0*x1 - x2^2", FieldConfig.prime_field(13))
-    assert next(_common_zeros_mod([f13, special_q(QQ, 2, 3)], 3, 7)) == (1, 0, 0)
+    assert next(_common_zeros_mod(_by_degree([f13]), 3, 7, 13)) == (1, 0, 0)
+    assert next(_common_zeros_mod(_by_degree([special_q(QQ, 2, 3)]), 3, 7)) == (1, 0, 0)
+    assert len(singular_points(special_cubic, coordinate_points(QQ, 5))) == 5
+    _milnor_sweep.cache_clear()
+    cert = is_smooth_hypersurface(nodal_cubic)
+    assert cert.verdict == "singular" and cert.witness_point == (1, 0, 0, 0, 0)
+    assert _milnor_sweep(nodal_cubic.normalized()).node == (1, 0, 0, 0, 0)
+    built = []
+    init = Polynomial.__init__
+    monkeypatch.setattr(Polynomial, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+    certs = [ci_smooth(fermat, q) for q in quadrics]
+    assert [c.verdict for c in certs] == ["smooth", "singular"] and certs[1].witness_point
+    assert built == []
 
 
 def test_defect_single_point():

@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -37,6 +38,7 @@ from gradus.errors import BudgetExhaustedError, PreconditionError, ZeroPolynomia
 from gradus.jacobian import (
     MACAULAY_CELLS,
     SCAN_CELLS,
+    _by_degree,
     _common_zeros_mod,
     _integer_rows,
     _milnor_sweep,
@@ -132,6 +134,12 @@ def test_is_smooth_prime_field_promotion():
     p = parse_poly("x0^3+x1^3+x2^3+x3^3+x4^3", f101)
     cert = is_smooth_hypersurface(p)
     assert cert.is_smooth and cert.field_used == "fp:101"
+    # each partial scaled to primitive integers on its own: 3*x0^2 + 2*x0*x1
+    # survives mod 10007, so h = 1, 5, 10, 10, 5, 1, 0 and the verdict is
+    # promoted; F's own gradient is 0 there mod 10007 (h_6 = 16)
+    f = parse_poly("x1^3+x2^3+x3^3+x4^3+10007*x0^3+10007*x0^2*x1", QQ)
+    cert = is_smooth_hypersurface(f)
+    assert (cert.verdict, cert.promoted, cert.field_used) == ("smooth", True, "fp:10007")
 
 
 @settings(max_examples=40, deadline=None)
@@ -289,15 +297,17 @@ def generators(draw):
 @settings(max_examples=150, deadline=None)
 @given(generators())
 def test_shifted_rows_match_polynomial_products(case):
+    # g's field coefficients, and its row of primitive integers (residues
+    # over F_p) in every Macaulay row, dense and sparse
     g, k = case
-    assert _shifted_rows(g, k) == product_rows([g], k)
+    e, want = g.degree(), product_rows([g], k)
+    if e is not None and e <= k:
+        assert _shifted_rows(np.array(g.coeff_vector(e), dtype=object), g.nvars, e, k).tolist() == want
     if g.field.is_rational and not g.is_zero():
-        ints = _primitive(g.terms)
-        g_int = Polynomial(QQ, g.nvars, "x", {m: Fraction(v) for m, v in ints.items()})
-        assert _shifted_rows(g, k, ints) == product_rows([g_int], k)
-        assert _integer_rows([g, g.scale(0)], k) == product_rows([g_int], k)
-    elif not g.field.is_rational:
-        assert _integer_rows([g], k) == product_rows([g], k)
+        g = Polynomial(QQ, g.nvars, "x", {m: Fraction(v) for m, v in _primitive(g.terms).items()})
+        want = product_rows([g], k)
+    assert _integer_rows([g, g.scale(0)], k).tolist() == want
+    assert _integer_rows([g], k, sparse=True) == [{c: v for c, v in enumerate(r) if v} for r in want]
 
 
 @st.composite
@@ -331,7 +341,7 @@ def test_quotient_dims_match_macaulay_ranks(case):
     # most 126 columns, and up to the first full degree: fullness is monotone
     gens, p = case
     nvars = gens[0].nvars
-    for k, h in _quotient_dims_mod(gens, p):
+    for k, h in _quotient_dims_mod(_by_degree(gens), nvars, p):
         assert h == macaulay_quotient_dim(gens, k, p), (k, h)
         if h == 0 or k == 7 or graded_dim(nvars, k + 1) > 126:
             break
@@ -343,7 +353,7 @@ def test_quotient_dims_at_object_primes(p):
     # on Python ints too
     field = FieldConfig.prime_field(p)
     gens = [parse_poly(t, field) for t in ("3*x0^2 - x1*x2 + 5*x2^2", "x0*x1 - 7*x2^2", "x1^3 + x0*x2^2")]
-    dims = [h for _, h in itertools.islice(_quotient_dims_mod(gens, p), 8)]
+    dims = [h for _, h in itertools.islice(_quotient_dims_mod(_by_degree(gens), 3, p), 8)]
     assert dims == [macaulay_quotient_dim(gens, k, p) for k in range(8)]
     assert dims[-1] == 0 and dims[1] == 3
 
@@ -354,7 +364,7 @@ def test_ci_smooth_degree_is_the_first_full_macaulay_degree(u_pairs):
     q = cert.q
     assert max(abs(v) for v in _primitive(q.terms).values()).bit_length() > 120
     gens = _ci_system(f, q)
-    dims = dict(itertools.islice(_quotient_dims_mod(gens, 10007), 8))
+    dims = dict(itertools.islice(_quotient_dims_mod(_by_degree(gens), 5, 10007), 8))
     k = cert.y_smooth.degree
     assert k == 7 and cert.y_smooth.field_used == "fp:10007"
     # full at k and not at k - 1 >= 3, the largest generator degree
@@ -441,7 +451,8 @@ def test_block_scan_matches_point_loop(case):
     # that evaluates each form at each point term by term
     polys, nvars, p, cells = case
     with mock.patch.object(jacobian, "SCAN_CELLS", cells):
-        assert list(_common_zeros_mod(polys, nvars, p)) == list(naive_common_zeros(polys, nvars, p))
+        scan = _common_zeros_mod(_by_degree(polys), nvars, p, polys[0].field.modulus)
+        assert list(scan) == list(naive_common_zeros(polys, nvars, p))
 
 
 def test_macaulay_rows_are_bounded_before_the_first_row(fermat, monkeypatch):
@@ -455,7 +466,7 @@ def test_macaulay_rows_are_bounded_before_the_first_row(fermat, monkeypatch):
         jacobian_graded(fermat, 40)
     assert built == []
     assert graded_dim(5, 7) * graded_dim(5, 9) < MACAULAY_CELLS
-    assert len(_shifted_rows(random_poly(QQ, SeedStream(1), 5, 2, 3), 9, sparse=True)) == 330
+    assert len(_integer_rows([random_poly(QQ, SeedStream(1), 5, 2, 3)], 9, sparse=True)) == 330
 
 
 def test_macaulay_budget_counts_every_generator(monkeypatch):

@@ -311,9 +311,9 @@ def test_prime_field_pair_job_reads_lambda_off_the_sweep(monkeypatch):
     row_degrees, widths = [], []
     shifted = jacobian._shifted_rows
 
-    def record_rows(g, k, *args, **kwargs):
+    def record_rows(vec, nvars, e, k, *args, **kwargs):
         row_degrees.append(k)
-        return shifted(g, k, *args, **kwargs)
+        return shifted(vec, nvars, e, k, *args, **kwargs)
 
     monkeypatch.setattr(jacobian, "_shifted_rows", record_rows)
     for mod in (apolarity, jacobian, linalg):  # each module's own binding
