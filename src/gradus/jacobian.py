@@ -34,6 +34,16 @@ graded_dim - (rank mod p of the degree-k Macaulay matrix), as a full
 elimination would give.  The promotion argument is untouched: h_k = 0 mod p
 means the Macaulay matrix has full rank mod p, hence over the rationals.
 
+Every index array of degree k that depends only on the staircase N_(k-1),
+not on the values of NF (the structure/values split of Faugere's symbolic
+preprocessing, J. Pure Appl. Algebra 139, 1999), is one `_Skeleton`: the
+border and the monomials off it, the scatter of x_j NF(m) onto the border,
+the units, and the relation rows as two gathers from the tails.  It is
+memoized on (nvars, k, the bytes of N_(k-1)'s positions) while dim S_k <=
+SKELETON_MEMO_DIM, so the sweeps of dense forms of one shape, which share
+their staircases, build it once; a larger degree, used once by a long
+sweep, is built and dropped.
+
 Milnor dimensions, hypersurface smoothness and the socle functional over
 F_p read one record per projective class, `_milnor_sweep`, cached on
 `f.normalized()`.  It holds h_0, ..., h_{T+1} of the partials of F mod p
@@ -42,7 +52,10 @@ dim (S/J_F)_k; where h_T = 1, the degree-T normal form as a column
 v(m) = the coefficient of NF(m) on the one standard monomial (up to scale
 the socle functional mod p: see `apolarity`); over the rationals, the
 singular point read off v at degree T+1 (below); and, computed once when
-first asked, the smoothness certificate.  `_quotient_dims_mod` hands out
+first asked, the smoothness certificate.  The partials' rows are read off
+F's own integer gradient (`_partials_table`), each partial made primitive
+over Q, reduced over F_p, with no partial built as a Polynomial.
+`_quotient_dims_mod` hands out
 the table of a degree only when asked and then goes on, so neither v
 costs a second sweep or elimination.  The record's `dim` is the one
 exactness rule: h_k is dim (S/J_F)_k where it equals ref_k (past T+1 only
@@ -99,7 +112,8 @@ that one table; no minor becomes a Polynomial.
 
 A whole Macaulay matrix is bounded before its first row is built: rows x
 columns over all generators above MACAULAY_CELLS raises
-BudgetExhaustedError.
+BudgetExhaustedError.  So is the number of degrees of a Milnor sweep and of
+the smooth reference: T+2 above WORK_BUDGET raises it before the first.
 """
 
 from __future__ import annotations
@@ -108,6 +122,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -131,6 +146,7 @@ from .linalg import (
     _elimination_dtype,
     _mod,
     _primitive,
+    _product_dtype,
     _reconstruct,
     rref,
     span,
@@ -150,6 +166,12 @@ MACAULAY_CELLS = 2 * WORK_BUDGET
 # sixteenth, against 30.3 MB for a loop over single points (2 cores, Python
 # 3.11); smaller blocks peak no lower and run slower
 SCAN_CELLS = WORK_BUDGET // 16
+# the largest dim S_k whose sweep skeleton (`_staircase`) is memoized: every
+# degree of a cubic threefold's sweep (S_7 has 330 monomials).  Unbounded,
+# the memo raised the peak RSS of `ci-smooth --kmax 40` on a singular
+# (cubic, quadric) pair, whose large degrees each come once, from 519 to
+# 590 MB and its time from 7.6 to 9.4 s (2 cores, Python 3.11)
+SKELETON_MEMO_DIM = 1024
 
 
 @dataclass(frozen=True)
@@ -241,6 +263,32 @@ def _by_degree(gens) -> dict:
                 row[idx[m]] = v
             rows.setdefault(e, []).append(row)
     return {e: np.array(r, dtype=object) for e, r in rows.items()}
+
+
+def _gradient(g: Polynomial) -> np.ndarray:
+    """Row i: d/dx_i of g's row in `_by_degree` (its primitive integers, its
+    residues over F_p) on monomials(nvars, deg g - 1), read through
+    `product_index`."""
+    e = g.degree()
+    vec = _by_degree([g])[e][0]
+    # the coefficient of m in d/dx_i g is (m_i + 1) times that of m*x_i
+    return (vec[product_index(g.nvars, 1, e)] * (np.array(monomials(g.nvars, e - 1)) + 1)).T
+
+
+def _partials_table(f: Polynomial) -> dict:
+    """`_by_degree(partials(f))` read off `_gradient(f)`, with no partial
+    built as a Polynomial: over Q each row divided by the gcd of its
+    entries, signed as `_primitive` signs, its last nonzero entry in
+    monomial order positive; over F_p each row reduced; zero rows
+    dropped."""
+    rational = f.field.is_rational
+    rows = _gradient(f) if rational else _gradient(f) % f.field.modulus
+    rows = rows[(rows != 0).any(axis=1)]
+    if rational:
+        last = rows.shape[1] - 1 - (rows[:, ::-1] != 0).argmax(axis=1)
+        g = abs(np.gcd.reduce(rows, axis=1))  # one entry reduces to itself
+        rows //= np.where(rows[np.arange(len(rows)), last] < 0, -g, g)[:, None]
+    return {f.degree() - 1: rows} if len(rows) else {}
 
 
 def _shifted_rows(vec, nvars: int, e: int, k: int, sparse: bool = False):
@@ -385,7 +433,7 @@ class _MilnorSweep:
             lead = pow(next(c for c in node if c % s), -1, s)
             witness = tuple(c * lead % s for c in node)
         elif nvars <= 5:
-            witness = next(_common_zeros_mod(_by_degree([*partials(f), f]), nvars, s), None)
+            witness = next(_common_zeros_mod({**_partials_table(f), **_by_degree([f])}, nvars, s), None)
         return SmoothnessCertificate(
             "singular", t1, "rational", False, witness,
             note=(
@@ -395,12 +443,22 @@ class _MilnorSweep:
         )
 
 
+def _require_sweep_degrees(nvars: int, d: int):
+    """BudgetExhaustedError when a sweep to T+1, T = nvars*(d-2), would walk
+    its T+2 degrees past WORK_BUDGET of them."""
+    degrees = nvars * (d - 2) + 2
+    if degrees > WORK_BUDGET:
+        raise BudgetExhaustedError(f"a degree-{d} form in {nvars} variables sweeps {degrees} degrees, "
+                                   f"above the work budget of {WORK_BUDGET}")
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def _milnor_sweep(f: Polynomial) -> _MilnorSweep:
     """The `_MilnorSweep` of a normalized F of degree >= 1."""
     d, rational = f.degree(), f.field.is_rational
+    _require_sweep_degrees(f.nvars, d)
     p = DEFAULT_PRIME if rational else f.field.modulus
-    sweep = _quotient_dims_mod(_by_degree(partials(f)), f.nvars, p)
+    sweep = _quotient_dims_mod(_partials_table(f), f.nvars, p)
     hs = tuple(h for _, h in itertools.islice(sweep, max(f.nvars * (d - 2) + 1, 0)))
     socle = tuple(sweep.send(True)[:, 0].tolist()) if hs[-1:] == (1,) else None
     hs += (next(sweep)[1],)
@@ -429,6 +487,7 @@ def smooth_reference_dims(nvars: int, d: int) -> list:
     """Coefficients of (1-t^(d-1))^nvars / (1-t)^nvars up to T = nvars*(d-2)."""
     if d < 2:
         raise PreconditionError("need degree >= 2")
+    _require_sweep_degrees(nvars, d)
     n = nvars - 1
     t = nvars * (d - 2)
     out = []
@@ -519,7 +578,7 @@ def _node_off_sweep(f: Polynomial, v: list, t1: int):
     if not ratios or len(nums) < n:  # v(x_j^t1) = 0 for every j, or a ratio past reconstruction
         return None
     point = tuple(_primitive(dict(enumerate(nums))).values())
-    exact = _zeros_of(_by_degree([f, *partials(f)]), np.array([point], dtype=object))[0]
+    exact = _zeros_of({**_by_degree([f]), **_partials_table(f)}, np.array([point], dtype=object))[0]
     return point if exact else None
 
 
@@ -560,9 +619,81 @@ def ideal_graded(generators, k: int) -> GradedSubspace:
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int, dtype) -> np.ndarray:
     """a @ b mod p for arrays of residues, as `dtype`: summed in int64 while
     a.shape[1] products of two residues cannot reach 2^63, in Python ints
-    otherwise."""
-    wide = np.int64 if a.shape[1] * (p - 1) ** 2 < 1 << 63 else object
+    otherwise (`_product_dtype`)."""
+    wide = _product_dtype(a.shape[1], p)
     return _mod(a.astype(wide) @ b.astype(wide), p).astype(dtype)
+
+
+class _Skeleton(NamedTuple):
+    """The index arrays of sweep degree k that depend only on nvars, k and
+    the staircase N_(k-1) (`_skeleton`), each read-only."""
+
+    border: np.ndarray  # B_k, as positions in monomials(nvars, k)
+    off: np.ndarray  # the monomials off the border
+    nonstd: np.ndarray  # the monomials m_i of degree k-1 not in N_(k-1)
+    scatter: np.ndarray  # [j, s]: the column of x_j * N_(k-1)[s] in tails
+    plus: np.ndarray  # relation rows: tails[plus] - tails[minus] + unit
+    minus: np.ndarray
+    unit: np.ndarray  # border column of the unit of each of the first rows
+    refs: np.ndarray  # the tails row that is phi of each monomial off the border
+
+
+def _skeleton(nvars: int, k: int, std: np.ndarray) -> _Skeleton:
+    """The `_Skeleton` of degree k >= 1 over the staircase `std`, the
+    positions of N_(k-1) in monomials(nvars, k-1).  tails has one row
+    i * nvars + j = x_j * NF(m_i) on the border per nonstandard m_i and
+    variable j, and then one zero row."""
+    size = graded_dim(nvars, k)
+    table = product_index(nvars, 1, k)
+    in_border = np.zeros(size, bool)
+    in_border[table[std]] = True
+    border, off = np.flatnonzero(in_border), np.flatnonzero(~in_border)
+    pos = np.zeros(size, np.intp)
+    pos[border] = np.arange(len(border))
+    is_std = np.zeros(len(table), bool)
+    is_std[std] = True
+    nonstd = np.flatnonzero(~is_std)
+    scatter = np.arange(nvars)[:, None] * len(border) + pos[table[std]].T
+    leads = table[nonstd].ravel()
+    # a lead off the border takes one of its rows as the reference phi(lead);
+    # which one does not matter, N_k and NF are canonical
+    ref = np.zeros(size, np.intp)
+    ref[leads] = np.arange(len(leads))
+    on = in_border[leads]
+    others = np.flatnonzero(~on & (ref[leads] != np.arange(len(leads))))
+    # unit - x_j NF(m) for a lead on the border, phi(lead) - x_j NF(m) off it
+    plus = np.concatenate([np.full(np.count_nonzero(on), len(leads)), ref[leads[others]]])
+    minus = np.concatenate([np.flatnonzero(on), others])
+    skeleton = _Skeleton(border, off, nonstd, scatter, plus, minus, pos[leads[on]], ref[off])
+    for a in skeleton:
+        a.flags.writeable = False
+    return skeleton
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _memo_skeleton(nvars: int, k: int, std: bytes) -> _Skeleton:
+    return _skeleton(nvars, k, np.frombuffer(std, np.intp))
+
+
+def _staircase(nvars: int, k: int, std: np.ndarray) -> _Skeleton:
+    """`_skeleton`, memoized on the bytes of `std` while dim S_k <=
+    SKELETON_MEMO_DIM."""
+    if graded_dim(nvars, k) <= SKELETON_MEMO_DIM:
+        return _memo_skeleton(nvars, k, std.tobytes())
+    return _skeleton(nvars, k, std)
+
+
+def _relations(sk: _Skeleton, nf: np.ndarray, nvars: int, p: int) -> tuple:
+    """(refs, relations) of the degree of `sk` from the normal-form table
+    `nf` of the degree before: phi of each monomial off the border, and the
+    relation rows mod p, each a row of tails minus another plus its unit.
+    tails itself goes on return, before the elimination."""
+    tails = np.zeros((len(sk.nonstd) * nvars + 1, len(sk.border)), nf.dtype)
+    tails[:-1].reshape(len(sk.nonstd), nvars * len(sk.border))[:, sk.scatter] = nf[sk.nonstd][:, None]
+    relations = tails[sk.plus]
+    relations -= tails[sk.minus]
+    relations[np.arange(len(sk.unit)), sk.unit] += 1
+    return tails[sk.refs], _mod(relations, p)
 
 
 def _quotient_dims_mod(forms: dict, nvars: int, p: int):
@@ -581,34 +712,9 @@ def _quotient_dims_mod(forms: dict, nvars: int, p: int):
             border, off = np.arange(1), np.arange(0)
             refs = relations = np.zeros((0, 1), dtype)
         else:
-            # tails[i * nvars + j] = x_j * NF(m_i) on the border, m_i not standard
-            table = product_index(nvars, 1, k)
-            in_border = np.zeros(size, bool)
-            in_border[table[std]] = True
-            border, off = np.flatnonzero(in_border), np.flatnonzero(~in_border)
-            pos = np.zeros(size, np.intp)
-            pos[border] = np.arange(len(border))
-            is_std = np.zeros(len(table), bool)
-            is_std[std] = True
-            nonstd = np.flatnonzero(~is_std)
-            tails = np.zeros((len(nonstd), nvars, len(border)), dtype)
-            for j in range(nvars):
-                tails[:, j][:, pos[table[std, j]]] = nf[nonstd]
-            tails = tails.reshape(-1, len(border))
-            leads = table[nonstd].ravel()
-            # a lead off the border takes one of its rows as the reference
-            # phi(lead); which one does not matter, N_k and NF are canonical
-            ref = np.zeros(size, np.intp)
-            ref[leads] = np.arange(len(leads))
-            on = in_border[leads]
-            unit = np.zeros((np.count_nonzero(on), len(border)), dtype)
-            unit[np.arange(len(unit)), pos[leads[on]]] = 1
-            others = np.flatnonzero(~on & (ref[leads] != np.arange(len(leads))))
-            refs = tails[ref[off]]
-            relations = _mod(np.concatenate([
-                unit - tails[on],
-                tails[ref[leads[others]]] - tails[others],
-            ]), p)
+            sk = _staircase(nvars, k, std)
+            border, off = sk.border, sk.off
+            refs, relations = _relations(sk, nf, nvars, p)
         if k in forms:
             rows = (forms[k] % p).astype(dtype)
             on_border = _mod(rows[:, border] + _matmul_mod(rows[:, off], refs, p, dtype), p)
@@ -624,6 +730,7 @@ def _quotient_dims_mod(forms: dict, nvars: int, p: int):
         is_free[pivots] = False
         free, pivots = np.flatnonzero(is_free), np.array(pivots, np.intp)
         rref_free = a[: len(pivots)][:, free]
+        del a, relations  # one array, eliminated in place: not kept into the next degree
         std = border[free]
         nf = np.zeros((size, h), dtype)
         nf[std, np.arange(h)] = 1
@@ -661,16 +768,6 @@ def _empty(forms: dict, nvars: int, field: FieldConfig, k_max: int) -> Emptiness
 
 # ---------------------------------------------------------------------------
 # smoothness of Y = {F = Q = 0}
-
-
-def _gradient(g: Polynomial) -> np.ndarray:
-    """Row i: d/dx_i of g's row in `_by_degree` (its primitive integers, its
-    residues over F_p) on monomials(nvars, deg g - 1), read through
-    `product_index`."""
-    e = g.degree()
-    vec = _by_degree([g])[e][0]
-    # the coefficient of m in d/dx_i g is (m_i + 1) times that of m*x_i
-    return (vec[product_index(g.nvars, 1, e)] * (np.array(monomials(g.nvars, e - 1)) + 1)).T
 
 
 def require_cubic_quadric(nvars: int, df: int, dq: int = 2):

@@ -13,6 +13,8 @@ pivots in one block, and only the reduced remainder goes through the
 Gauss-Jordan loop `_gauss_jordan`, whose reduction mod p is delayed.  The
 dtype follows the modulus: int32 while (p-1)^2 + p < 2^31 (p <= 46337),
 int64 below `_NUMPY_MOD_LIMIT` = 2^31, Python ints in `object` arrays above.
+A block product runs in int64 while the sum of its own inner dimension's
+products fits (`_product_dtype`), whatever the width of the block.
 
 Every exact result over Q (the rref, the kernel, the socle functional) is
 the kernel of an integer matrix A, r x n with primitive integer rows,
@@ -408,11 +410,13 @@ def _gauss_jordan(a, p: int, slack: int) -> list:
     [-k(p-1)^2, p), and reducing it passes through x // p * p >=
     -k(p-1)^2 - p + 1.  Both fit the dtype of `_elimination_dtype` while
     k <= slack.  So only the pivot column is reduced before its nonzero
-    test and the pivot row before it is used; the whole trailing block is
-    reduced after `slack` updates and once at the end.  With slack 1
-    (p = 46337 and `object` entries) the updated rows are reduced at once,
-    as nothing may wait.  The residues, and so the pivots and the result,
-    are those of an elimination that reduces after every update.
+    test and the pivot row before and after its normalisation, each 1-D
+    slice by one `np.remainder` in place; the whole trailing block is
+    reduced by `_mod`'s floor division, after `slack` updates and once at
+    the end.  With slack 1 (p = 46337 and `object` entries) the updated
+    rows are reduced at once, by `_mod`, as nothing may wait.  The
+    residues, and so the pivots and the result, are those of an
+    elimination that reduces after every update.
     """
     nrows, ncols = a.shape
     pivots = []
@@ -420,14 +424,17 @@ def _gauss_jordan(a, p: int, slack: int) -> list:
     for c in range(ncols):
         if r == nrows:
             break
-        nz = _mod(a[:, c], p)[r:].nonzero()[0]
+        column = a[:, c]
+        nz = np.remainder(column, p, out=column)[r:].nonzero()[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
             a[[r, i], c:] = a[[i, r], c:]
-        pivot_row = _mod(a[r, c:], p)
-        _mod(np.multiply(pivot_row, pow(int(pivot_row[0]), -1, p), out=pivot_row), p)
+        pivot_row = a[r, c:]
+        np.remainder(pivot_row, p, out=pivot_row)
+        pivot_row *= pow(int(pivot_row[0]), -1, p)
+        np.remainder(pivot_row, p, out=pivot_row)
         factors = a[:, c].copy()
         factors[r] = 0
         updated = factors.nonzero()[0]
@@ -467,16 +474,27 @@ def _reducers(a) -> tuple:
     return is_lead.nonzero()[0], (~is_lead).nonzero()[0], reducers, is_other.nonzero()[0]
 
 
+def _product_dtype(n: int, p: int):
+    """The dtype of a product of residue arrays mod p whose sums run over n
+    terms: int64 while max(n, 1) (p-1)^2 < 2^63 (so one product of two
+    residues fits too), Python ints in `object` above."""
+    return np.int64 if max(n, 1) * (p - 1) ** 2 < 1 << 63 else object
+
+
 def _reducer_block(a, leads, free, reducers, p: int, wide):
     """The reducers scaled to lead with 1 and back-substituted, last lead
-    first, to the identity on L: their columns F.  a[rows[:, None], cols]
-    is C-ordered (a[:, cols] is not), so row updates run on contiguous rows."""
+    first, to the identity on L: their columns F, as `wide`, each
+    substituted row reduced by one `np.remainder` in place.
+    a[rows[:, None], cols] is C-ordered (a[:, cols] is not), so row updates
+    run on contiguous rows."""
     scale = np.array([pow(v, -1, p) for v in a[reducers, leads].tolist()], wide)[:, None]
     upper = _mod(a[reducers[:, None], leads] * scale, p)  # unit upper triangular
     x = _mod(a[reducers[:, None], free] * scale, p)
     np.fill_diagonal(upper, 0)
     for i in upper.any(1).nonzero()[0][::-1]:
-        x[i] = _mod(x[i] - upper[i, i + 1 :] @ x[i + 1 :], p)
+        row = x[i]
+        row -= upper[i, i + 1 :] @ x[i + 1 :]
+        np.remainder(row, p, out=row)
     return x
 
 
@@ -495,8 +513,9 @@ def _eliminate_mod(rows, ncols: int, p: int):
     pivot.  Exact: a row is zero left of its lead, so subtracting a reducer
     that leads to its right keeps it so; the remainder is zero on L, so its
     pivots are new; the rows are the identity on all pivots and zero left of
-    each lead, the unique rref.  Products run in int64 while ncols (p-1)^2
-    fits, in `object` above, as in `jacobian._matmul_mod`.
+    each lead, the unique rref.  Each product runs in int64 while its own
+    sums fit, len(L) terms for the reducer block, len(new pivots) for the
+    clearing, and in `object` above (`_product_dtype`).
     """
     dtype, slack = _elimination_dtype(p)
     if isinstance(rows, np.ndarray):
@@ -506,8 +525,8 @@ def _eliminate_mod(rows, ncols: int, p: int):
     a = a.reshape(len(rows), ncols)
     if not a.size:  # nothing to eliminate
         return a, []
-    wide = np.int64 if ncols * (p - 1) ** 2 < 1 << 63 else object
     leads, free, reducers, others = _reducers(a)
+    wide = _product_dtype(len(leads), p)
     x = _reducer_block(a, leads, free, reducers, p, wide)
     rest = a[others[:, None], free].astype(wide, copy=False)
     rest -= a[others[:, None], leads].astype(wide, copy=False) @ x
@@ -516,7 +535,8 @@ def _eliminate_mod(rows, ncols: int, p: int):
     # the block is cleared on the new pivots; only its columns off them move
     off = np.ones(len(free), bool)
     off[new] = False
-    x_new, x = x.take(new, 1), x[:, off]
+    wide = _product_dtype(len(new), p)
+    x_new, x = x.take(new, 1).astype(wide, copy=False), x[:, off].astype(wide, copy=False)
     x -= x_new @ rest[: len(new)][:, off].astype(wide, copy=False)
     # rows sorted by pivot column: row at[c] is the one that leads at c
     at = np.zeros(ncols, np.intp)

@@ -25,6 +25,14 @@ Text grammar (whitespace insignificant)::
 A bare coefficient term denotes a degree-0 polynomial (needed so round-trips
 cover constants).  The canonical printer emits terms in the monomial order
 with explicit '*', "p/q" rationals, and no '+-' collapsing.
+
+The parser (`_parse_terms`) reads the text in one `finditer` pass of one
+token pattern, each token's kind the index of its last group, then walks
+the grammar in one flat loop.  A character outside the grammar is reported
+before any grammar error, and every ParseError names the position of the
+offending token.  A coefficient stays a Python int (a Fraction only for
+"p/q") until the field coerces it, once per term; only a monomial that
+repeats is added to its earlier term.
 """
 
 from __future__ import annotations
@@ -120,9 +128,10 @@ def monomial_values(points, k: int, p: int | None = None) -> np.ndarray:
 class Polynomial:
     """Sparse polynomial over an exact field; terms map exponent tuple -> scalar."""
 
-    # _hash and _normalized memoize __hash__ and normalized(): the terms are
-    # never mutated, so both are fixed once computed
-    __slots__ = ("field", "nvars", "family", "terms", "_hash", "_normalized")
+    # _hash, _normalized and _degrees memoize __hash__, normalized() and the
+    # set of the terms' degrees: the terms are never mutated, so each is
+    # fixed once computed
+    __slots__ = ("field", "nvars", "family", "terms", "_hash", "_normalized", "_degrees")
 
     def __init__(self, field: FieldConfig, nvars: int, family: str, terms: dict):
         if family not in FAMILIES:
@@ -140,6 +149,7 @@ class Polynomial:
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_normalized", None)
+        object.__setattr__(self, "_degrees", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Polynomial is immutable")
@@ -174,15 +184,17 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def _term_degrees(self) -> frozenset:
+        if self._degrees is None:
+            object.__setattr__(self, "_degrees", frozenset(map(sum, self.terms)))
+        return self._degrees
+
     def degree(self):
         """Total degree, or None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(sum(m) for m in self.terms)
+        return max(self._term_degrees(), default=None)
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(m) for m in self.terms}
-        return len(degs) <= 1
+        return len(self._term_degrees()) <= 1
 
     def homogeneous_degree(self):
         if not self.is_homogeneous():
@@ -357,109 +369,87 @@ def _format_term(family: str, mono: tuple, coeff) -> str:
 # parser
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([xy])(\d+)|(\^)|(\*)|(/)|(\+)|(-))")
+# the `lastindex` of each kind of token; a variable's last group is its index
+_INT, _VAR, _POW, _MUL, _DIV, _PLUS, _MINUS = 1, 3, 4, 5, 6, 7, 8
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}", pos)
-        if m.end() == m.start():
+def _found(tokens: list, i: int, text: str) -> tuple:
+    """(value, position) of token i as a ParseError names it: an int, a
+    (family, index) pair or the character, at the token's first character;
+    past the last token, (None, len(text))."""
+    if i == len(tokens):
+        return None, len(text)
+    m = tokens[i]
+    if m.lastindex == _INT:
+        return int(m[_INT]), m.start(_INT)
+    if m.lastindex == _VAR:
+        return (m[2], int(m[_VAR])), m.start(2)
+    return m[m.lastindex], m.start(m.lastindex)
+
+
+def _parse_terms(text: str) -> list:
+    """The terms of the text as (coefficient, [(family, index, exponent),
+    ...]): the signed coefficient an int, or a Fraction for 'p/q'.
+
+    One `_TOKEN.finditer` pass, each token's kind its match's `lastindex`;
+    a gap before a match, or text left after the last, is an unexpected
+    character, raised before any grammar error.  Then one loop over the
+    grammar of the module docstring."""
+    tokens, kinds, end = [], [], 0
+    for m in _TOKEN.finditer(text):
+        if m.start() != end:
             break
-        if m.group(1):
-            tokens.append(("INT", int(m.group(1)), m.start(1)))
-        elif m.group(2):
-            tokens.append(("VAR", (m.group(2), int(m.group(3))), m.start(2)))
-        elif m.group(4):
-            tokens.append(("POW", "^", m.start(4)))
-        elif m.group(5):
-            tokens.append(("MUL", "*", m.start(5)))
-        elif m.group(6):
-            tokens.append(("DIV", "/", m.start(6)))
-        elif m.group(7):
-            tokens.append(("PLUS", "+", m.start(7)))
-        else:
-            tokens.append(("MINUS", "-", m.start(8)))
-        pos = m.end()
-    tokens.append(("END", None, len(text)))
-    return tokens
+        tokens.append(m)
+        kinds.append(m.lastindex)
+        end = m.end()
+    rest = text[end:].lstrip()
+    if rest:
+        raise ParseError(f"unexpected character {rest[0]!r}", end)
+    kinds.append(None)  # the end of the text
 
+    def fail(i, message="expected coefficient or variable, found {!r}"):
+        value, pos = _found(tokens, i, text)
+        raise ParseError(message.format(value), pos)
 
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.i = 0
+    def integer(i):  # the value of token i, which must be an int
+        if kinds[i] != _INT:
+            fail(i, "expected INT, found {!r}")
+        return int(tokens[i][_INT])
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def take(self, kind=None):
-        tok = self.tokens[self.i]
-        if kind is not None and tok[0] != kind:
-            raise ParseError(f"expected {kind}, found {tok[1]!r}", tok[2])
-        self.i += 1
-        return tok
-
-    def parse_terms(self):
-        """Yield (sign, coefficient Fraction, [(family, index, exponent)...])."""
-        sign = 1
-        if self.peek()[0] in ("PLUS", "MINUS"):
-            sign = -1 if self.take()[0] == "MINUS" else 1
-        while True:
-            yield self.parse_term(sign)
-            kind = self.peek()[0]
-            if kind == "END":
-                return
-            tok = self.take()
-            if tok[0] == "PLUS":
-                sign = 1
-            elif tok[0] == "MINUS":
-                sign = -1
-            else:
-                raise ParseError(f"expected '+' or '-', found {tok[1]!r}", tok[2])
-
-    def parse_term(self, sign):
-        coeff = Fraction(sign)
-        powers = []
-        first = True
-        while True:
-            kind, val, pos = self.peek()
-            if kind == "INT":
-                if not first:
-                    raise ParseError("coefficient must be the first factor", pos)
-                self.take()
-                num = val
-                if self.peek()[0] == "DIV":
-                    self.take()
-                    dtok = self.take("INT")
-                    if dtok[1] == 0:
-                        raise ParseError("zero denominator", dtok[2])
-                    coeff *= Fraction(num, dtok[1])
-                else:
-                    coeff *= num
-            elif kind == "VAR":
-                self.take()
-                fam, idx = val
-                expo = 1
-                if self.peek()[0] == "POW":
-                    self.take()
-                    etok = self.take("INT")
-                    if etok[1] < 1:
-                        raise ParseError("exponent must be positive", etok[2])
-                    expo = etok[1]
-                powers.append((fam, idx, expo))
-            else:
-                raise ParseError(f"expected coefficient or variable, found {val!r}", pos)
-            first = False
-            if self.peek()[0] != "MUL":
-                break
-            self.take()
-        return coeff, powers
+    terms, i, sign = [], 0, 1
+    if kinds[0] in (_PLUS, _MINUS):
+        sign, i = -1 if kinds[0] == _MINUS else 1, 1
+    while True:
+        coeff, powers, factor = sign, [], True
+        if kinds[i] == _INT:  # the coefficient, first factor or whole term
+            coeff *= integer(i)
+            if kinds[i + 1] == _DIV:
+                den = integer(i + 2)
+                if den == 0:
+                    fail(i + 2, "zero denominator")
+                coeff, i = Fraction(coeff, den), i + 2
+            factor = kinds[i + 1] == _MUL
+            i += 1 + factor
+        while factor:
+            if kinds[i] == _INT:
+                fail(i, "coefficient must be the first factor")
+            if kinds[i] != _VAR:
+                fail(i)
+            expo = 1
+            if kinds[i + 1] == _POW:
+                expo = integer(i + 2)
+                if expo < 1:
+                    fail(i + 2, "exponent must be positive")
+            m, i = tokens[i], i + (3 if kinds[i + 1] == _POW else 1)
+            powers.append((m[2], int(m[_VAR]), expo))
+            factor = kinds[i] == _MUL
+            i += factor
+        terms.append((coeff, powers))
+        if kinds[i] is None:
+            return terms
+        if kinds[i] not in (_PLUS, _MINUS):
+            fail(i, "expected '+' or '-', found {!r}")
+        sign, i = -1 if kinds[i] == _MINUS else 1, i + 1
 
 
 def parse_poly(
@@ -474,7 +464,7 @@ def parse_poly(
     `family` and `expected_degree` enforce; `nvars` defaults to 1 + the
     largest variable index appearing in the text.
     """
-    parsed = list(_Parser(_tokenize(text)).parse_terms())
+    parsed = _parse_terms(text)
     seen_family = None
     max_index = -1
     for _, powers in parsed:
@@ -496,16 +486,13 @@ def parse_poly(
             f"variable index {max_index} out of range for nvars={nvars}"
         )
     terms: dict = {}
-    f = field
     for coeff, powers in parsed:
         expo = [0] * nvars
         for _, idx, e in powers:
             expo[idx] += e
-        mono = tuple(expo)
-        c = f.coerce(coeff)
-        prev = terms.get(mono, f.zero)
-        terms[mono] = f.add(prev, c)
-    p = Polynomial(f, nvars, fam, terms)
+        mono, c = tuple(expo), field.coerce(coeff)
+        terms[mono] = field.add(terms[mono], c) if mono in terms else c
+    p = Polynomial(field, nvars, fam, terms)
     if expected_degree is not None:
         bad = {sum(m) for m in p.terms if sum(m) != expected_degree}
         if bad:

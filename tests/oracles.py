@@ -27,13 +27,16 @@ for checks that every output moves as the mathematics says under a change
 of coordinates, the common zeros of forms over F_p and the evaluation map
 of a point set one point and one term at a time, where the library takes
 block products of monomial values, and the node test in the affine chart
-of the point, where the library reads the rank of F's own Hessian.
+of the point, where the library reads the rank of F's own Hessian, and
+the terms of a polynomial text by a token list and a recursive-descent
+parser, the one the library had before its one-pass `poly._parse_terms`.
 
 These deliberately avoid the library's elimination code paths (modular
 images, quotient shortcuts) so agreement is meaningful.
 """
 
 import math
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -54,6 +57,7 @@ from gradus.errors import (
     AmbientMismatchError,
     CharacteristicError,
     DegeneratePairError,
+    ParseError,
     PreconditionError,
 )
 from gradus.jacobian import (
@@ -186,29 +190,45 @@ def naive_rref_rational(rows, ncols: int):
 
 
 def naive_rank_mod(rows, p):
-    """Textbook dense forward elimination over F_p, every update reduced at
-    once, one numpy block per pivot: int64 while a residue product fits,
-    Python ints in an `object` array above."""
+    """Textbook dense forward elimination over F_p, one numpy block per
+    pivot on the rows below it with a nonzero entry in its column: int64
+    while a residue product fits, Python ints in an `object` array above.
+    An update subtracts f * x with f and x in [0, p), and a row is reduced
+    mod p only once int64 could not take one more such update (after every
+    update in `object` arrays, which never overflow but grow); the pivot
+    column and the pivot row are read mod p."""
     if not len(rows):
         return 0
-    dtype = np.int64 if (p - 1) ** 2 < 1 << 62 else object
-    a = np.array([[int(x) % p for x in row] for row in rows], dtype=dtype)
+    wide = (p - 1) ** 2 < 1 << 62
+    a = np.array(rows, dtype=object) % p
+    a = a.astype(np.int64) if wide else a
+    slack = ((1 << 63) - p) // (p - 1) ** 2 if wide else 1
     nrows, ncols = a.shape
+    pending = np.zeros(nrows, dtype=np.int64)  # unreduced updates per row
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        nz = np.flatnonzero(a[r:, c])
+        col = a[r:, c] % p
+        nz = np.flatnonzero(col)
         if nz.size == 0:
             continue
-        i = r + int(nz[0])
-        a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        # both rows are zero left of column c
-        below = r + 1 + np.flatnonzero(a[r + 1 :, c])
+        i = int(nz[0])
+        if i:
+            a[[r, r + i]] = a[[r + i, r]]
+            pending[[r, r + i]] = pending[[r + i, r]]
+            col[[0, i]] = col[[i, 0]]
+        # both rows are zero mod p left of column c
+        pivot = a[r, c:] % p
+        below = r + 1 + np.flatnonzero(col[1:])
         if below.size:
-            f = a[below, c] * inv % p
-            a[below, c:] = (a[below, c:] - np.multiply.outer(f, a[r, c:])) % p
+            f = col[below - r] * pow(int(col[0]), -1, p) % p
+            a[below, c:] -= np.multiply.outer(f, pivot)
+            pending[below] += 1
+            due = below[pending[below] == slack]
+            if due.size:
+                a[due, c:] %= p
+                pending[due] = 0
         r += 1
     return r
 
@@ -617,3 +637,116 @@ def linear_substitution(f: Polynomial, a) -> Polynomial:
             term = term * image.pow(e)
         out = out + term
     return out
+
+
+_TOKEN = re.compile(r"\s*(?:(\d+)|([xy])(\d+)|(\^)|(\*)|(/)|(\+)|(-))")
+
+
+def _tokenize(text: str):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            raise ParseError(f"unexpected character {stripped[0]!r}", pos)
+        if m.end() == m.start():
+            break
+        if m.group(1):
+            tokens.append(("INT", int(m.group(1)), m.start(1)))
+        elif m.group(2):
+            tokens.append(("VAR", (m.group(2), int(m.group(3))), m.start(2)))
+        elif m.group(4):
+            tokens.append(("POW", "^", m.start(4)))
+        elif m.group(5):
+            tokens.append(("MUL", "*", m.start(5)))
+        elif m.group(6):
+            tokens.append(("DIV", "/", m.start(6)))
+        elif m.group(7):
+            tokens.append(("PLUS", "+", m.start(7)))
+        else:
+            tokens.append(("MINUS", "-", m.start(8)))
+        pos = m.end()
+    tokens.append(("END", None, len(text)))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def take(self, kind=None):
+        tok = self.tokens[self.i]
+        if kind is not None and tok[0] != kind:
+            raise ParseError(f"expected {kind}, found {tok[1]!r}", tok[2])
+        self.i += 1
+        return tok
+
+    def parse_terms(self):
+        """Yield (sign, coefficient Fraction, [(family, index, exponent)...])."""
+        sign = 1
+        if self.peek()[0] in ("PLUS", "MINUS"):
+            sign = -1 if self.take()[0] == "MINUS" else 1
+        while True:
+            yield self.parse_term(sign)
+            kind = self.peek()[0]
+            if kind == "END":
+                return
+            tok = self.take()
+            if tok[0] == "PLUS":
+                sign = 1
+            elif tok[0] == "MINUS":
+                sign = -1
+            else:
+                raise ParseError(f"expected '+' or '-', found {tok[1]!r}", tok[2])
+
+    def parse_term(self, sign):
+        coeff = Fraction(sign)
+        powers = []
+        first = True
+        while True:
+            kind, val, pos = self.peek()
+            if kind == "INT":
+                if not first:
+                    raise ParseError("coefficient must be the first factor", pos)
+                self.take()
+                num = val
+                if self.peek()[0] == "DIV":
+                    self.take()
+                    dtok = self.take("INT")
+                    if dtok[1] == 0:
+                        raise ParseError("zero denominator", dtok[2])
+                    coeff *= Fraction(num, dtok[1])
+                else:
+                    coeff *= num
+            elif kind == "VAR":
+                self.take()
+                fam, idx = val
+                expo = 1
+                if self.peek()[0] == "POW":
+                    self.take()
+                    etok = self.take("INT")
+                    if etok[1] < 1:
+                        raise ParseError("exponent must be positive", etok[2])
+                    expo = etok[1]
+                powers.append((fam, idx, expo))
+            else:
+                raise ParseError(f"expected coefficient or variable, found {val!r}", pos)
+            first = False
+            if self.peek()[0] != "MUL":
+                break
+            self.take()
+        return coeff, powers
+
+
+def parse_terms_by_tokens(text: str) -> list:
+    """The terms of a polynomial text, (coefficient Fraction, [(family,
+    index, exponent), ...]), from a token list and a recursive-descent
+    parser; ParseError with the library's messages and positions."""
+    return list(_Parser(_tokenize(text)).parse_terms())

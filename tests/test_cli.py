@@ -186,6 +186,14 @@ def test_special_q_past_the_work_budget(monkeypatch):
     assert len(special_q(QQ, 49, 3).terms) == math.comb(50, 3) and built == [(range(50), 3)]
 
 
+def test_sweep_degrees_past_the_work_budget():
+    # x0^99999999999 would sweep T+2 = 99999999999 degrees: refused before
+    # the first, and before the smooth reference walks T
+    for command in ("smooth", "milnor-dims"):
+        results = _budget_results(command, "--poly", "x0^99999999999")
+        assert "sweeps 99999999999 degrees" in results["reason"]
+
+
 def test_macaulay_budget_counts_the_whole_matrix():
     # every G drawn in the perp of the Fermat quartic's J_4 is singular at
     # the coordinate points, so its certificate needs the exact J_11: five

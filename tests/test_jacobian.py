@@ -38,12 +38,15 @@ from gradus.errors import BudgetExhaustedError, PreconditionError, ZeroPolynomia
 from gradus.jacobian import (
     MACAULAY_CELLS,
     SCAN_CELLS,
+    SKELETON_MEMO_DIM,
     _by_degree,
     _common_zeros_mod,
     _integer_rows,
     _milnor_sweep,
+    _partials_table,
     _quotient_dims_mod,
     _shifted_rows,
+    partials,
 )
 from gradus.linalg import _primitive
 from gradus.poly import random_linear_form
@@ -721,3 +724,92 @@ def test_milnor_dim_at_a_node_read_off_the_sweep(monkeypatch, nodal_cubic):
     calls.clear()
     far = _sheared(nodal_cubic, 0, (0, 100, 0, 0, 0))
     assert milnor_dim(far, 6) == 1 and calls == [350]
+
+
+@pytest.mark.parametrize("p", [None, 3, 13, DEFAULT_PRIME])
+def test_partials_table_reads_the_gradient(p):
+    # the partials' rows read off F's gradient are those of the partials
+    # built as Polynomials: primitive and signed over Q, residues over F_p,
+    # zero rows dropped; also with p <= d, where p*m_i kills a partial's
+    # term, with a variable missing, and with coefficients that p divides
+    field = QQ if p is None else FieldConfig.prime_field(p)
+    stream = SeedStream(17)
+    forms = [
+        parse_poly(f"x1^3+x2^3+x3^3+x4^3+{DEFAULT_PRIME}*x0^3+{DEFAULT_PRIME}*x0^2*x1", field),
+        parse_poly("x0^3 + x1^3 + 3*x2^3 - 13*x0*x1*x2", field),
+        parse_poly("-2/7*x0*x1 + 5*x2^2", field, nvars=4),
+        parse_poly("-x2", field, nvars=3),
+    ]
+    for nvars, d in ((1, 1), (2, 3), (3, 2), (4, 4), (5, 3)):
+        f = random_poly(field, stream, nvars, d, 40)
+        scaled = {m: c * (3, 13, DEFAULT_PRIME, 1)[i % 4] for i, (m, c) in enumerate(f.terms.items())}
+        forms += [f, Polynomial(field, nvars, "x", scaled),
+                  Polynomial(field, nvars, "x", {m: c for m, c in f.terms.items() if not m[-1]})]
+    for f in (g for g in forms if not g.is_zero()):
+        table, rows = _partials_table(f), _by_degree(partials(f))
+        assert table.keys() == rows.keys(), f
+        assert all(table[e].dtype == object and table[e].tolist() == rows[e].tolist() for e in rows), f
+
+
+def test_a_smooth_sweep_builds_no_partial(monkeypatch, smooth_cubics):
+    # a smooth survey draw reads its partials' rows off F's gradient
+    built = []
+    partial = Polynomial.partial
+    monkeypatch.setattr(Polynomial, "partial", lambda g, i: built.append(i) or partial(g, i))
+    _clear_milnor_caches()
+    for field in (QQ, FieldConfig.prime_field(DEFAULT_PRIME)):
+        f = parse_poly(str(smooth_cubics[2]), field, nvars=5)
+        assert is_smooth_hypersurface(f).is_smooth
+        assert list(milnor_profile(f).dims) == smooth_reference_dims(5, 3)
+    assert built == []
+
+
+def _skeleton_spy(monkeypatch) -> list:
+    """The degrees of the sweep skeletons built from now on, with the memo
+    emptied."""
+    built, skeleton = [], jacobian._skeleton
+    monkeypatch.setattr(jacobian, "_skeleton", lambda nvars, k, std: built.append(k) or skeleton(nvars, k, std))
+    jacobian._memo_skeleton.cache_clear()
+    return built
+
+
+def test_dense_cubics_share_every_sweep_skeleton(monkeypatch):
+    # two dense cubics have one staircase at every degree, over Q and over
+    # F_p: the second sweep builds no skeleton at any degree >= 1
+    built = _skeleton_spy(monkeypatch)
+    stream = SeedStream(29)
+    for field in (QQ, FieldConfig.prime_field(DEFAULT_PRIME)):
+        hs = []
+        for _ in range(2):
+            built.clear()
+            f = random_poly(field, stream, 5, 3, 10)
+            hs.append([h for _, h in itertools.islice(_quotient_dims_mod(_partials_table(f), 5, DEFAULT_PRIME), 7)])
+        assert hs == [[1, 5, 10, 10, 5, 1, 0]] * 2 and built == []
+
+
+def test_sweep_skeletons_above_the_bound_are_not_memoized(monkeypatch):
+    # a kmax-14 (F, Q, minors) sweep that never fills up: a second run
+    # rebuilds exactly the degrees with dim S_k above SKELETON_MEMO_DIM
+    built = _skeleton_spy(monkeypatch)
+    f = parse_poly("x0*x1^2+x1^3+x2^3+x3^3+x4^3", QQ)
+    gens = _ci_system(f, parse_poly("x0*x1+x2*x3+x4^2", QQ))
+    assert not projective_empty(gens, 14).certified and built == list(range(1, 15))
+    built.clear()
+    assert not projective_empty(gens, 14).certified
+    assert built == [k for k in range(1, 15) if graded_dim(5, k) > SKELETON_MEMO_DIM] == [11, 12, 13, 14]
+    assert jacobian._memo_skeleton.cache_info().currsize == 10
+
+
+def test_sweep_degrees_are_bounded_before_the_first(monkeypatch):
+    # T+2 = nvars*(d-2) + 2 degrees above WORK_BUDGET: refused before the
+    # sweep and before the smooth reference walks T
+    monkeypatch.setattr(jacobian, "WORK_BUDGET", 10)
+    assert len(smooth_reference_dims(2, 6)) == 9
+    with pytest.raises(BudgetExhaustedError, match="sweeps 12 degrees"):
+        smooth_reference_dims(2, 7)
+    sweeps = []
+    monkeypatch.setattr(jacobian, "_quotient_dims_mod", lambda *a: sweeps.append(a))
+    _clear_milnor_caches()
+    with pytest.raises(BudgetExhaustedError, match="above the work budget of 10"):
+        is_smooth_hypersurface(parse_poly("x0^7 + x1^7", QQ))
+    assert sweeps == []

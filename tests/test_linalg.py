@@ -335,6 +335,26 @@ def test_echelon_rows_with_distinct_leads_skip_the_column_loop(monkeypatch, p):
     assert a.tolist() == naive_rref_mod(rows, ncols, p)[0]
 
 
+def test_block_products_run_in_int64_while_their_sums_fit(monkeypatch):
+    # at the lift prime (about 2^26) int64 holds a sum of up to 2047
+    # products of two residues; a block 2100 columns wide whose products sum
+    # over a few leads and new pivots reduces only int64 arrays, never
+    # Python ints, and still gives the rref
+    p, ncols = linalg._LIFT_PRIME, 2100
+    assert ncols * (p - 1) ** 2 >= 1 << 63 > 2047 * (p - 1) ** 2
+    assert linalg._elimination_dtype(p)[0] is np.int64
+    rng = np.random.default_rng(3)
+    rows = rng.integers(0, p, (8, ncols)).tolist()
+    for i, lead in ((5, 4), (6, 9), (7, 9)):  # three more rows, two leads
+        rows[i][:lead] = [0] * lead
+    reduced, mod = [], linalg._mod
+    monkeypatch.setattr(linalg, "_mod", lambda x, p: reduced.append(x.dtype) or mod(x, p))
+    a, pivots = linalg._eliminate_mod(rows, ncols, p)
+    assert reduced and set(reduced) == {np.dtype(np.int64)}
+    expected, expected_pivots = naive_rref_mod(rows, ncols, p)
+    assert pivots == expected_pivots and a.tolist() == expected
+
+
 def test_rank_mod_leaves_a_caller_array_as_it_is():
     # _eliminate_mod eliminates an array of its own dtype in place, with no
     # copy; rank_mod must not change a caller's array of that dtype

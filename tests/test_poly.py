@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradus import (
     FieldConfig,
@@ -21,7 +23,9 @@ from gradus.errors import (
     PreconditionError,
 )
 
-from .oracles import pairing_by_differentiation
+from gradus.poly import _parse_terms
+
+from .oracles import pairing_by_differentiation, parse_terms_by_tokens
 
 QQ = FieldConfig.rationals()
 
@@ -68,6 +72,51 @@ def test_parse_wrong_family_rejected():
 def test_parse_coefficient_must_lead():
     with pytest.raises(ParseError):
         parse_poly("x0*2", QQ)
+
+
+# tokens, whitespace and characters outside the grammar
+_PIECES = ("0", "3", "12", "007", "x", "y", "x0", "x1", "y2", "x10", "^", "*", "/", "+", "-",
+           " ", "\t", "$", "z", ".", "\u0663", "\u00a0")
+
+
+@st.composite
+def polynomial_texts(draw):
+    """Terms of the grammar, signed and spaced at random (coefficients and
+    exponents may be 0, coefficients p/q), then up to three of _PIECES
+    spliced in at random places."""
+    def power():
+        return (draw(st.sampled_from("xy")) + str(draw(st.integers(0, 12)))
+                + draw(st.sampled_from(["", "^0", "^1", "^3", "^12"])))
+
+    terms = []
+    for _ in range(draw(st.integers(0, 4))):
+        factors = [power() for _ in range(draw(st.integers(0, 3)))]
+        if not factors or draw(st.booleans()):
+            factors.insert(0, str(draw(st.integers(0, 99))) + draw(st.sampled_from(["", "/0", "/1", "/6"])))
+        terms.append(draw(st.sampled_from(["+", "-", " + ", " - "])) + draw(st.sampled_from(["*", " * "])).join(factors))
+    text = "".join(terms)
+    text = text.lstrip(" +") if draw(st.booleans()) else text
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(_PIECES)) + text[at:]
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(polynomial_texts())
+def test_one_pass_parser_matches_token_parser(text):
+    # the same terms, or the same ParseError message at the same position,
+    # as the token-list parser the library had before; coefficients stay
+    # ints where the text has no fraction
+    def terms(parse):
+        try:
+            return [(Fraction(c), powers) for c, powers in parse(text)]
+        except ParseError as err:
+            return str(err), err.position
+
+    assert terms(_parse_terms) == terms(parse_terms_by_tokens)
+    if "/" not in text and isinstance(terms(_parse_terms), list):
+        assert all(type(c) is int for c, _ in _parse_terms(text))
 
 
 def test_print_parse_roundtrip():
