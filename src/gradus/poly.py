@@ -435,15 +435,15 @@ def _parse_terms(text: str) -> list:
                 fail(i, "coefficient must be the first factor")
             if kinds[i] != _VAR:
                 fail(i)
-            expo = 1
+            m, expo = tokens[i], 1
             if kinds[i + 1] == _POW:
                 expo = integer(i + 2)
                 if expo < 1:
                     fail(i + 2, "exponent must be positive")
-            m, i = tokens[i], i + (3 if kinds[i + 1] == _POW else 1)
+                i += 2
             powers.append((m[2], int(m[_VAR]), expo))
-            factor = kinds[i] == _MUL
-            i += factor
+            factor = kinds[i + 1] == _MUL
+            i += 1 + factor
         terms.append((coeff, powers))
         if kinds[i] is None:
             return terms
