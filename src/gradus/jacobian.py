@@ -142,6 +142,7 @@ from .linalg import (
     FieldConfig,
     GradedSubspace,
     Matrix,
+    _common_denominator,
     _eliminate_mod,
     _elimination_dtype,
     _mod,
@@ -166,7 +167,7 @@ MACAULAY_CELLS = 2 * WORK_BUDGET
 # sixteenth, against 30.3 MB for a loop over single points (2 cores, Python
 # 3.11); smaller blocks peak no lower and run slower
 SCAN_CELLS = WORK_BUDGET // 16
-# the largest dim S_k whose sweep skeleton (`_staircase`) is memoized: every
+# the largest dim S_k whose sweep skeleton (`_skeleton`) is memoized: every
 # degree of a cubic threefold's sweep (S_7 has 330 monomials).  Unbounded,
 # the memo raised the peak RSS of `ci-smooth --kmax 40` on a singular
 # (cubic, quadric) pair, whose large degrees each come once, from 519 to
@@ -247,21 +248,36 @@ class EmptinessResult:
 # generator rows
 
 
+def _primitive_rows(rows: np.ndarray) -> np.ndarray:
+    """The nonzero rows of an integer `object` array on monomials(nvars, e),
+    each divided by the gcd of its entries and signed as `_primitive` signs
+    a form, its last nonzero entry (its smallest monomial) positive."""
+    rows = rows[(rows != 0).any(axis=1)]
+    last = rows.shape[1] - 1 - (rows[:, ::-1] != 0).argmax(axis=1)
+    g = abs(np.gcd.reduce(rows, axis=1))  # one entry reduces to itself
+    rows //= np.where(rows[np.arange(len(rows)), last] < 0, -g, g)[:, None]
+    return rows
+
+
 def _by_degree(gens) -> dict:
     """The integer image of the homogeneous forms `gens`: degree e -> an
     `object` array whose rows are the coefficient vectors, on
     monomials(nvars, e), of the nonzero forms of degree e in generator
-    order.  A rational form is scaled to primitive integers on its own (the
-    same ideal and zero locus, no denominator to vanish mod p); a
-    prime-field form keeps its residues."""
+    order.  A rational form is scaled to primitive integers on its own
+    (`_primitive_rows`: the same ideal and zero locus, no denominator to
+    vanish mod p); a prime-field form keeps its residues."""
     rows: dict = {}
+    rational = False
     for g in gens:
         if not g.is_zero():
-            e = g.homogeneous_degree()
+            e, rational = g.homogeneous_degree(), g.field.is_rational
             idx, row = monomial_index(g.nvars, e), [0] * graded_dim(g.nvars, e)
-            for m, v in (_primitive(g.terms) if g.field.is_rational else g.terms).items():
+            values = _common_denominator(g.terms.values())[0] if rational else g.terms.values()
+            for m, v in zip(g.terms, values):
                 row[idx[m]] = v
             rows.setdefault(e, []).append(row)
+    if rational:
+        return {e: _primitive_rows(np.array(r, dtype=object)) for e, r in rows.items()}
     return {e: np.array(r, dtype=object) for e, r in rows.items()}
 
 
@@ -277,17 +293,13 @@ def _gradient(g: Polynomial) -> np.ndarray:
 
 def _partials_table(f: Polynomial) -> dict:
     """`_by_degree(partials(f))` read off `_gradient(f)`, with no partial
-    built as a Polynomial: over Q each row divided by the gcd of its
-    entries, signed as `_primitive` signs, its last nonzero entry in
-    monomial order positive; over F_p each row reduced; zero rows
-    dropped."""
-    rational = f.field.is_rational
-    rows = _gradient(f) if rational else _gradient(f) % f.field.modulus
-    rows = rows[(rows != 0).any(axis=1)]
-    if rational:
-        last = rows.shape[1] - 1 - (rows[:, ::-1] != 0).argmax(axis=1)
-        g = abs(np.gcd.reduce(rows, axis=1))  # one entry reduces to itself
-        rows //= np.where(rows[np.arange(len(rows)), last] < 0, -g, g)[:, None]
+    built as a Polynomial: over Q the rows made primitive
+    (`_primitive_rows`), over F_p reduced, zero rows dropped."""
+    if f.field.is_rational:
+        rows = _primitive_rows(_gradient(f))
+    else:
+        rows = _gradient(f) % f.field.modulus
+        rows = rows[(rows != 0).any(axis=1)]
     return {f.degree() - 1: rows} if len(rows) else {}
 
 
@@ -618,8 +630,8 @@ def ideal_graded(generators, k: int) -> GradedSubspace:
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int, dtype) -> np.ndarray:
     """a @ b mod p for arrays of residues, as `dtype`: summed in int64 while
-    a.shape[1] products of two residues cannot reach 2^63, in Python ints
-    otherwise (`_product_dtype`)."""
+    p < 2^31 and a.shape[1] products of two residues cannot reach 2^63, in
+    Python ints otherwise (`_product_dtype`)."""
     wide = _product_dtype(a.shape[1], p)
     return _mod(a.astype(wide) @ b.astype(wide), p).astype(dtype)
 
@@ -638,11 +650,14 @@ class _Skeleton(NamedTuple):
     refs: np.ndarray  # the tails row that is phi of each monomial off the border
 
 
-def _skeleton(nvars: int, k: int, std: np.ndarray) -> _Skeleton:
-    """The `_Skeleton` of degree k >= 1 over the staircase `std`, the
-    positions of N_(k-1) in monomials(nvars, k-1).  tails has one row
-    i * nvars + j = x_j * NF(m_i) on the border per nonstandard m_i and
-    variable j, and then one zero row."""
+@lru_cache(maxsize=CACHE_SIZE)
+def _skeleton(nvars: int, k: int, std: bytes) -> _Skeleton:
+    """The `_Skeleton` of degree k >= 1 over the staircase N_(k-1), given
+    by the bytes of its positions in monomials(nvars, k-1) as intp.  tails
+    has one row i * nvars + j = x_j * NF(m_i) on the border per nonstandard
+    m_i and variable j, and then one zero row.  Memoized; the sweep calls
+    `_skeleton.__wrapped__` above SKELETON_MEMO_DIM."""
+    std = np.frombuffer(std, np.intp)
     size = graded_dim(nvars, k)
     table = product_index(nvars, 1, k)
     in_border = np.zeros(size, bool)
@@ -668,19 +683,6 @@ def _skeleton(nvars: int, k: int, std: np.ndarray) -> _Skeleton:
     for a in skeleton:
         a.flags.writeable = False
     return skeleton
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _memo_skeleton(nvars: int, k: int, std: bytes) -> _Skeleton:
-    return _skeleton(nvars, k, np.frombuffer(std, np.intp))
-
-
-def _staircase(nvars: int, k: int, std: np.ndarray) -> _Skeleton:
-    """`_skeleton`, memoized on the bytes of `std` while dim S_k <=
-    SKELETON_MEMO_DIM."""
-    if graded_dim(nvars, k) <= SKELETON_MEMO_DIM:
-        return _memo_skeleton(nvars, k, std.tobytes())
-    return _skeleton(nvars, k, std)
 
 
 def _relations(sk: _Skeleton, nf: np.ndarray, nvars: int, p: int) -> tuple:
@@ -712,7 +714,8 @@ def _quotient_dims_mod(forms: dict, nvars: int, p: int):
             border, off = np.arange(1), np.arange(0)
             refs = relations = np.zeros((0, 1), dtype)
         else:
-            sk = _staircase(nvars, k, std)
+            build = _skeleton if size <= SKELETON_MEMO_DIM else _skeleton.__wrapped__
+            sk = build(nvars, k, std.tobytes())
             border, off = sk.border, sk.off
             refs, relations = _relations(sk, nf, nvars, p)
         if k in forms:

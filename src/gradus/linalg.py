@@ -13,8 +13,9 @@ pivots in one block, and only the reduced remainder goes through the
 Gauss-Jordan loop `_gauss_jordan`, whose reduction mod p is delayed.  The
 dtype follows the modulus: int32 while (p-1)^2 + p < 2^31 (p <= 46337),
 int64 below `_NUMPY_MOD_LIMIT` = 2^31, Python ints in `object` arrays above.
-A block product runs in int64 while the sum of its own inner dimension's
-products fits (`_product_dtype`), whatever the width of the block.
+Below 2^31 a block product runs in int64 while the sum of its own inner
+dimension's products fits (`_product_dtype`), whatever the width of the
+block; above, it runs on Python ints, as the residues do.
 
 Every exact result over Q (the rref, the kernel, the socle functional) is
 the kernel of an integer matrix A, r x n with primitive integer rows,
@@ -476,8 +477,11 @@ def _reducers(a) -> tuple:
 
 def _product_dtype(n: int, p: int):
     """The dtype of a product of residue arrays mod p whose sums run over n
-    terms: int64 while max(n, 1) (p-1)^2 < 2^63 (so one product of two
-    residues fits too), Python ints in `object` above."""
+    terms: int64 while the residues are fixed-width (p < `_NUMPY_MOD_LIMIT`)
+    and max(n, 1) (p-1)^2 < 2^63, Python ints in `object` otherwise, so a
+    product of `object` residues is never subtracted into an int64 array."""
+    if p >= _NUMPY_MOD_LIMIT:
+        return object
     return np.int64 if max(n, 1) * (p - 1) ** 2 < 1 << 63 else object
 
 
@@ -513,9 +517,10 @@ def _eliminate_mod(rows, ncols: int, p: int):
     pivot.  Exact: a row is zero left of its lead, so subtracting a reducer
     that leads to its right keeps it so; the remainder is zero on L, so its
     pivots are new; the rows are the identity on all pivots and zero left of
-    each lead, the unique rref.  Each product runs in int64 while its own
-    sums fit, len(L) terms for the reducer block, len(new pivots) for the
-    clearing, and in `object` above (`_product_dtype`).
+    each lead, the unique rref.  Below 2^31 each product runs in int64
+    while its own sums fit, len(L) terms for the reducer block, len(new
+    pivots) for the clearing, and in `object` above; at p >= 2^31 always in
+    `object`, as the residues are (`_product_dtype`).
     """
     dtype, slack = _elimination_dtype(p)
     if isinstance(rows, np.ndarray):

@@ -190,45 +190,31 @@ def naive_rref_rational(rows, ncols: int):
 
 
 def naive_rank_mod(rows, p):
-    """Textbook dense forward elimination over F_p, one numpy block per
-    pivot on the rows below it with a nonzero entry in its column: int64
-    while a residue product fits, Python ints in an `object` array above.
-    An update subtracts f * x with f and x in [0, p), and a row is reduced
-    mod p only once int64 could not take one more such update (after every
-    update in `object` arrays, which never overflow but grow); the pivot
-    column and the pivot row are read mod p."""
+    """Textbook dense forward elimination over F_p, every update reduced at
+    once, one numpy block per pivot on the rows below it with a nonzero
+    entry in its column: int64 while a residue product fits, Python ints in
+    an `object` array above."""
     if not len(rows):
         return 0
-    wide = (p - 1) ** 2 < 1 << 62
     a = np.array(rows, dtype=object) % p
-    a = a.astype(np.int64) if wide else a
-    slack = ((1 << 63) - p) // (p - 1) ** 2 if wide else 1
+    a = a.astype(np.int64) if (p - 1) ** 2 < 1 << 62 else a
     nrows, ncols = a.shape
-    pending = np.zeros(nrows, dtype=np.int64)  # unreduced updates per row
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        col = a[r:, c] % p
-        nz = np.flatnonzero(col)
+        nz = np.flatnonzero(a[r:, c])
         if nz.size == 0:
             continue
-        i = int(nz[0])
-        if i:
-            a[[r, r + i]] = a[[r + i, r]]
-            pending[[r, r + i]] = pending[[r + i, r]]
-            col[[0, i]] = col[[i, 0]]
-        # both rows are zero mod p left of column c
-        pivot = a[r, c:] % p
-        below = r + 1 + np.flatnonzero(col[1:])
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        inv = pow(int(a[r, c]), -1, p)
+        # both rows are zero left of column c
+        below = r + 1 + np.flatnonzero(a[r + 1 :, c])
         if below.size:
-            f = col[below - r] * pow(int(col[0]), -1, p) % p
-            a[below, c:] -= np.multiply.outer(f, pivot)
-            pending[below] += 1
-            due = below[pending[below] == slack]
-            if due.size:
-                a[due, c:] %= p
-                pending[due] = 0
+            f = a[below, c] * inv % p
+            a[below, c:] = (a[below, c:] - np.multiply.outer(f, a[r, c:])) % p
         r += 1
     return r
 

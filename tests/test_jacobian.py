@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -49,7 +50,7 @@ from gradus.jacobian import (
     partials,
 )
 from gradus.linalg import _primitive
-from gradus.poly import random_linear_form
+from gradus.poly import monomial_index, random_linear_form
 
 from .oracles import (
     ci_smooth_by_fraction_minors,
@@ -726,12 +727,26 @@ def test_milnor_dim_at_a_node_read_off_the_sweep(monkeypatch, nodal_cubic):
     assert milnor_dim(far, 6) == 1 and calls == [350]
 
 
+def _rows_form_by_form(gens) -> dict:
+    """`_by_degree(gens)` as lists, each rational form made primitive on its
+    own by `linalg._primitive`, the rule's one scalar statement."""
+    rows: dict = {}
+    for g in (g for g in gens if not g.is_zero()):
+        e = g.homogeneous_degree()
+        idx, row = monomial_index(g.nvars, e), [0] * graded_dim(g.nvars, e)
+        for m, v in (_primitive(g.terms) if g.field.is_rational else g.terms).items():
+            row[idx[m]] = v
+        rows.setdefault(e, []).append(row)
+    return rows
+
+
 @pytest.mark.parametrize("p", [None, 3, 13, DEFAULT_PRIME])
 def test_partials_table_reads_the_gradient(p):
     # the partials' rows read off F's gradient are those of the partials
     # built as Polynomials: primitive and signed over Q, residues over F_p,
     # zero rows dropped; also with p <= d, where p*m_i kills a partial's
-    # term, with a variable missing, and with coefficients that p divides
+    # term, with a variable missing, and with coefficients that p divides.
+    # Both tables, and F's own, are those of `_primitive` form by form
     field = QQ if p is None else FieldConfig.prime_field(p)
     stream = SeedStream(17)
     forms = [
@@ -746,9 +761,11 @@ def test_partials_table_reads_the_gradient(p):
         forms += [f, Polynomial(field, nvars, "x", scaled),
                   Polynomial(field, nvars, "x", {m: c for m, c in f.terms.items() if not m[-1]})]
     for f in (g for g in forms if not g.is_zero()):
-        table, rows = _partials_table(f), _by_degree(partials(f))
-        assert table.keys() == rows.keys(), f
-        assert all(table[e].dtype == object and table[e].tolist() == rows[e].tolist() for e in rows), f
+        expected = _rows_form_by_form(partials(f))
+        for table in (_partials_table(f), _by_degree(partials(f))):
+            assert {e: rows.tolist() for e, rows in table.items()} == expected, f
+            assert all(rows.dtype == object for rows in table.values()), f
+        assert {e: rows.tolist() for e, rows in _by_degree([f]).items()} == _rows_form_by_form([f]), f
 
 
 def test_a_smooth_sweep_builds_no_partial(monkeypatch, smooth_cubics):
@@ -765,11 +782,12 @@ def test_a_smooth_sweep_builds_no_partial(monkeypatch, smooth_cubics):
 
 
 def _skeleton_spy(monkeypatch) -> list:
-    """The degrees of the sweep skeletons built from now on, with the memo
-    emptied."""
-    built, skeleton = [], jacobian._skeleton
-    monkeypatch.setattr(jacobian, "_skeleton", lambda nvars, k, std: built.append(k) or skeleton(nvars, k, std))
-    jacobian._memo_skeleton.cache_clear()
+    """The degrees of the sweep skeletons built from now on: `_skeleton`
+    memoized afresh, as the library memoizes it, over its builder with each
+    build logged, so the builds past the memo are logged too."""
+    built, build = [], jacobian._skeleton.__wrapped__
+    spy = functools.lru_cache(maxsize=linalg.CACHE_SIZE)(lambda nvars, k, std: built.append(k) or build(nvars, k, std))
+    monkeypatch.setattr(jacobian, "_skeleton", spy)
     return built
 
 
@@ -797,7 +815,7 @@ def test_sweep_skeletons_above_the_bound_are_not_memoized(monkeypatch):
     built.clear()
     assert not projective_empty(gens, 14).certified
     assert built == [k for k in range(1, 15) if graded_dim(5, k) > SKELETON_MEMO_DIM] == [11, 12, 13, 14]
-    assert jacobian._memo_skeleton.cache_info().currsize == 10
+    assert jacobian._skeleton.cache_info().currsize == 10
 
 
 def test_sweep_degrees_are_bounded_before_the_first(monkeypatch):

@@ -247,9 +247,10 @@ def test_graded_subspace_equality_is_structural():
 
 # primes on both sides of the eliminator's dtype switches: int32 up to 46337
 # (slack 21 at 10007, 5 at 20011, 1 at 46337), int64 from 46349 to 2^31 - 1,
-# `object` above
+# `object` above, both where a product of two residues would fit int64
+# (2^31 + 11) and where it would not (2^61 - 1)
 ELIMINATION_PRIMES = (
-    2, 3, 101, 10007, 20011, 46337, 46349, (1 << 31) - 1, (1 << 61) - 1
+    2, 3, 101, 10007, 20011, 46337, 46349, (1 << 31) - 1, (1 << 31) + 11, (1 << 61) - 1
 )
 
 
@@ -315,6 +316,19 @@ def test_eliminate_mod_matches_naive_gauss_jordan(matrix, p):
     expected, expected_pivots = naive_rref_mod(rows, ncols, p)
     assert pivots == expected_pivots
     assert a.tolist() == expected + [[0] * ncols] * (len(rows) - len(pivots))
+
+
+@pytest.mark.parametrize("p", [(1 << 31) + 11, 3037000493])
+def test_rows_sharing_one_lead_reduce_at_every_prime(p):
+    # one lead, so each product sums a single term, which would fit int64
+    # up to the largest prime 3037000493 with (p-1)^2 < 2^63; but above 2^31
+    # the residues are Python ints and the remainder's update stays in them
+    rows, ncols = [[1, 2], [1, 3]], 2
+    assert linalg._eliminate_mod(rows, ncols, p)[0].tolist() == [[1, 0], [0, 1]]
+    rows, ncols = [[2, 5, p - 1], [3, 1, 4], [p - 1, 0, 7]], 3
+    a, pivots = linalg._eliminate_mod(rows, ncols, p)
+    expected, expected_pivots = naive_rref_mod(rows, ncols, p)
+    assert pivots == expected_pivots and a.tolist() == expected
 
 
 @pytest.mark.parametrize("p", [10007, (1 << 31) - 1, (1 << 61) - 1])
