@@ -33,9 +33,9 @@ from .errors import (
     PreconditionError,
     RangeError,
 )
-from .jacobian import _by_degree, _common_zeros_mod, _gradient, _zeros_of, milnor_dim, partials
-from .jacobian import smooth_reference_dims
-from .linalg import WORK_BUDGET, FieldConfig, Matrix, rank
+from .jacobian import _by_degree, _common_zeros_mod, _gradient, _primitive_rows, _zeros_of, milnor_dim
+from .jacobian import partials, smooth_reference_dims
+from .linalg import DEFAULT_PRIME, WORK_BUDGET, FieldConfig, Matrix, _common_denominator, rank, rank_mod
 from .poly import Polynomial, graded_dim, monomial_values
 
 
@@ -226,23 +226,43 @@ def is_node(f: Polynomial, point) -> bool:
 # evaluation maps and defects
 
 
-def evaluation_matrix(points: PointSet, k: int) -> Matrix:
-    """Rows = values of the degree-k monomial basis at each point, by
-    `monomial_values`; BudgetExhaustedError, before the monomials are
-    listed, when points x monomials is above WORK_BUDGET."""
+def _evaluation_columns(points: PointSet, k: int) -> int:
+    """dim S_k, the columns of the degree-k evaluation map on the points;
+    BudgetExhaustedError, before the monomials are listed, when points x
+    monomials is above WORK_BUDGET."""
     if k < 0:
         raise PreconditionError("degree must be nonnegative")
-    field, ncols = points.field, graded_dim(points.nvars, k)
+    ncols = graded_dim(points.nvars, k)
     if len(points) * ncols > WORK_BUDGET:
         raise BudgetExhaustedError(f"the degree-{k} evaluation map on {len(points)} points has "
                                    f"{len(points) * ncols} cells, above the work budget of {WORK_BUDGET}")
+    return ncols
+
+
+def evaluation_matrix(points: PointSet, k: int) -> Matrix:
+    """Rows = values of the degree-k monomial basis at each point, by
+    `monomial_values`; bounded by `_evaluation_columns`."""
+    field, ncols = points.field, _evaluation_columns(points, k)
     pts = np.array(points.points, dtype=object).reshape(len(points), points.nvars)
     return Matrix(field, monomial_values(pts, k, field.modulus).tolist(), ncols)
 
 
 def defect(points: PointSet, k: int) -> DefectReport:
-    theta = evaluation_matrix(points, k)
-    r = rank(theta)
+    """Number of points less the rank of the degree-k evaluation map.  Over
+    Q each point is scaled to primitive integers, which scales its row by a
+    nonzero power and keeps the rank; their rank mod DEFAULT_PRIME is a
+    lower bound, promoted when full, and the exact rank of the integer rows
+    decides otherwise.  Over F_p it is the rank of `evaluation_matrix`."""
+    field = points.field
+    if not field.is_rational:
+        r = rank(evaluation_matrix(points, k))
+    else:
+        ncols, p = _evaluation_columns(points, k), DEFAULT_PRIME
+        pts = np.array([_common_denominator(pt)[0] for pt in points.points], dtype=object)
+        pts = _primitive_rows(pts.reshape(len(points), points.nvars))
+        r = min(len(points), ncols)
+        if rank_mod(monomial_values(pts % p, k, p), ncols, p) < r:
+            r = rank(Matrix(field, monomial_values(pts, k).tolist(), ncols))
     return DefectReport(k, len(points), r, len(points) - r)
 
 

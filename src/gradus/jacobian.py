@@ -61,9 +61,10 @@ costs a second sweep or elimination.  The record's `dim` is the one
 exactness rule: h_k is dim (S/J_F)_k where it equals ref_k (past T+1 only
 when h_{T+1} = 0), and any other degree takes the exact route,
 graded_dim - dim J_k by rref.  Over F_p the sweep runs in the field
-itself, so ref is hs.  Over the rationals ref_k is the smooth reference,
-`smooth_reference_dims(n, d)[k]`, then at T+1 1 where a node was read off
-and 0 otherwise.  The reference is a lower bound and h_k an upper one:
+itself, so ref is hs.  Over the rationals ref_k is h_k where a node or the
+degree's normal forms were read off (below), else the smooth reference,
+`smooth_reference_dims(n, d)[k]`, then 0 at T+1.  The smooth reference is
+a lower bound and h_k an upper one:
 - dim_Q (S/J_F)_k <= h_k: the rank of an integer matrix mod p is at most
   its rank over the rationals;
 - dim_Q (S/J_F)_k >= ref_k: the degree-k Macaulay matrix of the partials
@@ -100,6 +101,27 @@ that spans the annihilator of J_{T+1} mod p.
   decide as before.
 - A node read off the sweep also makes dim_Q (S/J_F)_{T+1} = 1 exact: it
   is ref_{T+1}, so `milnor_dim(f, T+1)` returns it with no rref.
+
+Every other degree k <= T+1 of a rational F where h_k differs from the
+smooth reference, the singular forms' degrees, is read off the sweep too:
+its normal forms mod p are lifted to Q and checked exactly (Wang, SYMSAC
+1981), so an exact rank costs no elimination over Q.
+- Column j of the degree's normal-form table, m -> the coefficient of NF(m)
+  on the j-th standard monomial, is a functional on S_k that kills J_k mod
+  p.  Each column is lifted by rational reconstruction over its own
+  denominator (`_lifted_columns`), and `_read_off` checks with one integer
+  product that the h_k lifts kill every generator row m*g of J_k exactly.
+- Soundness: on N_k the table is the identity, so the lifts are h_k
+  independent vectors over Q, and if they kill J_k, rank_Q J_k <=
+  graded_dim - h_k.  With rank_Q >= rank_p = graded_dim - h_k this makes
+  h_k = dim_Q (S/J_F)_k exact: ref_k is h_k, `milnor_dim` returns it, and
+  at T+1 the certificate's rank is target - h_{T+1}.
+- Any failure keeps the smooth reference, and that degree takes the rref:
+  an entry past reconstruction mod p (a node at large coordinates), a lift
+  that does not kill J_k over Q (F smooth over Q but singular mod p), or a
+  check whose gathered functionals hold more than MACAULAY_CELLS cells.
+- No smooth form has such a degree, and a one-node form has it only at
+  T+1, where `_node_off_sweep` reads the node first and keeps its witness.
 
 `ci_smooth` forms the 2x2 minors of the Jacobian matrix of (F, Q) as
 integer products of the gradients of F's and Q's rows in the table, the
@@ -145,6 +167,7 @@ from .linalg import (
     _common_denominator,
     _eliminate_mod,
     _elimination_dtype,
+    _integer_matmul,
     _mod,
     _primitive,
     _product_dtype,
@@ -397,12 +420,16 @@ def jacobian_graded(f: Polynomial, k: int) -> GradedSubspace:
 class _MilnorSweep:
     """One sweep of a normalized F of degree >= 1 (see the module docstring):
     hs = (h_0, ..., h_{T+1}) mod p of its partials; ref, what h_k must equal
-    to be dim (S/J_F)_k (hs itself over F_p; over the rationals the smooth
-    reference, then 1 at T+1 where a node was read off, else 0); socle, with
+    to be dim (S/J_F)_k (hs itself over F_p; over the rationals h_k where
+    a node was read off, or where the degree's normal forms, lifted to Q,
+    kill J_k exactly, else the smooth reference, 0 at T+1); socle, with
     h_T = 1, the degree-T normal form v(m) = NF(m) on the one standard
     monomial, which spans the annihilator of J_T mod p; node, over the
     rationals with h_{T+1} = 1, the singular point that `_node_off_sweep`
-    reads off the degree-(T+1) normal forms.  Each is None otherwise."""
+    reads off the degree-(T+1) normal forms.  Each is None otherwise.
+    A verified read-off is exact: the h_k lifts are independent
+    (the identity on N_k), so they bound rank_Q J_k from above, and
+    rank_Q >= rank_p bounds it from below."""
 
     f: Polynomial
     hs: tuple
@@ -435,9 +462,12 @@ class _MilnorSweep:
                 "inconclusive", t1, field_used, False,
                 note="modular rank deficiency; no rational lift available",
             )
-        # a node read off the sweep gives the rank target - 1 exactly (module
-        # docstring); without one the rational rank decides
-        rk = target - 1 if node else rref(Matrix(field, _integer_rows(partials(f), t1), target))[2]
+        # h_(T+1) is exact where a node or the verified normal forms were
+        # read off the sweep (module docstring); elsewhere the rational rank
+        # decides
+        exact = self.dim(t1)
+        rk = (target - exact if exact is not None
+              else rref(Matrix(field, _integer_rows(partials(f), t1), target))[2])
         if rk == target:
             return SmoothnessCertificate("smooth", t1, "rational", False)
         s, witness = DEFAULT_SEARCH_PRIME, None
@@ -470,14 +500,66 @@ def _milnor_sweep(f: Polynomial) -> _MilnorSweep:
     d, rational = f.degree(), f.field.is_rational
     _require_sweep_degrees(f.nvars, d)
     p = DEFAULT_PRIME if rational else f.field.modulus
-    sweep = _quotient_dims_mod(_partials_table(f), f.nvars, p)
-    hs = tuple(h for _, h in itertools.islice(sweep, max(f.nvars * (d - 2) + 1, 0)))
-    socle = tuple(sweep.send(True)[:, 0].tolist()) if hs[-1:] == (1,) else None
-    hs += (next(sweep)[1],)
-    v = sweep.send(True)[:, 0].tolist() if rational and hs[-1] == 1 else None
-    node = v and _node_off_sweep(f, v, len(hs) - 1)
-    ref = (*(smooth_reference_dims(f.nvars, d) if d >= 2 else ()), 1 if node else 0)
-    return _MilnorSweep(f, hs, ref if rational else hs, socle, node)
+    t1 = max(f.nvars * (d - 2) + 1, 0)
+    smooth = (*(smooth_reference_dims(f.nvars, d) if d >= 2 else ()), 0)
+    partial_rows = _partials_table(f)
+    sweep = _quotient_dims_mod(partial_rows, f.nvars, p)
+    hs, ref, socle, node = [], [], None, None
+    for k, h in itertools.islice(sweep, t1 + 1):
+        # the normal forms are read at T where h_T = 1, and over Q wherever
+        # h_k exceeds the smooth reference
+        at_socle, inexact = k == t1 - 1 and h == 1, rational and h != smooth[k]
+        nf = sweep.send(True) if at_socle or inexact else None
+        if at_socle:
+            socle = tuple(nf[:, 0].tolist())
+        if inexact and k == t1 and h == 1:
+            node = _node_off_sweep(f, nf[:, 0].tolist(), t1)
+        exact = inexact and (node or _read_off(partial_rows, f.nvars, k, nf, p))
+        hs.append(h)
+        ref.append(h if exact else smooth[k])
+    return _MilnorSweep(f, tuple(hs), tuple(ref if rational else hs), socle, node)
+
+
+def _lifted_columns(nf: np.ndarray, p: int):
+    """The columns of a normal-form table mod p as integer columns, each
+    lifted by rational reconstruction over its own denominator
+    (`_reconstruct`), as one int64 or `object` array; None where a column
+    does not lift.  A column whose balanced residues are all within the
+    reconstruction bound is its own lift, as `_reconstruct` would return it
+    (each such residue reconstructs with denominator 1)."""
+    lifted = np.where(2 * nf > p, nf - p, nf).astype(np.int64)
+    bound = math.isqrt((p - 1) // 2)
+    far = np.flatnonzero((abs(lifted) > bound).any(axis=0))
+    if len(far):
+        lifted = lifted.astype(object)
+    for j in far:
+        nums, _ = _reconstruct(nf[:, j].tolist(), p)
+        if len(nums) < len(nf):
+            return None
+        lifted[:, j] = nums
+    return lifted
+
+
+def _read_off(partial_rows: dict, nvars: int, k: int, nf: np.ndarray, p: int) -> bool:
+    """Whether the sweep's degree-k normal forms `nf` of a rational F make
+    h_k = dim_Q (S/J_F)_k (module docstring): their columns lift
+    (`_lifted_columns`) to functionals w that kill every generator row m*g
+    of J_k exactly, g a row of F's primitive partials of degree e
+    (`partial_rows`, its `_partials_table`).  As (m*g) . w = sum_c g[c]
+    w[m*c] over the monomials c of degree e, the check is one product of
+    those rows with w gathered through `product_index(nvars, e, k)`
+    (`_integer_matmul`: int64 while each of its sums fits, `object`
+    otherwise), and J_k's rows are never built.  False, leaving the degree
+    to the rational rref, when the gathered w would hold more than
+    MACAULAY_CELLS cells."""
+    (e, gens), = partial_rows.items()
+    table = product_index(nvars, e, k)
+    if table.size * nf.shape[1] > MACAULAY_CELLS:
+        return False
+    w = _lifted_columns(nf, p)
+    if w is None:
+        return False
+    return not _integer_matmul(gens, w[table]).any()
 
 
 def milnor_dim(f: Polynomial, k: int) -> int:

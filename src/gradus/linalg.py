@@ -485,6 +485,17 @@ def _product_dtype(n: int, p: int):
     return np.int64 if max(n, 1) * (p - 1) ** 2 < 1 << 63 else object
 
 
+def _integer_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b exactly for integer arrays (numpy's broadcasting matmul): in
+    int64 while every sum, of a.shape[-1] products, fits, in Python ints
+    (`object`) otherwise."""
+    def height(x):  # the largest |entry|, with no temporary array
+        return int(max(x.max(initial=0), -x.min(initial=0)))
+
+    dtype = np.int64 if height(a) * height(b) * a.shape[-1] < 1 << 63 else object
+    return a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
+
+
 def _reducer_block(a, leads, free, reducers, p: int, wide):
     """The reducers scaled to lead with 1 and back-substituted, last lead
     first, to the identity on L: their columns F, as `wide`, each

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .apolarity import (
     _contract,
     _integer_array,
@@ -59,6 +61,7 @@ from .linalg import (
     FieldConfig,
     Matrix,
     SeedStream,
+    _common_denominator,
     child_seed,
     random_scalar,
     rref,
@@ -368,17 +371,22 @@ def theorem14_check(
 
 
 def _distance_sq_to_subspace(basis: Matrix, vec) -> Fraction:
-    """Exact squared euclidean distance from vec to the row space of basis:
-    |vec|^2 - p.s, p the projections of vec on the basis rows and s the
-    solution of the Gram system (Gram | p)."""
-    def dot(u, v):
-        return sum((Fraction(x) * y for x, y in zip(u, v)), Fraction(0))
+    """Exact squared euclidean distance from vec to the row space of basis.
 
-    b_rows = basis.rows
-    aug = [[dot(r1, r2) for r2 in b_rows] + [dot(r1, vec)] for r1 in b_rows]
-    red, _, rk = rref(Matrix(basis.field, aug, len(b_rows) + 1))
-    invariant(rk == len(b_rows), "gram matrix of an independent basis is singular")
-    return dot(vec, vec) - dot([row[-1] for row in aug], [row[-1] for row in red.rows[:rk]])
+    Scaling a basis row keeps the row space, so the rows are read as integer
+    rows N over their own common denominators, and vec as m / D.  Then the
+    distance is (m.m - p.s) / D^2, with p = N m the projections and s the
+    solution of the Gram system (N N^T | p): integer `object` products, and
+    one rational rref of the small Gram system."""
+    rows = np.array([_common_denominator(r)[0] for r in basis.rows], dtype=object)
+    rows = rows.reshape(basis.nrows, basis.ncols)
+    m, den = _common_denominator(vec)
+    m = np.array(m, dtype=object)
+    proj = rows @ m
+    aug = np.column_stack([rows @ rows.T, proj])
+    red, _, rk = rref(Matrix(basis.field, aug.tolist(), len(rows) + 1))
+    invariant(rk == len(rows), "gram matrix of an independent basis is singular")
+    return (m @ m - sum(x * row[-1] for x, row in zip(proj.tolist(), red.rows))) / Fraction(den * den)
 
 
 def deformation_experiment(

@@ -789,3 +789,28 @@ def test_sweep_readers_are_covariant(smooth_cubics, nodal_cubic, p, a):
         for (f, q), want in zip(pairs, ("smooth", "smooth", "singular")):
             moved = (linear_substitution(f, a), linear_substitution(q, a))
             assert ci_smooth(f, q, 8).verdict == ci_smooth(*moved, 8).verdict == want
+
+
+def _inverse_transpose(a) -> list:
+    """A^-T over Q for an integer matrix A, read off the rref of [A | I] and
+    checked against A by plain products."""
+    n = len(a)
+    aug = [[*map(Fraction, row), *(Fraction(int(i == j)) for j in range(n))] for i, row in enumerate(a)]
+    inv = [row[n:] for row in linalg.rref(Matrix(QQ, aug, 2 * n))[0].rows]
+    assert all(sum(a[i][k] * inv[k][j] for k in range(n)) == (i == j) for i in range(n) for j in range(n))
+    return [list(col) for col in zip(*inv)]
+
+
+@pytest.mark.parametrize("p", [None, 10007], ids=["q", "fp"])
+def test_extract_c_is_covariant(u_pairs, p):
+    # C(F o A, Q o A) = (C o A^-T).normalized() under MIXING: the colon
+    # moves with A, and its perp, a dual form, with A^-T.  Two certified
+    # pairs, with C smooth, and the golden (Fermat, Q) pair, with C singular
+    field = QQ if p is None else FieldConfig.prime_field(p)
+    inv_t = [[field.coerce(x) for x in row] for row in _inverse_transpose(MIXING)]
+    texts = [(str(f), str(cert.q)) for f, _, cert in u_pairs[:2]]
+    texts.append(("x0^3+x1^3+x2^3+x3^3+x4^3", "x0*x1 + x2*x3 + x4^2 + 2*x0^2 - x1*x3"))
+    for f, q in ((parse_poly(t, field, nvars=5) for t in pair) for pair in texts):
+        c = extract_c(f, q).poly
+        moved = extract_c(linear_substitution(f, MIXING), linear_substitution(q, MIXING)).poly
+        assert moved == linear_substitution(c, inv_t).normalized()

@@ -195,11 +195,24 @@ def test_sweep_degrees_past_the_work_budget():
 
 
 def test_macaulay_budget_counts_the_whole_matrix():
-    # every G drawn in the perp of the Fermat quartic's J_4 is singular at
-    # the coordinate points, so its certificate needs the exact J_11: five
+    # a quartic in 5 variables with one node, at (1, -100, 0, 0, 0): past
+    # reconstruction mod DEFAULT_PRIME, neither the node nor the degree-11
+    # normal forms lift, so its certificate needs the exact J_11: five
     # blocks of 495 x 1365 cells, each inside the budget, 3378375 together
-    results = _budget_results("membership-u", "--poly", "x0^4+x1^4+x2^4+x3^4+x4^4")
+    far = ("100010000*x0^4 + 4000200*x0^3*x1 + 60001*x0^2*x1^2 + x0^2*x2^2 + x0^2*x3^2"
+           " + x0^2*x4^2 + 400*x0*x1^3 + x1^4 + x2^4 + x3^4 + x4^4")
+    results = _budget_results("smooth", "--poly", far)
     assert "degree-11 Macaulay rows have 3378375 cells" in results["reason"]
+
+
+def test_membership_of_the_fermat_quartic_needs_no_whole_jacobian_piece(capsys):
+    # every G drawn in the perp of the Fermat quartic's J_4 is singular at
+    # the five coordinate points; its degree-11 normal forms lift to their
+    # evaluations and kill J_11 exactly, so each certificate's rank is exact
+    # without the 3378375-cell matrix, and no smooth G turns up
+    results = run_json(capsys, "membership-u", "--poly", "x0^4+x1^4+x2^4+x3^4+x4^4")["report"]["results"]
+    assert results == {"reason": "no smooth perp element found in 5 trials",
+                       "trials_used": 5, "verdict": "not_certified"}
 
 
 def test_socle_pairing_of_a_linear_form_names_its_socle_degree(capsys):

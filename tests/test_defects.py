@@ -24,7 +24,7 @@ from gradus import (
     singular_points,
     special_q,
 )
-from gradus import poly
+from gradus import defects, poly
 from gradus.errors import (
     AmbientMismatchError,
     BudgetExhaustedError,
@@ -34,10 +34,10 @@ from gradus.errors import (
     RangeError,
 )
 from gradus.jacobian import _by_degree, _common_zeros_mod, _milnor_sweep, projective_points
-from gradus.linalg import WORK_BUDGET
+from gradus.linalg import DEFAULT_PRIME, WORK_BUDGET
 from gradus.poly import Polynomial, monomials
 
-from .oracles import evaluation_by_pow, is_node_by_chart, linear_substitution
+from .oracles import evaluation_by_pow, is_node_by_chart, linear_substitution, naive_rank_rational
 
 QQ = FieldConfig.rationals()
 
@@ -273,6 +273,38 @@ def test_defect_single_point():
     pt = PointSet.from_raw(QQ, 3, [[1, 2, 3]])
     for k in (0, 1, 2, 5):
         assert defect(pt, k).defect == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_defect_over_q_matches_the_exact_rank(data):
+    # the defect over Q, from the points scaled to primitive integers and
+    # their rank mod DEFAULT_PRIME promoted when full, is that of the exact
+    # rank of the Fraction evaluation map; coordinates DEFAULT_PRIME,
+    # -2*DEFAULT_PRIME and 1/DEFAULT_PRIME make rows that are independent
+    # over Q fall dependent mod p, so the exact rank must decide
+    nvars, k = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 4))
+    coord = st.one_of(st.fractions(-20, 20, max_denominator=9),
+                      st.sampled_from((DEFAULT_PRIME, -2 * DEFAULT_PRIME, Fraction(1, DEFAULT_PRIME))))
+    rows = data.draw(st.lists(st.lists(coord, min_size=nvars, max_size=nvars), max_size=7))
+    try:
+        pts = PointSet.from_raw(QQ, nvars, rows)
+    except PreconditionError:  # a zero vector or a repeated point
+        assume(False)
+    assert defect(pts, k).defect == len(pts) - naive_rank_rational(evaluation_by_pow(pts, k))
+
+
+def test_defect_over_q_promotes_a_full_modular_rank(monkeypatch):
+    # a rank mod p that is full needs no exact rank; (1, 0) and
+    # (1, DEFAULT_PRIME) share their row mod p at k = 1, so the exact rank
+    # of the integer rows decides, and finds it full
+    exact = []
+    monkeypatch.setattr(defects, "rank", lambda m: exact.append(m.nrows) or rank(m))
+    assert defect(coordinate_points(QQ, 5), 2).defect == 0
+    assert defect(PointSet.from_raw(QQ, 2, [[1, 0], [1, 2], [1, 3]]), 1).defect == 1
+    assert exact == []
+    assert defect(PointSet.from_raw(QQ, 2, [[1, 0], [1, DEFAULT_PRIME]]), 1).defect == 0
+    assert exact == [2]
 
 
 def test_defect_monotone_in_degree():

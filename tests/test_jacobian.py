@@ -613,8 +613,10 @@ def test_milnor_profile_reads_the_sweep(monkeypatch, smooth_cubics, nodal_cubic,
     assert milnor_profile(nodal_cubic).dims == (1, 5, 10, 10, 5, 1)
     assert rational_rrefs == []
     assert [milnor_dims_by_rref(nodal_cubic, k) for k in range(6)] == [1, 5, 10, 10, 5, 1]
-    # E3: J_k is built only where h_k mod p differs from the reference
+    # E3: h_5 and h_6 mod p differ from the smooth reference, and the
+    # sweep's lifted normal forms make both exact; J_k is built only past T+1
     _clear_milnor_caches()
+    rational_rrefs.clear()
     built = []
     graded = jacobian.jacobian_graded
 
@@ -624,13 +626,13 @@ def test_milnor_profile_reads_the_sweep(monkeypatch, smooth_cubics, nodal_cubic,
 
     monkeypatch.setattr(jacobian, "jacobian_graded", record)
     sweep = _milnor_sweep(special_cubic.normalized())
-    ref = smooth_reference_dims(5, 3) + [0]
-    assert sweep.ref == tuple(ref)
-    assert [k for k in range(6) if sweep.hs[k] != ref[k]] == [5]
+    smooth = smooth_reference_dims(5, 3) + [0]
+    assert [k for k in range(7) if sweep.hs[k] != smooth[k]] == [5, 6]
+    assert sweep.ref == sweep.hs == (1, 5, 10, 10, 5, 5, 5)
     assert milnor_profile(special_cubic).dims == (1, 5, 10, 10, 5, 5)
-    assert built == [5]
     assert [milnor_dim(special_cubic, k) for k in (6, 7)] == [5, 5]
-    assert built == [5, 6, 7]
+    assert built == [7]
+    assert rational_rrefs == [(630, 330)]
 
 
 # ---------------------------------------------------------------------------
@@ -725,6 +727,115 @@ def test_milnor_dim_at_a_node_read_off_the_sweep(monkeypatch, nodal_cubic):
     calls.clear()
     far = _sheared(nodal_cubic, 0, (0, 100, 0, 0, 0))
     assert milnor_dim(far, 6) == 1 and calls == [350]
+
+
+# ---------------------------------------------------------------------------
+# exact ranks read off the sweep's normal forms, against the rref route
+
+
+@st.composite
+def singular_forms(draw):
+    """A singular form over Q whose sweep mod DEFAULT_PRIME exceeds the
+    smooth reference at some degree <= T+1, coefficients in [-1, 1] or
+    [-5, 5]: a linear form times a form of degree d-1; a cone (a form
+    without x_{n-1}, sheared along it by +-1); a form with no monomial of
+    exponent >= d-1, so every coordinate point is singular (E3-like); that
+    form sheared off e0 and e1 by +-1 (several nodes at small coordinates),
+    or by integers up to 200 (a node at large coordinates, past
+    reconstruction mod DEFAULT_PRIME: the rref route).  The first two kinds
+    verify at some degrees and not at others, the more often the smaller
+    their coefficients.  One draw in four adds DEFAULT_PRIME times a dense
+    form: the sweep sees the singular form, whose normal forms lift, while
+    over Q F is most often smooth, so the exact check must reject them.
+    Cubics in 3-5 variables or a quartic in 3; a five-variable cubic, whose
+    degrees that do not verify take a 350 x 210 rref on both sides, is one
+    draw in twelve."""
+    five = draw(st.integers(0, 11)) == 11
+    nvars, d = (5, 3) if five else draw(st.sampled_from(((3, 3), (4, 3), (3, 4))))
+    kind = draw(st.sampled_from(("line_times_form", "cone", "e3_like", "small_nodes", "large_nodes")))
+    bound = draw(st.sampled_from((1, 5)))
+    stream = SeedStream(draw(st.integers(0, 2**32)))
+
+    def form(e, keep=lambda m: True):
+        return Polynomial(QQ, nvars, "x", {
+            m: random_scalar(QQ, stream, bound) for m in monomials(nvars, e) if keep(m)
+        })
+
+    def signs():
+        return [2 * stream.randint(0, 1) - 1 for _ in range(nvars)]
+
+    if kind == "line_times_form":
+        f = form(1) * form(d - 1)
+    elif kind == "cone":
+        f = _sheared(form(d, lambda m: m[-1] == 0), nvars - 1, signs())
+    else:
+        f = form(d, lambda m: max(m) < d - 1)
+        for src in (0, 1) if kind != "e3_like" else ():
+            f = _sheared(f, src, [stream.randint(-200, 200) for _ in range(nvars)]
+                         if kind == "large_nodes" else signs())
+    if draw(st.integers(0, 3)) == 0:
+        f = f + form(d).scale(DEFAULT_PRIME)
+    assume(not f.is_zero())
+    return f
+
+
+@settings(max_examples=15, deadline=None)
+@given(singular_forms())
+def test_read_off_ranks_match_rref_route(f):
+    # milnor_dim at every degree up to T+1, and the certificate's rank, are
+    # the rational rref's, whether the sweep's normal forms verified or not
+    t1 = f.nvars * (f.degree() - 2) + 1
+    expected = [milnor_dims_by_rref(f, k) for k in range(t1 + 1)]
+    assert [milnor_dim(f, k) for k in range(t1 + 1)] == expected
+    cert, target = is_smooth_hypersurface(f), graded_dim(f.nvars, t1)
+    if expected[t1]:
+        assert (cert.verdict, cert.degree, cert.field_used) == ("singular", t1, "rational")
+        assert cert.note.startswith(f"Jacobian rank {target - expected[t1]} < {target} at degree {t1}")
+    else:
+        assert cert.is_smooth
+
+
+def test_golden_singular_forms_read_their_ranks_off_the_sweep(monkeypatch, capsys):
+    # the golden commands whose certificate is singular, C of (Fermat, Q)
+    # and E3, cold: no rational null space of J_6 (210 columns) and no J_5
+    from gradus.cli import main as cli_main
+
+    null_spaces, built = [], []
+    null_space, graded = linalg._null_space, jacobian.jacobian_graded
+    monkeypatch.setattr(linalg, "_null_space", lambda rows, n: null_spaces.append(n) or null_space(rows, n))
+    monkeypatch.setattr(jacobian, "jacobian_graded", lambda g, k: built.append(k) or graded(g, k))
+    fermat, q = "x0^3+x1^3+x2^3+x3^3+x4^3", "x0*x1 + x2*x3 + x4^2 + 2*x0^2 - x1*x3"
+    for argv in (("extract-c", "-f", fermat, "-q", q), ("verify-corollary", "-f", fermat, "-q", q),
+                 ("deformation", "--steps", "2", "--trials", "2", "--seed", "1"), ("reproduce-example",)):
+        _clear_milnor_caches()
+        assert cli_main([*argv, "--output", "json"]) == 0
+        capsys.readouterr()
+        assert graded_dim(5, 6) not in null_spaces and 5 not in built, argv[0]
+    sweep = _milnor_sweep(special_q(QQ, 4, 3).normalized())
+    assert sweep.ref == sweep.hs == (1, 5, 10, 10, 5, 5, 5)
+    c = _milnor_sweep(parse_poly("y0*y1*y4 - y0*y2*y4 + y2*y3*y4", QQ).normalized())
+    assert c.ref == c.hs == (1, 5, 10, 17, 26, 37, 50)
+
+
+def test_read_off_check_leaves_int64_when_its_sums_would_not_fit(monkeypatch):
+    # an E3-like cubic with coefficients 10^18 + i: its degree-5 and -6
+    # normal forms lift to the five coordinate evaluations, entries 0 and 1,
+    # but a sum of the check, 15 products up to 10^18 + 9, passes 2^63, so
+    # the product runs on Python ints; the read-off still verifies
+    dtypes, product = [], jacobian._integer_matmul
+    monkeypatch.setattr(jacobian, "_integer_matmul", lambda a, b: dtypes.append(product(a, b).dtype) or product(a, b))
+    squarefree = (m for m in monomials(5, 3) if max(m) == 1)
+    f = Polynomial(QQ, 5, "x", {m: QQ.coerce(10**18 + i) for i, m in enumerate(squarefree)})
+    _clear_milnor_caches()
+    sweep = _milnor_sweep(f.normalized())
+    assert sweep.ref == sweep.hs == (1, 5, 10, 10, 5, 5, 5)
+    assert dtypes == [np.dtype(object)] * 2
+    assert (10**18 + 9) * 15 >= 1 << 63
+    assert [milnor_dim(f, k) for k in (5, 6)] == [milnor_dims_by_rref(f, k) for k in (5, 6)] == [5, 5]
+    # E3 itself checks in int64
+    dtypes.clear()
+    _milnor_sweep(special_q(QQ, 4, 3).normalized())
+    assert dtypes == [np.dtype(np.int64)] * 2
 
 
 def _rows_form_by_form(gens) -> dict:
