@@ -62,13 +62,10 @@ from .linalg import (
     SeedStream,
     child_seed,
     kernel,
-    mat_mul,
     rank,
     random_scalar,
     rref,
     span,
-    subspace_intersect,
-    subspace_sum,
 )
 from .pipeline import (
     PairCertificate,

@@ -94,7 +94,6 @@ from .linalg import (
     rank,
     rank_mod,
     span,
-    subspace_le,
 )
 from .poly import (
     Polynomial,
@@ -382,8 +381,8 @@ def colon_graded(f: Polynomial, q: Polynomial, k: int) -> GradedSubspace:
     # a is in the colon iff a*q reduces to zero modulo J_{k + deg q}
     j = jacobian_graded(f, k + q.homogeneous_degree())
     out = span(field, nvars, k, f.family, kernel(_multiplication_matrix(q, j)).rows)
-    jk = jacobian_graded(f, k)
-    invariant(subspace_le(jk, out), "colon does not contain the Jacobian piece")
+    invariant(not any(any(out.reduce(r)) for r in jacobian_graded(f, k).basis.rows),
+              "colon does not contain the Jacobian piece")
     return out
 
 

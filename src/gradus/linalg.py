@@ -78,7 +78,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
-    AmbientMismatchError,
     CharacteristicError,
     PreconditionError,
     invariant,
@@ -204,9 +203,6 @@ class FieldConfig:
     def add(self, a, b):
         return a + b if self.is_rational else (a + b) % self.modulus
 
-    def sub(self, a, b):
-        return a - b if self.is_rational else (a - b) % self.modulus
-
     def mul(self, a, b):
         return a * b if self.is_rational else a * b % self.modulus
 
@@ -321,29 +317,12 @@ class Matrix:
         one, zero = field.one, field.zero
         return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)], n)
 
-    @classmethod
-    def zero(cls, field: FieldConfig, nrows: int, ncols: int) -> "Matrix":
-        z = field.zero
-        return cls(field, [[z] * ncols for _ in range(nrows)], ncols)
-
     def transpose(self) -> "Matrix":
         return Matrix(
             self.field,
             [tuple(self.rows[i][j] for i in range(self.nrows)) for j in range(self.ncols)],
             self.nrows,
         )
-
-    def is_zero(self) -> bool:
-        z = self.field.zero
-        return all(x == z for row in self.rows for x in row)
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if a.ncols != b.nrows or a.field != b.field:
-        raise AmbientMismatchError("matrix product shape mismatch")
-    f, cols = a.field, b.transpose().rows
-    dots = [[sum((x * y for x, y in zip(row, col)), f.zero) for col in cols] for row in a.rows]
-    return Matrix(f, dots if f.is_rational else [[x % f.modulus for x in r] for r in dots], b.ncols)
 
 
 # -- primitive integer rows -------------------------------------------------
@@ -963,10 +942,6 @@ class GradedSubspace:
             v[c] = x
         return v
 
-    def contains_vector(self, vec: Sequence) -> bool:
-        z = self.field.zero
-        return all(x == z for x in self.reduce(vec))
-
 
 def _rref_pivots(field: FieldConfig, rows) -> tuple | None:
     """The pivot columns of rows already in rref with canonical scalars
@@ -997,40 +972,3 @@ def span(field: FieldConfig, nvars: int, degree: int, family: str, vectors) -> G
         red, pivots, rk = rref(m)
         m = Matrix(field, red.rows[:rk], ncols)
     return GradedSubspace(field, nvars, degree, family, m, pivots)
-
-
-def _check_ambient(a: GradedSubspace, b: GradedSubspace):
-    if (a.field, a.nvars, a.degree, a.family) != (b.field, b.nvars, b.degree, b.family):
-        raise AmbientMismatchError(
-            f"subspace ambient mismatch: ({a.nvars},{a.degree},{a.family}) vs "
-            f"({b.nvars},{b.degree},{b.family})"
-        )
-
-
-def subspace_sum(a: GradedSubspace, b: GradedSubspace) -> GradedSubspace:
-    _check_ambient(a, b)
-    return span(a.field, a.nvars, a.degree, a.family, a.basis.rows + b.basis.rows)
-
-
-def subspace_intersect(a: GradedSubspace, b: GradedSubspace) -> GradedSubspace:
-    """Zassenhaus: rref [A|A; B|0], read the right half of rows with zero left half."""
-    _check_ambient(a, b)
-    f = a.field
-    n = a.basis.ncols
-    z = f.zero
-    rows = [list(r) + list(r) for r in a.basis.rows]
-    rows += [list(r) + [z] * n for r in b.basis.rows]
-    red, _, _ = rref(Matrix(f, rows, 2 * n))
-    inter = [row[n:] for row in red.rows if all(x == z for x in row[:n])]
-    out = span(f, a.nvars, a.degree, a.family, inter)
-    invariant(
-        out.dim + subspace_sum(a, b).dim == a.dim + b.dim,
-        "dim(sum) + dim(intersect) != dim A + dim B",
-    )
-    return out
-
-
-def subspace_le(a: GradedSubspace, b: GradedSubspace) -> bool:
-    """a is contained in b."""
-    _check_ambient(a, b)
-    return all(b.contains_vector(r) for r in a.basis.rows)

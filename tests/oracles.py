@@ -310,7 +310,7 @@ def naive_reduce(subspace, vec):
     for row, pc in zip(subspace.basis.rows, subspace.pivots):
         c = v[pc]
         if c != f.zero:
-            v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
+            v = [f.add(x, f.neg(f.mul(c, y))) for x, y in zip(v, row)]
     return v
 
 

@@ -2,9 +2,9 @@ import pytest
 
 from gradus import (
     FieldConfig,
+    Matrix,
     Polynomial,
     SeedStream,
-    mat_mul,
     mult_map,
     parse_poly,
     random_poly,
@@ -42,7 +42,7 @@ def test_mult_by_linear_form_degree2_rank(smooth_cubics):
 def test_mult_by_jacobian_element_is_zero(smooth_cubics):
     f = smooth_cubics[2]
     m = mult_map(f, f.partial(3), 1)
-    assert m.is_zero()
+    assert not any(map(any, m.rows))
 
 
 def test_mult_map_rejects_zero_and_singular(smooth_cubics, special_cubic):
@@ -114,8 +114,10 @@ def test_power_map_factorizes(smooth_cubics):
     f = smooth_cubics[5]
     ell = _linear([1, -2, 4, 0, 3])
     cube = mult_map(f, ell.pow(3), 1)
-    step = mat_mul(mult_map(f, ell, 3), mult_map(f, ell.pow(2), 1))
-    assert cube == step
+    a, b = mult_map(f, ell, 3), mult_map(f, ell.pow(2), 1)
+    assert a.ncols == b.nrows
+    step = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b.rows)] for row in a.rows]
+    assert cube == Matrix(QQ, step, b.ncols)
 
 
 def test_specific_power_ranks(smooth_cubics):

@@ -22,11 +22,9 @@ from gradus import (
     rref,
     span,
     special_q,
-    subspace_intersect,
-    subspace_sum,
 )
 from gradus import apolarity, jacobian, linalg
-from gradus.errors import AmbientMismatchError, PreconditionError
+from gradus.errors import PreconditionError
 from gradus.linalg import (
     _LIFT_PRIME,
     _elimination_dtype,
@@ -80,7 +78,7 @@ def test_rref_identity():
 
 
 def test_rref_zero_matrix():
-    z = Matrix.zero(QQ, 2, 5)
+    z = Matrix(QQ, [[QQ.zero] * 5] * 2, 5)
     red, piv, rk = rref(z)
     assert red == z and rk == 0 and piv == ()
 
@@ -129,42 +127,6 @@ def test_kernel_random_oracle():
                 for row in m.rows
             ]
             assert all(x == zero for x in prods)
-
-
-def test_subspace_sum_intersect_same():
-    stream = SeedStream(3)
-    vecs = [[random_scalar(QQ, stream, 5) for _ in range(15)] for _ in range(4)]
-    a = span(QQ, 5, 2, "x", vecs)
-    assert subspace_sum(a, a) == a
-    assert subspace_intersect(a, a) == a
-
-
-def test_subspace_complementary_coordinates():
-    e = [[QQ.one if j == i else QQ.zero for j in range(5)] for i in range(5)]
-    a = span(QQ, 5, 1, "x", e[:2])
-    b = span(QQ, 5, 1, "x", e[2:])
-    assert a.dim == 2 and b.dim == 3
-    assert subspace_sum(a, b).dim == 5
-    assert subspace_intersect(a, b).dim == 0
-
-
-def test_subspace_ambient_mismatch():
-    a = span(QQ, 5, 1, "x", [])
-    b = span(QQ, 5, 2, "x", [])
-    with pytest.raises(AmbientMismatchError):
-        subspace_sum(a, b)
-
-
-def test_subspace_dim_law_random():
-    stream = SeedStream(17)
-    for _ in range(10):
-        va = [[random_scalar(QQ, stream, 4) for _ in range(10)] for _ in range(3)]
-        vb = [[random_scalar(QQ, stream, 4) for _ in range(10)] for _ in range(4)]
-        a = span(QQ, 4, 2, "x", va)
-        b = span(QQ, 4, 2, "x", vb)
-        s = subspace_sum(a, b)
-        i = subspace_intersect(a, b)
-        assert s.dim + i.dim == a.dim + b.dim
 
 
 def test_seed_stream_determinism():
@@ -426,7 +388,6 @@ def test_reduce_matches_full_row_oracle(case):
     assert len(fast) == sub.ambient_dim
     assert fast == naive_reduce(sub, vec)
     assert all(fast[c] == sub.field.zero for c in sub.pivots)
-    assert sub.contains_vector(vec) == all(x == sub.field.zero for x in fast)
 
 
 def test_rref_and_rank_mod_on_full_rank_jacobian_piece():

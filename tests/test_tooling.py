@@ -2,8 +2,8 @@
 it cannot find, whose metrics then read 0; every name it lists must exist.
 It counts calls to those public functions, so a layer's own internal work
 must not go through them.  Every memo cache in the library is bounded, the
-smoothness checks leave `numpy.ma` unimported, and only `linalg.span`
-builds a `GradedSubspace`."""
+smoothness checks leave `numpy.ma` unimported, only `linalg.span`
+builds a `GradedSubspace`, and every module reads each name it imports."""
 
 import ast
 import importlib
@@ -117,3 +117,21 @@ def test_only_span_builds_a_graded_subspace():
         visitor.visit(ast.parse(path.read_text()))
         found |= visitor.found
     assert found == {"linalg.span"}
+
+
+def test_every_module_uses_what_it_imports():
+    # a name imported but never read is left over from deleted code
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}.{name}" for name in sorted(imported - used)]
+    assert unused == []
